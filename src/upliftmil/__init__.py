@@ -41,7 +41,6 @@ from .mil import (
     cluster_bags,
     combined_loss_and_grads,
     mil_loss,
-    variance_identity_check,
 )
 from .models import (
     ModelKind,
@@ -96,5 +95,4 @@ __all__ = [
     "split",
     "train",
     "uplift_curve",
-    "variance_identity_check",
 ]

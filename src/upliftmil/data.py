@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,7 +175,8 @@ def load_table(path, schema: TableSchema) -> Dataset:
         y_idx = col_idx[schema.outcome_col]
         ite_idx = None if schema.true_ite_col is None else col_idx[schema.true_ite_col]
 
-        feats, treat, outc, ites = [], [], [], []
+        # Typed buffers, not an object per value: repeated loads do not fragment the heap.
+        feats, treat, outc, ites = array("d"), array("q"), array("q"), array("d")
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
@@ -184,7 +186,7 @@ def load_table(path, schema: TableSchema) -> Dataset:
                     f"{len(header)}"
                 )
             try:
-                feats.append([float(row[i]) for i in f_idx])
+                feats.extend([float(row[i]) for i in f_idx])
             except ValueError:
                 bad = next(c for c, i in zip(feature_cols, f_idx) if not _is_float(row[i]))
                 raise ParseError(
@@ -205,7 +207,7 @@ def load_table(path, schema: TableSchema) -> Dataset:
     if not feats:
         raise ParseError(f"{path}: no data rows")
     ds = Dataset(
-        np.array(feats, dtype=np.float64),
+        np.array(feats, dtype=np.float64).reshape(-1, len(f_idx)),
         np.array(treat, dtype=np.int64),
         np.array(outc, dtype=np.int64),
         np.array(ites, dtype=np.float64) if ite_idx is not None else None,

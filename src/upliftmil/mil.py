@@ -16,11 +16,14 @@ residuals, summed over bags holding both arms, form a regularizer that
 is added to the base loss with weight alpha. The bag assignment is
 discrete and carries no gradient; bags are re-formed from fresh
 predictions every step.
+
+A partition is one (n_bags, bag_size) array of batch positions, so every
+bag's label, prediction, residual and gradient comes from a few array
+operations over its rows; there are no per-bag objects.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -39,24 +42,25 @@ class BagMode(str, Enum):
 
 @dataclass
 class BagPartition:
-    """Disjoint equal-sized bags of batch positions; the remainder rows
-    (batch size mod bag size) belong to no bag."""
+    """Disjoint equal-sized bags as one (n_bags, bag_size) array of batch
+    positions, one bag per row; the remainder rows (batch size mod bag
+    size) belong to no bag."""
 
-    bags: list[np.ndarray]
+    bags: np.ndarray
     bag_size: int
     mode: BagMode
 
 
 @dataclass
 class BagStats:
-    """Label, prediction and arm counts for one bag. A bag is usable for
-    the regularizer only when it holds both arms."""
+    """Label, prediction and usable flag of every bag, aligned with the
+    rows of `BagPartition.bags`. A bag is usable for the regularizer only
+    when it holds both arms; an unusable bag's label and prediction are
+    NaN."""
 
-    y_bag: float
-    h_bag: float
-    n_treated: int
-    n_control: int
-    usable: bool
+    y_bag: np.ndarray
+    h_bag: np.ndarray
+    usable: np.ndarray
 
 
 @dataclass
@@ -98,16 +102,40 @@ def cluster_bags(
             f"bag_size {bag_size} exceeds batch size {n}; no bags formed",
             stacklevel=2,
         )
-        return BagPartition(bags=[], bag_size=bag_size, mode=mode)
-    if mode is BagMode.CLUSTERED:
+        order = np.zeros(0, dtype=np.intp)
+    elif mode is BagMode.CLUSTERED:
         order = np.argsort(preds, kind="stable")
     else:
         if rng is None:
             rng = np.random.default_rng()
         order = rng.permutation(n)
-    n_bags = n // bag_size
-    bags = [order[k * bag_size : (k + 1) * bag_size] for k in range(n_bags)]
+    bags = order[: n - n % bag_size].reshape(-1, bag_size)
     return BagPartition(bags=bags, bag_size=bag_size, mode=mode)
+
+
+def _bag_sums(
+    a_t: np.ndarray,
+    a_c: np.ndarray,
+    treatment: np.ndarray,
+    bags: np.ndarray,
+    u_t: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted arm sums of every row of `bags`: the treated members' a_t
+    over u_t minus the control members' a_c over (1 - u_t).
+
+    Returns (values, usable). A single-arm bag is unusable and its value
+    is NaN.
+    """
+    treated = np.asarray(treatment)[bags] == 1
+    n_t = treated.sum(axis=1)
+    usable = (n_t > 0) & (n_t < bags.shape[1])
+    if not 0.0 < u_t < 1.0:
+        if usable.any():
+            raise ConfigError(f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")
+        return np.full(len(bags), np.nan), usable
+    s_t = np.where(treated, np.asarray(a_t, dtype=np.float64)[bags], 0.0).sum(axis=1)
+    s_c = np.where(treated, 0.0, np.asarray(a_c, dtype=np.float64)[bags]).sum(axis=1)
+    return np.where(usable, s_t / u_t - s_c / (1.0 - u_t), np.nan), usable
 
 
 def bag_label(
@@ -119,16 +147,7 @@ def bag_label(
     Returns (y_bag, usable). A single-arm bag is unusable and its label
     is NaN; it takes no part in the regularizer.
     """
-    t = np.asarray(treatment)[bag]
-    y = np.asarray(outcome, dtype=np.float64)[bag]
-    n_t = int(t.sum())
-    n_c = len(bag) - n_t
-    if n_t == 0 or n_c == 0:
-        return math.nan, False
-    if not 0.0 < u_t < 1.0:
-        raise ConfigError(f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")
-    label = float(y[t == 1].sum() / u_t - y[t == 0].sum() / (1.0 - u_t))
-    return label, True
+    return bag_prediction(outcome, outcome, treatment, bag, u_t)
 
 
 def bag_prediction(
@@ -141,44 +160,26 @@ def bag_prediction(
     """Bag-wise ATE prediction by the same weighted summation as the
     label: each instance contributes only its factual arm's predicted
     probability."""
-    t = np.asarray(treatment)[bag]
-    n_t = int(t.sum())
-    n_c = len(bag) - n_t
-    if n_t == 0 or n_c == 0:
-        return math.nan, False
-    if not 0.0 < u_t < 1.0:
-        raise ConfigError(f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")
-    pt = np.asarray(p_t, dtype=np.float64)[bag]
-    pc = np.asarray(p_c, dtype=np.float64)[bag]
-    pred = float(pt[t == 1].sum() / u_t - pc[t == 0].sum() / (1.0 - u_t))
-    return pred, True
+    values, usable = _bag_sums(p_t, p_c, treatment, np.asarray(bag)[None, :], u_t)
+    return float(values[0]), bool(usable[0])
 
 
 def batch_bag_stats(
     outcome, treatment, p_t, p_c, partition: BagPartition, u_t: float
-) -> list[BagStats]:
+) -> BagStats:
     """Label and prediction for every bag of a partition."""
-    t = np.asarray(treatment)
-    stats = []
-    for bag in partition.bags:
-        n_t = int(t[bag].sum())
-        n_c = len(bag) - n_t
-        y_bag, usable = bag_label(outcome, treatment, bag, u_t)
-        h_bag, _ = bag_prediction(p_t, p_c, treatment, bag, u_t)
-        stats.append(BagStats(y_bag, h_bag, n_t, n_c, usable))
-    return stats
+    y_bag, usable = _bag_sums(outcome, outcome, treatment, partition.bags, u_t)
+    h_bag, _ = _bag_sums(p_t, p_c, treatment, partition.bags, u_t)
+    return BagStats(y_bag, h_bag, usable)
 
 
-def mil_loss(stats: list[BagStats]) -> tuple[float, np.ndarray]:
+def mil_loss(stats: BagStats) -> tuple[float, np.ndarray]:
     """Sum of squared (label - prediction) residuals over usable bags.
 
-    Returns (l_mil, residuals); residuals are aligned with `stats` and
+    Returns (l_mil, residuals); residuals are aligned with the bags and
     zero for unusable bags so gradient routing can index them directly.
     """
-    residuals = np.zeros(len(stats))
-    for k, s in enumerate(stats):
-        if s.usable:
-            residuals[k] = s.y_bag - s.h_bag
+    residuals = np.where(stats.usable, stats.y_bag - stats.h_bag, 0.0)
     return float(np.sum(residuals**2)), residuals
 
 
@@ -216,38 +217,26 @@ def combined_loss_and_grads(
         gz_t = base_weight * gz_t
         gz_c = base_weight * gz_c
 
-    if alpha == 0.0:
-        grads = models.backprop_factual(model, out, gz_t, gz_c)
-        breakdown = LossBreakdown(
-            l_base=l_base,
-            l_mil=0.0,
-            alpha=alpha,
-            loss=base_weight * l_base,
-            usable_bags=0,
-            base_weight=base_weight,
-        )
-        return breakdown, grads, out
-
-    if partition is None:
-        partition = cluster_bags(out.uplift, bag_size, mode, rng)
-    stats = batch_bag_stats(y, t, out.p_t, out.p_c, partition, u_t)
-    l_mil, residuals = mil_loss(stats)
-    usable = sum(1 for s in stats if s.usable)
-
-    # d l_mil / d p: -2 r / u_t on treated members, +2 r / (1 - u_t) on
-    # control members of usable bags; then through the logistic.
-    dp_t = np.zeros_like(out.p_t)
-    dp_c = np.zeros_like(out.p_c)
-    treated = t == 1.0
-    for bag, r in zip(partition.bags, residuals):
-        if r == 0.0:
-            continue
-        bt = bag[treated[bag]]
-        bc = bag[~treated[bag]]
-        dp_t[bt] += -2.0 * r / u_t
-        dp_c[bc] += 2.0 * r / (1.0 - u_t)
-    gz_t = gz_t + alpha * dp_t * out.p_t * (1.0 - out.p_t)
-    gz_c = gz_c + alpha * dp_c * out.p_c * (1.0 - out.p_c)
+    l_mil, usable = 0.0, 0
+    if alpha != 0.0:
+        if partition is None:
+            partition = cluster_bags(out.uplift, bag_size, mode, rng)
+        stats = batch_bag_stats(y, t, out.p_t, out.p_c, partition, u_t)
+        l_mil, residuals = mil_loss(stats)
+        usable = int(stats.usable.sum())
+    if usable:
+        # d l_mil / d p: -2 r / u_t on treated members, +2 r / (1 - u_t) on
+        # control members of usable bags; then through the logistic. Bags
+        # are disjoint, so one scatter per arm writes every member once.
+        bags = partition.bags
+        treated = t[bags] == 1.0
+        r = residuals[:, None]
+        dp_t = np.zeros_like(out.p_t)
+        dp_c = np.zeros_like(out.p_c)
+        dp_t[bags] = np.where(treated, -2.0 * r / u_t, 0.0)
+        dp_c[bags] = np.where(treated, 0.0, 2.0 * r / (1.0 - u_t))
+        gz_t = gz_t + alpha * dp_t * out.p_t * (1.0 - out.p_t)
+        gz_c = gz_c + alpha * dp_c * out.p_c * (1.0 - out.p_c)
 
     grads = models.backprop_factual(model, out, gz_t, gz_c)
     breakdown = LossBreakdown(
@@ -259,33 +248,3 @@ def combined_loss_and_grads(
         base_weight=base_weight,
     )
     return breakdown, grads, out
-
-
-def variance_identity_check(
-    labels: np.ndarray, noise: np.ndarray, partition: BagPartition
-) -> tuple[float, float]:
-    """Algebraic core of the variance-reduction argument, as a test
-    oracle: with unweighted per-bag sums, the squared gap between noisy
-    and clean bag sums equals the squared bag sum of the noise alone.
-
-    Computes lhs = sum_bags (sum(y + eps) - sum(y))^2 and
-    rhs = sum_bags (sum eps)^2 with exact accumulation and raises if they
-    differ beyond 1e-12 relative to max(1, |lhs|, |rhs|).
-    """
-    y = np.asarray(labels, dtype=np.float64)
-    e = np.asarray(noise, dtype=np.float64)
-    if y.shape != e.shape:
-        raise ConfigError(f"length mismatch: {y.shape} labels, {e.shape} noise")
-    lhs_terms, rhs_terms = [], []
-    for bag in partition.bags:
-        noisy = math.fsum((y[i] + e[i]) for i in bag)
-        clean = math.fsum(y[i] for i in bag)
-        lhs_terms.append((noisy - clean) ** 2)
-        rhs_terms.append(math.fsum(e[i] for i in bag) ** 2)
-    lhs = math.fsum(lhs_terms)
-    rhs = math.fsum(rhs_terms)
-    if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
-        raise AssertionError(
-            f"bag-noise identity violated: lhs={lhs!r} rhs={rhs!r}"
-        )
-    return lhs, rhs

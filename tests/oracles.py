@@ -3,8 +3,9 @@
 Everything here is written straight from the defining formulas with
 plain loops, deliberately sharing no code with the package: a clean-room
 dense-net evaluator per architecture, the factual-arm and bag-level
-losses, central finite differences, and a brute-force uplift-curve
-evaluator that materializes every selection explicitly.
+losses, the bag-noise identity, central finite differences, and a
+brute-force uplift-curve evaluator that materializes every selection
+explicitly.
 """
 
 import math
@@ -119,6 +120,35 @@ def mil_loss_ref(p_t, p_c, t, y, bags, u_t):
         h_bag = sum(p_t[i] for i in tr) / u_t - sum(p_c[j] for j in co) / (1.0 - u_t)
         total += (y_bag - h_bag) ** 2
     return total
+
+
+def variance_identity_check(labels, noise, bags):
+    """Algebraic core of the variance-reduction argument: with unweighted
+    per-bag sums, the squared gap between noisy and clean bag sums equals
+    the squared bag sum of the noise alone.
+
+    `bags` is any iterable of index arrays. Computes
+    lhs = sum_bags (sum(y + eps) - sum(y))^2 and rhs = sum_bags (sum eps)^2
+    with exact accumulation and raises if they differ beyond 1e-12
+    relative to max(1, |lhs|, |rhs|).
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    e = np.asarray(noise, dtype=np.float64)
+    if y.shape != e.shape:
+        raise ValueError(f"length mismatch: {y.shape} labels, {e.shape} noise")
+    lhs_terms, rhs_terms = [], []
+    for bag in bags:
+        noisy = math.fsum((y[i] + e[i]) for i in bag)
+        clean = math.fsum(y[i] for i in bag)
+        lhs_terms.append((noisy - clean) ** 2)
+        rhs_terms.append(math.fsum(e[i] for i in bag) ** 2)
+    lhs = math.fsum(lhs_terms)
+    rhs = math.fsum(rhs_terms)
+    if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
+        raise AssertionError(
+            f"bag-noise identity violated: lhs={lhs!r} rhs={rhs!r}"
+        )
+    return lhs, rhs
 
 
 def combined_loss_ref(model, x, t, y, u_t, alpha, bags, base_weight=1.0,

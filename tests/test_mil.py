@@ -8,17 +8,20 @@ from upliftmil import mil, models
 from upliftmil.errors import ConfigError
 from upliftmil.mil import (
     BagMode,
-    BagPartition,
     bag_label,
     bag_prediction,
-    batch_bag_stats,
     cluster_bags,
     combined_loss_and_grads,
     mil_loss,
-    variance_identity_check,
 )
 
-from oracles import combined_loss_ref, fd_gradients, max_relative_error
+from oracles import (
+    combined_loss_ref,
+    fd_gradients,
+    max_relative_error,
+    mil_loss_ref,
+    variance_identity_check,
+)
 
 ALL_KINDS = ["tm", "tarnet", "ddr", "sdr"]
 
@@ -47,7 +50,7 @@ class TestClusterBags:
     def test_oversized_bag_warns(self):
         with pytest.warns(UserWarning, match="bag_size"):
             part = cluster_bags(np.arange(3.0), 4)
-        assert part.bags == []
+        assert part.bags.shape == (0, 4)
 
     def test_random_mode_partitions_fully(self):
         rng = np.random.default_rng(0)
@@ -130,29 +133,27 @@ class TestBagPrediction:
 
 class TestMilLoss:
     def test_single_bag_residual(self):
-        stats = [mil.BagStats(2.0, 1.5, 2, 2, True)]
+        stats = mil.BagStats(np.array([2.0]), np.array([1.5]), np.array([True]))
         loss, residuals = mil_loss(stats)
         assert abs(loss - 0.25) < 1e-15
         np.testing.assert_allclose(residuals, [0.5])
 
     def test_perfect_predictions_zero_loss(self):
-        stats = [mil.BagStats(1.0, 1.0, 1, 1, True) for _ in range(4)]
+        stats = mil.BagStats(np.ones(4), np.ones(4), np.full(4, True))
         loss, _ = mil_loss(stats)
         assert loss == 0.0
 
     def test_two_bag_sum(self):
-        stats = [
-            mil.BagStats(1.0, 0.9, 1, 1, True),
-            mil.BagStats(0.0, 0.2, 1, 1, True),
-        ]
+        stats = mil.BagStats(
+            np.array([1.0, 0.0]), np.array([0.9, 0.2]), np.array([True, True])
+        )
         loss, _ = mil_loss(stats)
         assert abs(loss - 0.05) < 1e-15
 
     def test_unusable_bags_skipped(self):
-        stats = [
-            mil.BagStats(np.nan, np.nan, 2, 0, False),
-            mil.BagStats(3.0, 1.0, 1, 1, True),
-        ]
+        stats = mil.BagStats(
+            np.array([np.nan, 3.0]), np.array([np.nan, 1.0]), np.array([False, True])
+        )
         loss, residuals = mil_loss(stats)
         assert abs(loss - 4.0) < 1e-15
         assert residuals[0] == 0.0
@@ -212,24 +213,60 @@ class TestCombinedLoss:
         models.set_parameter_arrays(
             m, [a + rng.normal(0.0, 0.05, size=a.shape) for a in arrays]
         )
-        x, t, y, u_t = _batch(231)
-        out = models.forward_full(m, x)
-        partition = cluster_bags(out.uplift, 4)
-        frozen_pc = out.p_c.copy() if kind == "ddr" else None
-        alpha = 0.01
-        breakdown, grads, _ = combined_loss_and_grads(
-            m, x, t, y, u_t, alpha, bag_size=4, partition=partition
-        )
-        bags = [b.tolist() for b in partition.bags]
-        arrays = m.parameter_arrays()
-
-        def loss_fn(_arrays):
-            return combined_loss_ref(
-                m, x, t, y, u_t, alpha, bags, frozen_pc=frozen_pc
+        # 18 rows leave two remainder rows in no bag of 4: they must get
+        # no MIL gradient.
+        for n in (16, 18):
+            x, t, y, u_t = _batch(231, n=n)
+            out = models.forward_full(m, x)
+            partition = cluster_bags(out.uplift, 4)
+            frozen_pc = out.p_c.copy() if kind == "ddr" else None
+            alpha = 0.01
+            breakdown, grads, _ = combined_loss_and_grads(
+                m, x, t, y, u_t, alpha, bag_size=4, partition=partition
             )
+            bags = [b.tolist() for b in partition.bags]
+            arrays = m.parameter_arrays()
 
-        numeric = fd_gradients(loss_fn, arrays)
-        assert max_relative_error(grads, numeric) < 1e-4
+            def loss_fn(_arrays):
+                return combined_loss_ref(
+                    m, x, t, y, u_t, alpha, bags, frozen_pc=frozen_pc
+                )
+
+            numeric = fd_gradients(loss_fn, arrays)
+            assert max_relative_error(grads, numeric) < 1e-4
+
+    @pytest.mark.parametrize("mode", list(BagMode))
+    @pytest.mark.parametrize("bag_size", [2, 3, 8, 16, 64])
+    def test_mil_term_matches_reference_for_every_bag_size(self, bag_size, mode):
+        # 131 rows is a multiple of no bag size, and the first bag is
+        # made single-arm, so remainder rows and unusable bags both occur.
+        m = models.build("sdr", 3, (5, 4), 13)
+        x, t, y, _ = _batch(130, n=131)
+        out = models.forward_full(m, x)
+        bags = cluster_bags(out.uplift, bag_size, mode, np.random.default_rng(7)).bags
+        t[bags[0]] = 1.0
+        u_t = t.sum() / len(t)
+        breakdown, _, _ = combined_loss_and_grads(
+            m, x, t, y, u_t, 0.01, bag_size, mode, rng=np.random.default_rng(7)
+        )
+        two_arm = [0 < t[b].sum() < bag_size for b in bags]
+        assert not two_arm[0] and any(two_arm)
+        assert breakdown.usable_bags == sum(two_arm)
+        ref = mil_loss_ref(out.p_t, out.p_c, t, y, bags.tolist(), u_t)
+        assert abs(breakdown.l_mil - ref) <= 1e-12 * abs(ref)
+
+    def test_oversized_bag_is_base_loss(self):
+        m = models.build("tarnet", 3, (5, 4), 17)
+        x, t, y, u_t = _batch(170)
+        with pytest.warns(UserWarning, match="bag_size"):
+            breakdown, grads, _ = combined_loss_and_grads(
+                m, x, t, y, u_t, alpha=0.01, bag_size=32
+            )
+        _, base_grads, _ = models.base_loss_and_grads(m, x, t, y)
+        assert breakdown.l_mil == 0.0
+        assert breakdown.usable_bags == 0
+        for a, b in zip(grads, base_grads):
+            assert a.tobytes() == b.tobytes()
 
     def test_base_weight_zero_drops_base_loss_from_total(self):
         m = models.build("tarnet", 3, (5, 4), 5)
@@ -249,21 +286,18 @@ class TestCombinedLoss:
 
 class TestVarianceIdentity:
     def test_zero_noise(self):
-        part = BagPartition([np.arange(4)], 4, BagMode.CLUSTERED)
-        lhs, rhs = variance_identity_check(np.ones(4), np.zeros(4), part)
+        lhs, rhs = variance_identity_check(np.ones(4), np.zeros(4), [np.arange(4)])
         assert lhs == rhs == 0.0
 
     def test_cancelling_noise(self):
-        part = BagPartition([np.arange(2)], 2, BagMode.CLUSTERED)
         lhs, rhs = variance_identity_check(
-            np.array([1.0, 0.0]), np.array([0.1, -0.1]), part
+            np.array([1.0, 0.0]), np.array([0.1, -0.1]), [np.arange(2)]
         )
         assert abs(lhs) < 1e-30 and abs(rhs) < 1e-30
 
     def test_additive_noise(self):
-        part = BagPartition([np.arange(2)], 2, BagMode.CLUSTERED)
         lhs, rhs = variance_identity_check(
-            np.array([1.0, 0.0]), np.array([0.1, 0.2]), part
+            np.array([1.0, 0.0]), np.array([0.1, 0.2]), [np.arange(2)]
         )
         assert abs(lhs - 0.09) < 1e-12
         assert abs(rhs - 0.09) < 1e-12
@@ -276,7 +310,7 @@ class TestVarianceIdentity:
             y = rng.integers(0, 2, n).astype(float)
             e = rng.normal(0, 0.5, n)
             part = cluster_bags(rng.normal(size=n), bag)
-            lhs, rhs = variance_identity_check(y, e, part)
+            lhs, rhs = variance_identity_check(y, e, part.bags)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
