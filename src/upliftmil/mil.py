@@ -195,7 +195,7 @@ def combined_loss_and_grads(
     rng: np.random.Generator | None = None,
     base_weight: float = 1.0,
     partition: BagPartition | None = None,
-) -> tuple[LossBreakdown, list[np.ndarray], ModelOutputs]:
+) -> tuple[LossBreakdown, np.ndarray, ModelOutputs]:
     """Base loss plus the bag-level regularizer, with gradients.
 
     Bags are formed from the batch's current uplift predictions unless a

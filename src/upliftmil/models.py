@@ -24,7 +24,7 @@ Architectures:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -55,21 +55,39 @@ _NET_ORDER = {
 
 @dataclass
 class UpliftModel:
+    """An architecture's nets, all views into the one vector `params`. The
+    constructor copies the given nets' values into `params` (back to back
+    in `_NET_ORDER`) and replaces each net by views into its slice."""
+
     kind: ModelKind
     input_dim: int
     hidden_sizes: tuple[int, ...]
     seed: int
     nets: dict[str, NetworkParams]
     scaler: tuple[np.ndarray, np.ndarray] | None = None
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = np.concatenate([self.nets[n].flat for n in self.net_names()])
+        views, pos = {}, 0
+        for name in self.net_names():
+            net = self.nets[name]
+            flat = self.params[pos : pos + net.flat.size]
+            views[name] = NetworkParams(flat, net.layer_sizes, net.output_activation)
+            pos += flat.size
+        self.nets = views
+
+    def __setstate__(self, state):
+        # Pickle copies each view on its own (as when repeat_runs returns a
+        # model from a worker process): join them into one vector again.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def net_names(self) -> tuple[str, ...]:
         return _NET_ORDER[self.kind]
 
-    def parameter_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for name in self.net_names():
-            out.extend(nncore.net_arrays(self.nets[name]))
-        return out
+    def parameter_arrays(self) -> np.ndarray:
+        return self.params
 
 
 @dataclass
@@ -168,13 +186,13 @@ def predict(model: UpliftModel, x: np.ndarray):
 
 def backprop_factual(
     model: UpliftModel, out: ModelOutputs, gz_t: np.ndarray, gz_c: np.ndarray
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Route per-row pre-logistic gradients through the architecture.
 
     gz_t[i] is the loss gradient at the treatment arm's pre-logistic
     value for row i (zero on rows whose treatment arm takes no gradient),
-    gz_c likewise for the control arm. Returns gradients aligned with
-    `parameter_arrays`.
+    gz_c likewise for the control arm. Returns one gradient vector
+    aligned with `model.params`.
     """
     gt = np.asarray(gz_t, dtype=np.float64).reshape(-1, 1)
     gc = np.asarray(gz_c, dtype=np.float64).reshape(-1, 1)
@@ -190,7 +208,7 @@ def backprop_factual(
         trunk = model.nets["trunk"]
         d_rep = nncore.output_grad_to_preact(trunk, caches["trunk"], din_c + din_t)
         g_trunk, _ = nncore.backward(trunk, caches["trunk"], d_rep)
-        return g_trunk + g_head_c + g_head_t
+        return np.concatenate([g_trunk, g_head_c, g_head_t])
     if model.kind is ModelKind.DDR:
         g_control, _ = nncore.backward(model.nets["control"], caches["control"], gc)
         # Input gradient of the treatment net is dropped: the appended
@@ -198,13 +216,13 @@ def backprop_factual(
         g_treatment, _ = nncore.backward(
             model.nets["treatment"], caches["treatment"], gt
         )
-        return g_control + g_treatment
+        return np.concatenate([g_control, g_treatment])
     # SDR: both arms' pre-logistic values are shared_logit + private_logit,
     # so the shared net collects each row's factual-arm gradient.
     g_shared, _ = nncore.backward(model.nets["shared"], caches["shared"], gt + gc)
     g_priv_c, _ = nncore.backward(model.nets["private_c"], caches["private_c"], gc)
     g_priv_t, _ = nncore.backward(model.nets["private_t"], caches["private_t"], gt)
-    return g_shared + g_priv_c + g_priv_t
+    return np.concatenate([g_shared, g_priv_c, g_priv_t])
 
 
 def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
@@ -223,20 +241,15 @@ def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
     return loss_t + loss_c, grads, out
 
 
-def set_parameter_arrays(model: UpliftModel, arrays: list[np.ndarray]) -> None:
-    """Write a flat array list (as from `parameter_arrays`) back."""
-    pos = 0
-    for name in model.net_names():
-        net = model.nets[name]
-        k = 2 * net.n_layers
-        nncore.set_net_arrays(net, arrays[pos : pos + k])
-        pos += k
-    if pos != len(arrays):
-        raise ShapeError("array list does not match model parameter count")
+def set_parameter_arrays(model: UpliftModel, values: np.ndarray) -> None:
+    """Copy a parameter vector (as from `clone_parameter_arrays`) in."""
+    if values.shape != model.params.shape:
+        raise ShapeError(f"expected {model.params.shape} values, got {values.shape}")
+    np.copyto(model.params, values)
 
 
-def clone_parameter_arrays(model: UpliftModel) -> list[np.ndarray]:
-    return [a.copy() for a in model.parameter_arrays()]
+def clone_parameter_arrays(model: UpliftModel) -> np.ndarray:
+    return model.params.copy()
 
 
 def save_checkpoint(model: UpliftModel, path) -> None:
@@ -267,6 +280,19 @@ def save_checkpoint(model: UpliftModel, path) -> None:
     np.savez(path, manifest=np.array(json.dumps(manifest)), **arrays)
 
 
+def _read(archive, key: str, out: np.ndarray) -> None:
+    """Copy checkpoint member `key` into `out`, checking that it exists
+    and has `out`'s shape; the member is read once."""
+    if key not in archive:
+        raise ConfigError(f"checkpoint member {key!r} is missing")
+    value = archive[key]
+    if value.shape != out.shape:
+        raise ConfigError(
+            f"checkpoint member {key!r} has shape {value.shape}, expected {out.shape}"
+        )
+    out[...] = value
+
+
 def load_checkpoint(path) -> UpliftModel:
     with np.load(path) as archive:
         manifest = json.loads(str(archive["manifest"]))
@@ -278,18 +304,21 @@ def load_checkpoint(path) -> UpliftModel:
         nets = {}
         for name in _NET_ORDER[kind]:
             info = manifest["nets"][name]
-            n_layers = len(info["layer_sizes"]) - 1
-            nets[name] = NetworkParams(
-                weights=[archive[f"{name}.w{k}"] for k in range(n_layers)],
-                biases=[archive[f"{name}.b{k}"] for k in range(n_layers)],
-                output_activation=info["output_activation"],
-            )
+            sizes, activation = tuple(info["layer_sizes"]), info["output_activation"]
+            net = NetworkParams(np.empty(nncore.param_count(sizes)), sizes, activation)
+            nets[name] = net
+            for k in range(net.n_layers):
+                _read(archive, f"{name}.w{k}", net.weights[k])
+                _read(archive, f"{name}.b{k}", net.biases[k])
+        input_dim = int(manifest["input_dim"])
         scaler = None
         if manifest["has_scaler"]:
-            scaler = (archive["scaler.mean"], archive["scaler.std"])
+            scaler = (np.empty(input_dim), np.empty(input_dim))
+            _read(archive, "scaler.mean", scaler[0])
+            _read(archive, "scaler.std", scaler[1])
     return UpliftModel(
         kind=kind,
-        input_dim=int(manifest["input_dim"]),
+        input_dim=input_dim,
         hidden_sizes=tuple(manifest["hidden_sizes"]),
         seed=int(manifest["seed"]),
         nets=nets,

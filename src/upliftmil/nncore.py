@@ -1,8 +1,9 @@
 """Minimal dense feedforward network machinery.
 
 Everything needed to train the uplift models lives here: parameter
-containers, forward pass with cached intermediates, exact reverse-mode
-backpropagation, bias-corrected Adam updates, and masked binary
+vectors cut into per-layer views, forward pass with cached
+intermediates, exact reverse-mode backpropagation into one gradient
+vector, bias-corrected Adam updates in place, and masked binary
 cross-entropy. All arithmetic is float64; batches are row-major
 (batch x features) numpy arrays.
 
@@ -30,22 +31,30 @@ PROB_CLIP = 1e-7
 _ACTIVATIONS = ("logistic", "linear", "relu")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkParams:
     """Weights and biases of a dense net, one (in x out) matrix per layer.
 
     Hidden layers use the rectifier; the final layer's activation is
     `output_activation` ("logistic" for probability outputs, "linear" for
     logit heads, "relu" for shared representation trunks).
+
+    `weights` and `biases` are views into `flat` cut by `layer_sizes`, in
+    tuples so none can be rebound and detached: write them in place.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    layer_sizes: tuple[int, ...]
     output_activation: str = "logistic"
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+    def __post_init__(self):
+        if self.output_activation not in _ACTIVATIONS:
+            raise ConfigError(f"unknown output activation {self.output_activation!r}")
+        weights, biases = layer_views(self.flat, self.layer_sizes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     @property
     def n_layers(self) -> int:
@@ -67,10 +76,10 @@ class ForwardCache:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment vectors plus the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int
     learning_rate: float
     beta1: float
@@ -92,6 +101,25 @@ def logistic(z: np.ndarray) -> np.ndarray:
     return np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
+def param_count(layer_sizes) -> int:
+    """Length of the parameter vector of a dense net with these sizes."""
+    return sum((i + 1) * o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def layer_views(flat: np.ndarray, layer_sizes) -> tuple[tuple, tuple]:
+    """(weights, biases) of a dense net as views into the vector `flat`,
+    which holds W0, b0, W1, b1, ... back to back."""
+    if flat.shape != (param_count(layer_sizes),):
+        raise ShapeError(f"{flat.shape} does not hold a net of sizes {layer_sizes}")
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return tuple(weights), tuple(biases)
+
+
 def init_network(
     layer_sizes, seed, output_activation: str = "logistic"
 ) -> NetworkParams:
@@ -105,15 +133,11 @@ def init_network(
         raise ConfigError(f"need at least 2 layer sizes, got {sizes}")
     if any(s <= 0 for s in sizes):
         raise ConfigError(f"layer sizes must be positive, got {sizes}")
-    if output_activation not in _ACTIVATIONS:
-        raise ConfigError(f"unknown output activation {output_activation!r}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        scale = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return NetworkParams(weights, biases, output_activation)
+    net = NetworkParams(np.zeros(param_count(sizes)), tuple(sizes), output_activation)
+    for w in net.weights:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+    return net
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -146,13 +170,13 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
 
 def backward(
     params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact reverse-mode gradients for a loss whose gradient with respect
     to the final layer's pre-activations is `output_grad`.
 
-    Returns (grads, input_grad) where grads is ordered like `net_arrays`
-    (W0, b0, W1, b1, ...) and input_grad is the gradient with respect to
-    the batch input.
+    Returns (grad, input_grad) where grad is one vector laid out like
+    `params.flat` and input_grad is the gradient with respect to the
+    batch input.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if len(cache.preacts) != params.n_layers:
@@ -162,20 +186,21 @@ def backward(
             f"output_grad shape {output_grad.shape} does not match final "
             f"pre-activation shape {cache.preacts[-1].shape}"
         )
-    grads: list[np.ndarray] = [None] * (2 * params.n_layers)
+    grad = np.empty_like(params.flat)
+    grad_w, grad_b = layer_views(grad, params.layer_sizes)
     delta = output_grad
     for k in range(params.n_layers - 1, -1, -1):
         a_prev = cache.activations[k - 1] if k > 0 else cache.x
         if cache.preacts[k].shape[1] != params.weights[k].shape[1]:
             raise ShapeError("cache does not match network layer widths")
-        grads[2 * k] = a_prev.T @ delta
-        grads[2 * k + 1] = delta.sum(axis=0)
+        np.matmul(a_prev.T, delta, out=grad_w[k])
+        np.sum(delta, axis=0, out=grad_b[k])
         da_prev = delta @ params.weights[k].T
         if k > 0:
             delta = da_prev * (cache.preacts[k - 1] > 0)
         else:
             input_grad = da_prev
-    return grads, input_grad
+    return grad, input_grad
 
 
 def output_grad_to_preact(
@@ -191,26 +216,8 @@ def output_grad_to_preact(
     return grad_outputs
 
 
-def net_arrays(params: NetworkParams) -> list[np.ndarray]:
-    """Flat parameter list (W0, b0, W1, b1, ...), the adam_step layout."""
-    out: list[np.ndarray] = []
-    for w, b in zip(params.weights, params.biases):
-        out.append(w)
-        out.append(b)
-    return out
-
-
-def set_net_arrays(params: NetworkParams, arrays: list[np.ndarray]) -> None:
-    """Write a flat parameter list back into the network."""
-    if len(arrays) != 2 * params.n_layers:
-        raise ShapeError("array list does not match network depth")
-    for k in range(params.n_layers):
-        params.weights[k] = arrays[2 * k]
-        params.biases[k] = arrays[2 * k + 1]
-
-
 def init_adam(
-    arrays: list[np.ndarray],
+    params: np.ndarray,
     learning_rate: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
@@ -218,46 +225,36 @@ def init_adam(
 ) -> AdamState:
     if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
         raise ConfigError(f"betas must lie in (0, 1), got {beta1}, {beta2}")
-    return AdamState(
-        m=[np.zeros_like(a) for a in arrays],
-        v=[np.zeros_like(a) for a in arrays],
-        step=0,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+    if not (np.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ConfigError(f"learning_rate must be > 0 and finite, got {learning_rate}")
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    return AdamState(m, v, 0, learning_rate, beta1, beta2, eps)
 
 
 def adam_step(
-    arrays: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; functional, inputs untouched."""
-    if len(arrays) != len(grads) or len(arrays) != len(state.m):
-        raise ShapeError("parameter, gradient and state lists differ in length")
-    for a, g in zip(arrays, grads):
-        if a.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {a.shape}")
-    t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
-    new_arrays, new_m, new_v = [], [], []
-    for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_arrays.append(a - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_arrays, AdamState(
-        m=new_m,
-        v=new_v,
-        step=t,
-        learning_rate=state.learning_rate,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-    )
+    params: np.ndarray, grads: np.ndarray, state: AdamState
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update of `params`, `state.m` and `state.v`,
+    all in place; returns the same (params, state)."""
+    if not (params.shape == grads.shape == state.m.shape):
+        raise ShapeError(
+            f"shapes differ: params {params.shape}, grads {grads.shape}, "
+            f"moments {state.m.shape}"
+        )
+    state.step += 1
+    t, b1, b2 = state.step, state.beta1, state.beta2
+    # lr * m_hat / (sqrt(v_hat) + eps) one operation at a time, in order.
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * grads * grads
+    denom = np.sqrt(state.v / (1.0 - b2**t))
+    denom += state.eps
+    update = state.m / (1.0 - b1**t)
+    update *= state.learning_rate
+    update /= denom
+    params -= update
+    return params, state
 
 
 def bce_loss(

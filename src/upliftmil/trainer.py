@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
         if self.base_weight < 0:
             raise ConfigError(f"base_weight must be nonnegative, got {self.base_weight}")
+        if self.bag_size < 2:
+            raise ConfigError(f"bag_size must be at least 2, got {self.bag_size}")
         if self.bag_size > self.batch_size:
             raise ConfigError(
                 f"bag_size {self.bag_size} exceeds batch_size {self.batch_size}"
@@ -80,6 +82,8 @@ class TrainConfig:
             )
         if self.eval_every < 1 or self.patience < 1:
             raise ConfigError("eval_every and patience must be positive")
+        if self.n_points < 2:
+            raise ConfigError(f"n_points must be at least 2, got {self.n_points}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -143,8 +147,8 @@ def train(
     model = models.build(cfg.model, train_ds.d, cfg.hidden_sizes, cfg.seed)
     if cfg.standardize:
         model.scaler = fit_scaler(train_ds.features)
-    arrays = model.parameter_arrays()
-    state = nncore.init_adam(arrays, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    state = nncore.init_adam(model.params, cfg.learning_rate,
+                             cfg.beta1, cfg.beta2, cfg.eps)
     # Dedicated stream for the random-bag ablation; consumed only when
     # that mode is active, so clustered runs stay bitwise comparable.
     bag_rng = np.random.default_rng([cfg.seed, 104729])
@@ -152,7 +156,7 @@ def train(
     warmup = cfg.resolved_warmup()
     mode = BagMode(cfg.mode)
     report = TrainReport(config=cfg.to_dict())
-    best_arrays = models.clone_parameter_arrays(model)
+    best_params = model.params.copy()
     bad_evals = 0
 
     step = 0
@@ -188,8 +192,7 @@ def train(
                 f"l_mil={breakdown.l_mil!r} u_t={batch.u_t!r} "
                 f"batch_head={batch.indices[:8].tolist()}"
             )
-        arrays, state = nncore.adam_step(arrays, grads, state)
-        models.set_parameter_arrays(model, arrays)
+        nncore.adam_step(model.params, grads, state)
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             val_auuc, _ = evaluate(model, valid_ds, cfg.n_points)
@@ -200,14 +203,14 @@ def train(
             if val_auuc > report.best_val_auuc:
                 report.best_val_auuc = val_auuc
                 report.best_step = step
-                best_arrays = [a.copy() for a in arrays]
+                np.copyto(best_params, model.params)
                 bad_evals = 0
             else:
                 bad_evals += 1
                 if bad_evals >= cfg.patience:
                     break
 
-    models.set_parameter_arrays(model, best_arrays)
+    np.copyto(model.params, best_params)
     report.test_auuc, _ = evaluate(model, test_ds, cfg.n_points)
     report.wall_clock_s = time.perf_counter() - started
     return model, report

@@ -3,9 +3,9 @@
 Everything here is written straight from the defining formulas with
 plain loops, deliberately sharing no code with the package: a clean-room
 dense-net evaluator per architecture, the factual-arm and bag-level
-losses, the bag-noise identity, central finite differences, and a
-brute-force uplift-curve evaluator that materializes every selection
-explicitly.
+losses, the bag-noise identity, central finite differences, a
+functional per-array Adam step, and a brute-force uplift-curve evaluator
+that materializes every selection explicitly.
 """
 
 import math
@@ -175,6 +175,23 @@ def fd_gradients(loss_of_arrays, arrays, h=1e-5):
             flat[j] = orig
             gflat[j] = (up - down) / (2.0 * h)
     return grads
+
+
+def adam_ref(arrays, grads, m, v, step, learning_rate,
+             beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam update over lists of arrays, inputs left
+    untouched. `step` is the index of this update (1 for the first).
+    Returns the new (arrays, m, v)."""
+    new_arrays, new_m, new_v = [], [], []
+    for a, g, m_a, v_a in zip(arrays, grads, m, v):
+        m_a = beta1 * m_a + (1.0 - beta1) * g
+        v_a = beta2 * v_a + (1.0 - beta2) * g * g
+        m_hat = m_a / (1.0 - beta1**step)
+        v_hat = v_a / (1.0 - beta2**step)
+        new_arrays.append(a - learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m_a)
+        new_v.append(v_a)
+    return new_arrays, new_m, new_v
 
 
 def max_relative_error(analytic, numeric, floor=1e-8):

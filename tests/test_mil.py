@@ -209,10 +209,7 @@ class TestCombinedLoss:
     def test_gradients_match_finite_differences_frozen_bags(self, kind):
         m = models.build(kind, 3, (5, 4), 23)
         rng = np.random.default_rng(230)
-        arrays = m.parameter_arrays()
-        models.set_parameter_arrays(
-            m, [a + rng.normal(0.0, 0.05, size=a.shape) for a in arrays]
-        )
+        m.params += rng.normal(0.0, 0.05, size=m.params.shape)
         # 18 rows leave two remainder rows in no bag of 4: they must get
         # no MIL gradient.
         for n in (16, 18):
@@ -225,15 +222,14 @@ class TestCombinedLoss:
                 m, x, t, y, u_t, alpha, bag_size=4, partition=partition
             )
             bags = [b.tolist() for b in partition.bags]
-            arrays = m.parameter_arrays()
 
             def loss_fn(_arrays):
                 return combined_loss_ref(
                     m, x, t, y, u_t, alpha, bags, frozen_pc=frozen_pc
                 )
 
-            numeric = fd_gradients(loss_fn, arrays)
-            assert max_relative_error(grads, numeric) < 1e-4
+            numeric = fd_gradients(loss_fn, [m.params])
+            assert max_relative_error([grads], numeric) < 1e-4
 
     @pytest.mark.parametrize("mode", list(BagMode))
     @pytest.mark.parametrize("bag_size", [2, 3, 8, 16, 64])

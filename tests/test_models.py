@@ -1,6 +1,9 @@
 """Architecture wiring, prediction contracts, factual-arm loss."""
 
+import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -32,8 +35,8 @@ def _zero_output_layers(model):
         targets = ["shared", "private_c", "private_t"]
     for name in targets:
         net = model.nets[name]
-        net.weights[-1] = np.zeros_like(net.weights[-1])
-        net.biases[-1] = np.zeros_like(net.biases[-1])
+        net.weights[-1][...] = np.zeros_like(net.weights[-1])
+        net.biases[-1][...] = np.zeros_like(net.biases[-1])
 
 
 def _tiny(kind, seed=0, d=3):
@@ -48,10 +51,7 @@ def _jitter(model, seed):
     finite-difference checks need a generic point.
     """
     rng = np.random.default_rng(seed)
-    arrays = model.parameter_arrays()
-    models.set_parameter_arrays(
-        model, [a + rng.normal(0.0, 0.05, size=a.shape) for a in arrays]
-    )
+    model.params += rng.normal(0.0, 0.05, size=model.params.shape)
 
 
 class TestBuild:
@@ -66,8 +66,7 @@ class TestBuild:
     def test_deterministic_per_seed(self):
         for kind in ALL_KINDS:
             a, b = _tiny(kind, seed=13), _tiny(kind, seed=13)
-            for pa, pb in zip(a.parameter_arrays(), b.parameter_arrays()):
-                np.testing.assert_array_equal(pa, pb)
+            np.testing.assert_array_equal(a.params, b.params)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -78,6 +77,41 @@ class TestBuild:
         assert m.nets["trunk"].layer_sizes == (5, 16, 8)
         assert m.nets["head_t"].layer_sizes == (8, 8, 1)
         assert m.nets["head_c"].layer_sizes == (8, 8, 1)
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("origin", ["built", "loaded", "pickled"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_layer_is_a_view_into_params(self, kind, origin, tmp_path):
+        m = _tiny(kind, seed=19)
+        if origin == "loaded":
+            models.save_checkpoint(m, tmp_path / "model.npz")
+            m = models.load_checkpoint(tmp_path / "model.npz")
+        elif origin == "pickled":  # as repeat_runs returns a worker's model
+            m = pickle.loads(pickle.dumps(m))
+        layers = [a for net in m.nets.values() for a in (*net.weights, *net.biases)]
+        assert all(np.shares_memory(a, m.params) for a in layers)
+        assert sum(a.size for a in layers) == m.params.size
+
+        x = np.random.default_rng(19).random((6, 3))
+        t = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        _, grads, _ = models.base_loss_and_grads(m, x, t, np.ones(6))
+        assert grads.shape == m.params.shape
+        before = predict(m, x)[2]
+        m.params += 0.1
+        assert not np.array_equal(predict(m, x)[2], before)
+
+        # Distinct values in params land once each across the layers, so
+        # the views tile the vector without overlap.
+        m.params[...] = np.arange(m.params.size)
+        values = np.concatenate([a.ravel() for a in layers])
+        np.testing.assert_array_equal(np.sort(values), np.arange(m.params.size))
+
+        net = m.nets[m.net_names()[0]]
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros_like(net.weights[0])
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros_like(net.biases[0])
 
 
 class TestPredict:
@@ -132,8 +166,8 @@ class TestBaseLoss:
         # negative at the lower clamp: each arm costs -ln(1 - 1e-7).
         m = build("tm", 2, (4,), seed=0)
         net = m.nets["net"]
-        net.weights[-1] = np.zeros_like(net.weights[-1])
-        net.biases[-1] = np.array([-40.0, 40.0])  # p_c ~ 0, p_t ~ 1
+        net.weights[-1][...] = np.zeros_like(net.weights[-1])
+        net.biases[-1][...] = np.array([-40.0, 40.0])  # p_c ~ 0, p_t ~ 1
         x = np.zeros((2, 2))
         t = np.array([1.0, 0.0])
         y = np.array([1.0, 0.0])
@@ -171,15 +205,14 @@ class TestBaseLoss:
         _, grads, out = models.base_loss_and_grads(m, x, t, y)
 
         frozen_pc = out.p_c.copy() if kind == "ddr" else None
-        arrays = m.parameter_arrays()
 
         def loss_fn(_arrays):
-            # arrays are mutated in place by fd_gradients; the model
-            # shares them, so the reference sees perturbed weights.
+            # m.params is mutated in place by fd_gradients; every net is
+            # a view into it, so the reference sees perturbed weights.
             return combined_loss_ref(m, x, t, y, 0.5, 0.0, [], frozen_pc=frozen_pc)
 
-        numeric = fd_gradients(loss_fn, arrays)
-        assert max_relative_error(grads, numeric) < 1e-4
+        numeric = fd_gradients(loss_fn, [m.params])
+        assert max_relative_error([grads], numeric) < 1e-4
 
     def test_single_arm_batch_contributes_one_arm(self):
         m = _tiny("tm", seed=5)
@@ -189,7 +222,7 @@ class TestBaseLoss:
         loss, grads, out = models.base_loss_and_grads(m, x, t, y)
         assert abs(loss - base_loss_ref(out.p_t, out.p_c, t, y)) < 1e-12
         # Control column of the output layer receives no gradient
-        g_w_last = grads[-2]
+        g_w_last = nncore.layer_views(grads, m.nets["net"].layer_sizes)[0][-1]
         assert not g_w_last[:, 0].any()
 
 
@@ -223,7 +256,7 @@ class TestFactualMasking:
         t = np.ones(4)
         y = np.array([1.0, 0.0, 1.0, 0.0])
         _, grads, _ = models.base_loss_and_grads(m, x, t, y)
-        n_control = 2 * m.nets["control"].n_layers
+        n_control = m.nets["control"].flat.size
         assert all(not g.any() for g in grads[:n_control])
 
 
@@ -233,8 +266,8 @@ class TestAntisymmetry:
         x = np.random.default_rng(15).random((6, 3))
         uplift = predict(m, x)[2]
         net = m.nets["net"]
-        net.weights[-1] = net.weights[-1][:, ::-1].copy()
-        net.biases[-1] = net.biases[-1][::-1].copy()
+        net.weights[-1][...] = net.weights[-1][:, ::-1].copy()
+        net.biases[-1][...] = net.biases[-1][::-1].copy()
         np.testing.assert_array_equal(predict(m, x)[2], -uplift)
 
     def test_tarnet_swap_negates_uplift(self):
@@ -255,7 +288,44 @@ class TestCheckpoint:
         back = models.load_checkpoint(path)
         assert back.kind == m.kind
         assert back.hidden_sizes == m.hidden_sizes
-        for a, b in zip(m.parameter_arrays(), back.parameter_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(m.params, back.params)
         x = np.random.default_rng(17).random((5, 3))
         np.testing.assert_array_equal(predict(m, x)[2], predict(back, x)[2])
+
+    def _rewrite(self, path, edit):
+        with np.load(path) as archive:
+            members = {key: archive[key] for key in archive.files}
+        edit(members)
+        np.savez(path, **members)
+
+    def test_wrong_member_shape_names_it(self, tmp_path):
+        m = _tiny("sdr", seed=18)
+        path = tmp_path / "model.npz"
+        models.save_checkpoint(m, path)
+        # A (1,) bias would broadcast silently over the 5 hidden units.
+        self._rewrite(path, lambda members: members.update({"shared.b0": np.zeros(1)}))
+        with pytest.raises(ConfigError, match=re.escape("'shared.b0'")):
+            models.load_checkpoint(path)
+
+    def test_missing_member_names_it(self, tmp_path):
+        m = _tiny("tarnet", seed=18)
+        path = tmp_path / "model.npz"
+        models.save_checkpoint(m, path)
+        self._rewrite(path, lambda members: members.pop("head_t.w1"))
+        with pytest.raises(ConfigError, match=re.escape("'head_t.w1'")):
+            models.load_checkpoint(path)
+
+    def test_unknown_output_activation_rejected(self, tmp_path):
+        # An unknown name would otherwise run as a linear output layer.
+        m = _tiny("tm", seed=18)
+        path = tmp_path / "model.npz"
+        models.save_checkpoint(m, path)
+
+        def edit(members):
+            manifest = json.loads(str(members["manifest"]))
+            manifest["nets"]["net"]["output_activation"] = "tanh"
+            members["manifest"] = np.array(json.dumps(manifest))
+
+        self._rewrite(path, edit)
+        with pytest.raises(ConfigError, match="tanh"):
+            models.load_checkpoint(path)

@@ -8,7 +8,7 @@ import pytest
 from upliftmil import nncore
 from upliftmil.errors import ConfigError, ShapeError
 
-from oracles import fd_gradients, max_relative_error
+from oracles import adam_ref, fd_gradients, max_relative_error
 
 
 def _loss_through_net(net, x, y):
@@ -57,7 +57,7 @@ class TestForward:
 
     def test_identity_hidden_layer_passes_nonnegative_input(self):
         net = nncore.init_network((3, 3, 1), seed=0, output_activation="linear")
-        net.weights[0] = np.eye(3)
+        net.weights[0][...] = np.eye(3)
         net.biases[0][:] = 0.0
         x = np.array([[0.5, 1.0, 2.0]])
         _, cache = nncore.forward(net, x)
@@ -102,13 +102,11 @@ class TestBackward:
             _, gz = nncore.bce_loss(out.ravel(), y, np.ones_like(y))
             grads, _ = nncore.backward(net, cache, gz.reshape(out.shape))
 
-            arrays = nncore.net_arrays(net)
-
             def loss_fn(_arrays):
                 return _loss_through_net(net, x, y)
 
-            numeric = fd_gradients(loss_fn, arrays)
-            assert max_relative_error(grads, numeric) < 1e-4
+            numeric = fd_gradients(loss_fn, [net.flat])
+            assert max_relative_error([grads], numeric) < 1e-4
 
     def test_gradients_additive_over_disjoint_batches(self):
         net = nncore.init_network((3, 4, 1), seed=5)
@@ -133,43 +131,77 @@ class TestAdam:
     def test_single_step_hand_evaluated(self):
         # param 0, grad 1, lr 1e-3: first bias-corrected step moves by
         # -lr / (1 + eps) regardless of the moment decay rates.
-        arrays = [np.array([0.0])]
+        arrays = np.array([0.0])
         state = nncore.init_adam(arrays, learning_rate=1e-3)
-        new, state = nncore.adam_step(arrays, [np.array([1.0])], state)
+        new, state = nncore.adam_step(arrays, np.array([1.0]), state)
         assert state.step == 1
-        np.testing.assert_allclose(new[0], [-1e-3 / (1 + 1e-8)], rtol=1e-12)
+        np.testing.assert_allclose(new, [-1e-3 / (1 + 1e-8)], rtol=1e-12)
 
     def test_zero_grad_leaves_params_unchanged(self):
-        arrays = [np.array([[1.0, -2.0]]), np.array([0.5])]
+        arrays = np.array([1.0, -2.0, 0.5])
+        before = arrays.copy()
         state = nncore.init_adam(arrays, learning_rate=0.1)
-        new, _ = nncore.adam_step(arrays, [np.zeros((1, 2)), np.zeros(1)], state)
-        for a, b in zip(arrays, new):
-            np.testing.assert_array_equal(a, b)
+        new, _ = nncore.adam_step(arrays, np.zeros(3), state)
+        np.testing.assert_array_equal(before, new)
 
     def test_constant_gradient_moves_by_learning_rate(self):
         # With a constant gradient the bias-corrected update is a sign
         # step of magnitude ~lr on every step.
-        arrays = [np.array([0.0])]
-        grads = [np.array([3.7])]
+        arrays = np.array([0.0])
+        grads = np.array([3.7])
         state = nncore.init_adam(arrays, learning_rate=1e-3)
-        prev = arrays[0][0]
+        prev = arrays[0]
         for _ in range(2):
             arrays, state = nncore.adam_step(arrays, grads, state)
-            assert abs(abs(arrays[0][0] - prev) - 1e-3) < 1e-9
-            prev = arrays[0][0]
+            assert abs(abs(arrays[0] - prev) - 1e-3) < 1e-9
+            prev = arrays[0]
 
     def test_shape_mismatch_raises(self):
-        arrays = [np.zeros((2, 2))]
+        arrays = np.zeros((2, 2))
         state = nncore.init_adam(arrays, learning_rate=0.1)
         with pytest.raises(ShapeError):
-            nncore.adam_step(arrays, [np.zeros(3)], state)
+            nncore.adam_step(arrays, np.zeros(3), state)
 
-    def test_functional_update_does_not_mutate_inputs(self):
-        arrays = [np.array([1.0])]
-        state = nncore.init_adam(arrays, learning_rate=0.1)
-        nncore.adam_step(arrays, [np.array([1.0])], state)
-        assert arrays[0][0] == 1.0
-        assert state.step == 0
+    def test_update_is_in_place(self):
+        params = np.array([1.0, -1.0])
+        state = nncore.init_adam(params, learning_rate=0.1)
+        m, v = state.m, state.v
+        new, new_state = nncore.adam_step(params, np.array([1.0, 2.0]), state)
+        assert new is params and new_state is state
+        assert state.m is m and state.v is v
+        assert state.step == 1
+        assert params[0] != 1.0 and m.all() and v.all()
+
+    def test_matches_reference_bit_for_bit(self):
+        # Five in-place steps on a random vector against the functional
+        # per-array reference, which splits the vector in two arrays.
+        rng = np.random.default_rng(77)
+        params = rng.normal(size=50)
+        state = nncore.init_adam(params, 3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+        ref = [params[:20].copy(), params[20:].copy()]
+        m = [np.zeros(20), np.zeros(30)]
+        v = [np.zeros(20), np.zeros(30)]
+        for step in range(1, 6):
+            grads = rng.normal(size=50)
+            nncore.adam_step(params, grads, state)
+            ref, m, v = adam_ref(ref, [grads[:20], grads[20:]], m, v, step,
+                                 3e-3, beta1=0.8, beta2=0.99, eps=1e-7)
+            assert params.tobytes() == np.concatenate(ref).tobytes()
+            assert state.m.tobytes() == np.concatenate(m).tobytes()
+            assert state.v.tobytes() == np.concatenate(v).tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-3])
+    def test_nonpositive_learning_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            nncore.init_adam(np.zeros(2), learning_rate=rate)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_nonfinite_learning_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            nncore.init_adam(np.zeros(2), learning_rate=rate)
+
+    def test_huge_finite_learning_rate_accepted(self):
+        assert nncore.init_adam(np.zeros(2), learning_rate=1e200).step == 0
 
 
 class TestBceLoss:

@@ -49,6 +49,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _cfg(bag_size=512, batch_size=256).validate()
 
+    def test_bag_of_one_rejected(self):
+        with pytest.raises(ConfigError, match="bag_size"):
+            _cfg(bag_size=1).validate()
+
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_curve_of_fewer_than_two_points_rejected(self, n_points):
+        with pytest.raises(ConfigError, match="n_points"):
+            _cfg(n_points=n_points).validate()
+
+    def test_negative_learning_rate_rejected_before_training(self, splits):
+        tr, va, te = splits
+        with pytest.raises(ConfigError, match="learning_rate"):
+            train(tr, va, te, _cfg(learning_rate=-1e-3))
+
     def test_warmup_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(warmup_steps=201, max_steps=200).validate()
@@ -69,8 +83,7 @@ class TestTrain:
         hist_b = [(h.step, h.l_base, h.l_mil, h.val_auuc) for h in rep_b.history]
         assert hist_a == hist_b
         assert rep_a.test_auuc == rep_b.test_auuc
-        for a, b in zip(m_a.parameter_arrays(), m_b.parameter_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(m_a.params, m_b.params)
 
     def test_deterministic_reports(self, splits):
         tr, va, te = splits
@@ -115,8 +128,8 @@ class TestEvaluate:
         ds = generate_synthetic(SynthConfig(n=30_000, seed=9))
         model = models.build("tm", ds.d, (4,), seed=0)
         net = model.nets["net"]
-        net.weights[-1] = np.zeros_like(net.weights[-1])
-        net.biases[-1] = np.zeros_like(net.biases[-1])
+        net.weights[-1][...] = np.zeros_like(net.weights[-1])
+        net.biases[-1][...] = np.zeros_like(net.biases[-1])
         got, _ = evaluate(model, ds, 100)
         expected = empirical_ate(ds) * 101 / 200
         assert abs(got - expected) <= 0.1 * abs(expected)
