@@ -35,6 +35,10 @@ from .nncore import ForwardCache, NetworkParams
 
 CHECKPOINT_VERSION = 1
 
+# Rows per forward pass in `predict`: it holds one chunk's activations
+# at a time, not the whole set's.
+CHUNK = 2048
+
 
 class ModelKind(str, Enum):
     TM = "tm"
@@ -92,21 +96,25 @@ class UpliftModel:
 
 @dataclass
 class ModelOutputs:
-    """Per-row probabilities, the uplift vector, and backward caches."""
+    """Per-row probabilities, the uplift vector, and each net's backward
+    cache (its input and activations) for `backprop_factual`."""
 
     p_t: np.ndarray
     p_c: np.ndarray
     uplift: np.ndarray
     caches: dict[str, ForwardCache]
-    x_scaled: np.ndarray
+
+
+def _model_kind(value) -> ModelKind:
+    try:
+        return ModelKind(value)
+    except ValueError:
+        raise ConfigError(f"unknown model kind {value!r}")
 
 
 def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
     """Wire a model of the given kind; deterministic for a fixed seed."""
-    try:
-        kind = ModelKind(kind)
-    except ValueError:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    kind = _model_kind(kind)
     if input_dim < 1:
         raise ConfigError(f"input_dim must be at least 1, got {input_dim}")
     hidden = tuple(int(h) for h in hidden_sizes)
@@ -139,12 +147,17 @@ def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
     return UpliftModel(kind, input_dim, hidden, int(seed), nets)
 
 
-def _scale(model: UpliftModel, x: np.ndarray) -> np.ndarray:
+def _check_input(model: UpliftModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(
             f"expected input of shape (n, {model.input_dim}), got {x.shape}"
         )
+    return x
+
+
+def _scale(model: UpliftModel, x: np.ndarray) -> np.ndarray:
+    x = _check_input(model, x)
     if model.scaler is None:
         return x
     mean, std = model.scaler
@@ -175,13 +188,25 @@ def forward_full(model: UpliftModel, x: np.ndarray) -> ModelOutputs:
         z_t, caches["private_t"] = nncore.forward(model.nets["private_t"], xs)
         p_c = nncore.logistic(z_s[:, 0] + z_c[:, 0])
         p_t = nncore.logistic(z_s[:, 0] + z_t[:, 0])
-    return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c, caches=caches, x_scaled=xs)
+    return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c, caches=caches)
 
 
 def predict(model: UpliftModel, x: np.ndarray):
-    """Per-row (p_t, p_c, uplift) with uplift = p_t - p_c exactly."""
-    out = forward_full(model, x)
-    return out.p_t, out.p_c, out.uplift
+    """Per-row (p_t, p_c, uplift) with uplift = p_t - p_c exactly.
+
+    Scores `CHUNK` rows at a time and keeps no cache past its chunk, so
+    beyond the three output vectors its memory is bounded by one chunk's
+    activations, whatever the number of rows.
+    """
+    x = _check_input(model, x)
+    n = x.shape[0]
+    p_t, p_c, uplift = np.empty(n), np.empty(n), np.empty(n)
+    for s in range(0, n, CHUNK):
+        out = forward_full(model, x[s : s + CHUNK])
+        p_t[s : s + CHUNK], p_c[s : s + CHUNK] = out.p_t, out.p_c
+        uplift[s : s + CHUNK] = out.uplift
+        del out  # so the next chunk's pass does not overlap this one's caches
+    return p_t, p_c, uplift
 
 
 def backprop_factual(
@@ -293,34 +318,44 @@ def _read(archive, key: str, out: np.ndarray) -> None:
     out[...] = value
 
 
+def _entry(mapping: dict, key: str, where: str = "manifest"):
+    """mapping[key] of a checkpoint manifest, or ConfigError naming it."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise ConfigError(f"checkpoint {where} has no entry {key!r}")
+    return mapping[key]
+
+
 def load_checkpoint(path) -> UpliftModel:
     with np.load(path) as archive:
+        if "manifest" not in archive:
+            raise ConfigError("checkpoint member 'manifest' is missing")
         manifest = json.loads(str(archive["manifest"]))
-        if manifest["format_version"] != CHECKPOINT_VERSION:
-            raise ConfigError(
-                f"checkpoint format {manifest['format_version']} not supported"
-            )
-        kind = ModelKind(manifest["kind"])
+        version = _entry(manifest, "format_version")
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"checkpoint format {version} not supported")
+        kind = _model_kind(_entry(manifest, "kind"))
         nets = {}
         for name in _NET_ORDER[kind]:
-            info = manifest["nets"][name]
-            sizes, activation = tuple(info["layer_sizes"]), info["output_activation"]
+            info = _entry(_entry(manifest, "nets"), name, "manifest nets")
+            where = f"manifest net {name!r}"
+            sizes = tuple(_entry(info, "layer_sizes", where))
+            activation = _entry(info, "output_activation", where)
             net = NetworkParams(np.empty(nncore.param_count(sizes)), sizes, activation)
             nets[name] = net
             for k in range(net.n_layers):
                 _read(archive, f"{name}.w{k}", net.weights[k])
                 _read(archive, f"{name}.b{k}", net.biases[k])
-        input_dim = int(manifest["input_dim"])
+        input_dim = int(_entry(manifest, "input_dim"))
         scaler = None
-        if manifest["has_scaler"]:
+        if _entry(manifest, "has_scaler"):
             scaler = (np.empty(input_dim), np.empty(input_dim))
             _read(archive, "scaler.mean", scaler[0])
             _read(archive, "scaler.std", scaler[1])
     return UpliftModel(
         kind=kind,
         input_dim=input_dim,
-        hidden_sizes=tuple(manifest["hidden_sizes"]),
-        seed=int(manifest["seed"]),
+        hidden_sizes=tuple(_entry(manifest, "hidden_sizes")),
+        seed=int(_entry(manifest, "seed")),
         nets=nets,
         scaler=scaler,
     )

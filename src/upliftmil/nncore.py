@@ -1,11 +1,11 @@
 """Minimal dense feedforward network machinery.
 
 Everything needed to train the uplift models lives here: parameter
-vectors cut into per-layer views, forward pass with cached
-intermediates, exact reverse-mode backpropagation into one gradient
-vector, bias-corrected Adam updates in place, and masked binary
-cross-entropy. All arithmetic is float64; batches are row-major
-(batch x features) numpy arrays.
+vectors cut into per-layer views, a forward pass that caches each
+layer's activation (not its pre-activation), exact reverse-mode
+backpropagation into one gradient vector, bias-corrected Adam updates
+in place, and masked binary cross-entropy. All arithmetic is float64;
+batches are row-major (batch x features) numpy arrays.
 
 Gradient convention: `backward` consumes the gradient of the scalar loss
 with respect to the final layer's PRE-activation values. Cross-entropy
@@ -63,10 +63,13 @@ class NetworkParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, sufficient for backward."""
+    """The input and every layer's activation of one forward pass: all
+    that backward needs. Pre-activations are not kept, since a rectifier
+    passes gradient where `relu(z) > 0`, which equals `z > 0` (NaN and
+    exact zero included), and the logistic and linear outputs need only
+    their activations."""
 
     x: np.ndarray
-    preacts: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
 
     @property
@@ -85,10 +88,6 @@ class AdamState:
     beta1: float
     beta2: float
     eps: float
-
-
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
@@ -154,14 +153,12 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     a = x
     last = params.n_layers - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        cache.preacts.append(z)
-        if k < last:
-            a = relu(z)
+        z = a @ w
+        z += b
+        if k < last or params.output_activation == "relu":
+            a = np.maximum(z, 0.0, out=z)
         elif params.output_activation == "logistic":
             a = logistic(z)
-        elif params.output_activation == "relu":
-            a = relu(z)
         else:
             a = z
         cache.activations.append(a)
@@ -179,25 +176,25 @@ def backward(
     batch input.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
-    if len(cache.preacts) != params.n_layers:
+    if len(cache.activations) != params.n_layers:
         raise ShapeError("cache does not match network depth")
-    if output_grad.shape != cache.preacts[-1].shape:
+    if output_grad.shape != cache.outputs.shape:
         raise ShapeError(
             f"output_grad shape {output_grad.shape} does not match final "
-            f"pre-activation shape {cache.preacts[-1].shape}"
+            f"layer shape {cache.outputs.shape}"
         )
     grad = np.empty_like(params.flat)
     grad_w, grad_b = layer_views(grad, params.layer_sizes)
     delta = output_grad
     for k in range(params.n_layers - 1, -1, -1):
         a_prev = cache.activations[k - 1] if k > 0 else cache.x
-        if cache.preacts[k].shape[1] != params.weights[k].shape[1]:
+        if cache.activations[k].shape[1] != params.weights[k].shape[1]:
             raise ShapeError("cache does not match network layer widths")
         np.matmul(a_prev.T, delta, out=grad_w[k])
         np.sum(delta, axis=0, out=grad_b[k])
         da_prev = delta @ params.weights[k].T
         if k > 0:
-            delta = da_prev * (cache.preacts[k - 1] > 0)
+            delta = da_prev * (cache.activations[k - 1] > 0)
         else:
             input_grad = da_prev
     return grad, input_grad
@@ -212,7 +209,7 @@ def output_grad_to_preact(
         p = cache.outputs
         return grad_outputs * p * (1.0 - p)
     if params.output_activation == "relu":
-        return grad_outputs * (cache.preacts[-1] > 0)
+        return grad_outputs * (cache.outputs > 0)
     return grad_outputs
 
 

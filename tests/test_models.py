@@ -4,13 +4,14 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from upliftmil import models, nncore
 from upliftmil.errors import ConfigError, ShapeError
-from upliftmil.models import ModelKind, build, predict
+from upliftmil.models import CHUNK, ModelKind, build, predict
 
 from oracles import (
     base_loss_ref,
@@ -137,8 +138,45 @@ class TestPredict:
 
     def test_shape_mismatch_raises(self):
         m = _tiny("tm")
-        with pytest.raises(ShapeError):
-            predict(m, np.zeros((2, 5)))
+        for x in (np.zeros((2, 5)), np.zeros((0, 5)), np.zeros(0), np.zeros(3)):
+            with pytest.raises(ShapeError):
+                predict(m, x)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_chunked_scores_match_one_pass(self, kind):
+        # A tail of a few rows may run through another BLAS kernel than a
+        # whole pass, so chunked and one-pass scores agree to rounding,
+        # not bit for bit.
+        m = _tiny(kind, seed=9)
+        m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
+        rng = np.random.default_rng(9)
+        for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5):
+            x = rng.random((n, 3))
+            p_t, p_c, uplift = predict(m, x)
+            np.testing.assert_array_equal(uplift, p_t - p_c)
+            full = models.forward_full(m, x)
+            ref_t, ref_c = model_probs(m, x)
+            pairs = ((p_t, full.p_t), (p_c, full.p_c), (p_t, ref_t), (p_c, ref_c))
+            for got, want in pairs:
+                assert got.shape == (n,)
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_memory_bounded_by_chunk(self):
+        # No backward caches outlive a chunk: beyond the three output
+        # vectors, predict holds at most two chunks' worth of inputs and
+        # activations, however many rows it scores.
+        n, d = 100_000, 10
+        m = build("sdr", d, (64, 32), seed=0)
+        x = np.random.default_rng(0).random((n, d))
+        m.scaler = (x.mean(axis=0), x.std(axis=0))
+        widths = d + sum(sum(net.layer_sizes[1:]) for net in m.nets.values())
+        tracemalloc.start()
+        try:
+            predict(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (3 * n + 2 * CHUNK * widths)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_clean_room_evaluator(self, kind):
@@ -313,6 +351,44 @@ class TestCheckpoint:
         models.save_checkpoint(m, path)
         self._rewrite(path, lambda members: members.pop("head_t.w1"))
         with pytest.raises(ConfigError, match=re.escape("'head_t.w1'")):
+            models.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("nets.private_t", None),
+            ("nets.private_c.layer_sizes", None),
+            ("seed", None),
+            ("has_scaler", None),
+            ("format_version", None),
+            ("kind", "xyz"),
+            ("manifest", None),
+        ],
+    )
+    def test_bad_manifest_names_the_key(self, tmp_path, key, value):
+        # value None deletes the manifest entry `key` (or, for "manifest",
+        # the whole member); a value replaces the entry.
+        m = _tiny("sdr", seed=18)
+        path = tmp_path / "model.npz"
+        models.save_checkpoint(m, path)
+        *parents, last = key.split(".")
+
+        def edit(members):
+            if key == "manifest":
+                del members["manifest"]
+                return
+            manifest = json.loads(str(members["manifest"]))
+            entry = manifest
+            for name in parents:
+                entry = entry[name]
+            if value is None:
+                del entry[last]
+            else:
+                entry[last] = value
+            members["manifest"] = np.array(json.dumps(manifest))
+
+        self._rewrite(path, edit)
+        with pytest.raises(ConfigError, match=re.escape(repr(value or last))):
             models.load_checkpoint(path)
 
     def test_unknown_output_activation_rejected(self, tmp_path):

@@ -119,6 +119,25 @@ class TestBackward:
         for a, b, c in zip(ga, gb, gall):
             np.testing.assert_allclose(a + b, c, atol=1e-12)
 
+    def test_no_gradient_through_relu_at_exact_zero(self):
+        # The rectifier mask is z > 0, read from the activation relu(z):
+        # a unit sitting exactly at z = 0 passes no gradient.
+        net = nncore.init_network((1, 2, 1), seed=0, output_activation="linear")
+        net.weights[0][...] = [[1.0, -1.0]]
+        net.biases[0][...] = [0.0, 1.0]
+        net.weights[1][...] = [[1.0], [1.0]]
+        _, cache = nncore.forward(net, np.zeros((1, 1)))
+        grads, dx = nncore.backward(net, cache, np.ones((1, 1)))
+        (_, _), (grad_b0, _) = nncore.layer_views(grads, net.layer_sizes)
+        np.testing.assert_array_equal(grad_b0, [0.0, 1.0])
+        np.testing.assert_array_equal(dx, [[-1.0]])
+        trunk = nncore.init_network((1, 2), seed=0, output_activation="relu")
+        trunk.weights[0][...] = [[1.0, -1.0]]
+        trunk.biases[0][...] = [0.0, 1.0]
+        _, cache = nncore.forward(trunk, np.zeros((1, 1)))
+        d_pre = nncore.output_grad_to_preact(trunk, cache, np.ones((1, 2)))
+        np.testing.assert_array_equal(d_pre, [[0.0, 1.0]])
+
     def test_mismatched_cache_raises(self):
         net = nncore.init_network((3, 4, 1), seed=5)
         other = nncore.init_network((3, 1), seed=5)
