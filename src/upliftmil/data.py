@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import logging
 import warnings
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +55,8 @@ class Dataset:
             self.true_ite = np.asarray(self.true_ite, dtype=np.float64)
             if self.true_ite.shape != (n,):
                 raise ConfigError("true_ite length does not match feature rows")
-            if np.any(np.abs(self.true_ite) > 1.0):
+            # Negated so that NaN, which compares False, fails too.
+            if not np.all(np.abs(self.true_ite) <= 1.0):
                 raise ConfigError("true_ite values must lie in [-1, 1]")
             self.true_ite.setflags(write=False)
         for arr in (self.features, self.treatment, self.outcome):
@@ -143,11 +143,27 @@ class TableSchema:
 
 
 def load_table(path, schema: TableSchema) -> Dataset:
-    """Read a delimited text file with a header row into a Dataset."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+    """Read a delimited text file with a header row into a Dataset.
+
+    `csv` reads the header; the body is parsed in one C pass by
+    `np.loadtxt`, split on `schema.delimiter`, with `"` quoting fields and
+    no comment lines. CRLF and CR line endings are accepted. A number
+    cell holds what Python's `float()` reads, surrounding whitespace
+    included, except that digit-group underscores (`1_000`) and
+    non-ASCII digits are rejected. Treatment and outcome cells must read
+    as 0 or 1. Columns the schema does not use are not parsed, but every
+    row must have as many fields as the header.
+
+    Rows are numbered from 1 after the header, one per csv record; blank
+    lines are skipped but still counted. A header problem raises
+    `SchemaError`. A bad row raises `ParseError` naming its number, the
+    column and, for treatment and outcome, the value; a csv scan finds
+    it, and runs only once the fast parse or its checks have failed. A
+    non-finite feature or `true_ite` raises `ConfigError` from `Dataset`.
+    """
+    with open(path, "r") as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh, delimiter=schema.delimiter))
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row")
         header = [h.strip() for h in header]
@@ -170,72 +186,95 @@ def load_table(path, schema: TableSchema) -> Dataset:
         if not feature_cols:
             raise SchemaError(f"{path}: no feature columns left after schema mapping")
 
-        f_idx = [col_idx[c] for c in feature_cols]
-        t_idx = col_idx[schema.treatment_col]
-        y_idx = col_idx[schema.outcome_col]
-        ite_idx = None if schema.true_ite_col is None else col_idx[schema.true_ite_col]
-
-        # Typed buffers, not an object per value: repeated loads do not fragment the heap.
-        feats, treat, outc, ites = array("d"), array("q"), array("q"), array("d")
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} fields, header has "
-                    f"{len(header)}"
+        # (name, column, kind) of every cell a row must hold, in the order
+        # the scan checks them.
+        binary = (schema.treatment_col, schema.outcome_col)
+        cells = [(c, col_idx[c], "feature") for c in feature_cols]
+        cells += [(c, col_idx[c], "binary") for c in binary]
+        if schema.true_ite_col is not None:
+            cells.append((schema.true_ite_col, col_idx[schema.true_ite_col], "value"))
+        used = sorted({i for _, i, _ in cells})
+        # An unused column is a zero-width string: loadtxt skips its text
+        # but still checks that every row has the header's field count.
+        dtype = np.dtype(
+            [(f"c{i}", np.float64 if i in used else "S0") for i in range(len(header))]
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, dtype=dtype, delimiter=schema.delimiter, quotechar='"',
+                    comments=None, ndmin=1,
                 )
-            try:
-                feats.extend([float(row[i]) for i in f_idx])
-            except ValueError:
-                bad = next(c for c, i in zip(feature_cols, f_idx) if not _is_float(row[i]))
-                raise ParseError(
-                    f"{path}: row {row_no}: non-numeric feature value in "
-                    f"column {bad!r}"
-                )
-            treat.append(_parse_binary(row[t_idx], schema.treatment_col, row_no, path))
-            outc.append(_parse_binary(row[y_idx], schema.outcome_col, row_no, path))
-            if ite_idx is not None:
-                try:
-                    ites.append(float(row[ite_idx]))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_no}: non-numeric value in column "
-                        f"{schema.true_ite_col!r}"
-                    )
+        except ValueError as exc:
+            rows, failure = None, str(exc)
 
-    if not feats:
+    if rows is not None:
+        # Each record holds the used columns back to back, in header order.
+        table = rows.view(np.float64).reshape(len(rows), len(used))
+        pos = {name: used.index(i) for name, i, _ in cells}
+        flags = np.take(table, [pos[c] for c in binary], axis=1)
+        if not np.all((flags == 0.0) | (flags == 1.0)):
+            rows, failure = None, "a treatment or outcome value is not 0 or 1"
+    if rows is None:
+        _raise_first_bad_row(path, schema.delimiter, len(header), cells)
+        raise ParseError(f"{path}: {failure}")
+    if not len(rows):
         raise ParseError(f"{path}: no data rows")
+    ite = schema.true_ite_col
     ds = Dataset(
-        np.array(feats, dtype=np.float64).reshape(-1, len(f_idx)),
-        np.array(treat, dtype=np.int64),
-        np.array(outc, dtype=np.int64),
-        np.array(ites, dtype=np.float64) if ite_idx is not None else None,
+        np.take(table, [pos[c] for c in feature_cols], axis=1),
+        flags[:, 0].astype(np.int64),
+        flags[:, 1].astype(np.int64),
+        None if ite is None else table[:, pos[ite]].copy(),
     )
     log.info("loaded %s: %d rows, %d features", path, ds.n, ds.d)
     return ds
 
 
-def _is_float(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
+def _raise_first_bad_row(path, delimiter: str, n_fields: int, cells) -> None:
+    """Read the body again with `csv`, one row at a time, and raise the
+    ParseError of the first row the fast parse could not take; return if
+    there is none."""
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        next(reader)
+        for row_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != n_fields:
+                raise ParseError(
+                    f"{path}: row {row_no} has {len(row)} fields, header has "
+                    f"{n_fields}"
+                )
+            for name, i, kind in cells:
+                value, where = _number(row[i]), f"{path}: row {row_no}:"
+                if value is None and kind == "feature":
+                    raise ParseError(
+                        f"{where} non-numeric feature value in column {name!r}"
+                    )
+                if value is None and kind == "binary":
+                    raise ParseError(
+                        f"{where} non-numeric value {row[i]!r} in column {name!r}"
+                    )
+                if value is None:
+                    raise ParseError(f"{where} non-numeric value in column {name!r}")
+                if kind == "binary" and value not in (0.0, 1.0):
+                    raise ParseError(
+                        f"{where} column {name!r} must be 0 or 1, got {row[i]!r}"
+                    )
 
 
-def _parse_binary(value: str, col: str, row_no: int, path) -> int:
+def _number(cell: str) -> float | None:
+    """The value `np.loadtxt` reads from `cell`, or None if it reads none:
+    what `float()` takes, less underscores and non-ASCII digits."""
+    text = cell.strip()
+    if "_" in text or not text.isascii():
+        return None
     try:
-        v = float(value)
+        return float(text)
     except ValueError:
-        raise ParseError(
-            f"{path}: row {row_no}: non-numeric value {value!r} in column {col!r}"
-        )
-    if v not in (0.0, 1.0):
-        raise ParseError(
-            f"{path}: row {row_no}: column {col!r} must be 0 or 1, got {value!r}"
-        )
-    return int(v)
+        return None
 
 
 def save_table(ds: Dataset, path, delimiter: str = ",") -> None:

@@ -87,13 +87,15 @@ def cluster_bags(
     CLUSTERED sorts batch positions by predicted uplift ascending (ties
     keep original order) and partitions consecutive runs without
     overlaps. RANDOM shuffles instead of sorting, the no-clustering
-    ablation; it needs `rng` for a reproducible shuffle. Trailing rows
-    that do not fill a bag are dropped.
+    ablation; it needs `rng` (ConfigError without one), so every shuffle
+    is reproducible. Trailing rows that do not fill a bag are dropped.
     """
     preds = np.asarray(uplift_predictions, dtype=np.float64)
     mode = BagMode(mode)
     if bag_size < 2:
         raise ConfigError(f"bag_size must be at least 2, got {bag_size}")
+    if mode is BagMode.RANDOM and rng is None:
+        raise ConfigError("random bags need an rng, so the shuffle is reproducible")
     if not np.all(np.isfinite(preds)):
         raise ConfigError("uplift predictions contain non-finite values")
     n = len(preds)
@@ -106,8 +108,6 @@ def cluster_bags(
     elif mode is BagMode.CLUSTERED:
         order = np.argsort(preds, kind="stable")
     else:
-        if rng is None:
-            rng = np.random.default_rng()
         order = rng.permutation(n)
     bags = order[: n - n % bag_size].reshape(-1, bag_size)
     return BagPartition(bags=bags, bag_size=bag_size, mode=mode)
@@ -200,8 +200,9 @@ def combined_loss_and_grads(
 
     Bags are formed from the batch's current uplift predictions unless a
     pre-built `partition` is supplied (used by tests that need the
-    assignment frozen). The assignment is fixed during the gradient; MIL
-    gradient reaches each row only through its factual arm's probability.
+    assignment frozen); RANDOM bags draw from `rng`, which they need.
+    The assignment is fixed during the gradient; MIL gradient reaches
+    each row only through its factual arm's probability.
     With alpha = 0 the bag machinery is skipped entirely and the
     gradients are bit-for-bit those of the base loss.
     """

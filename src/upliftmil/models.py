@@ -224,7 +224,7 @@ def backprop_factual(
     caches = out.caches
     if model.kind is ModelKind.TM:
         grads, _ = nncore.backward(
-            model.nets["net"], caches["net"], np.hstack([gc, gt])
+            model.nets["net"], caches["net"], np.hstack([gc, gt]), input_grad=False
         )
         return grads
     if model.kind is ModelKind.TARNET:
@@ -232,21 +232,29 @@ def backprop_factual(
         g_head_t, din_t = nncore.backward(model.nets["head_t"], caches["head_t"], gt)
         trunk = model.nets["trunk"]
         d_rep = nncore.output_grad_to_preact(trunk, caches["trunk"], din_c + din_t)
-        g_trunk, _ = nncore.backward(trunk, caches["trunk"], d_rep)
+        g_trunk, _ = nncore.backward(trunk, caches["trunk"], d_rep, input_grad=False)
         return np.concatenate([g_trunk, g_head_c, g_head_t])
     if model.kind is ModelKind.DDR:
-        g_control, _ = nncore.backward(model.nets["control"], caches["control"], gc)
-        # Input gradient of the treatment net is dropped: the appended
-        # control prediction is a constant input (stop-gradient).
+        g_control, _ = nncore.backward(
+            model.nets["control"], caches["control"], gc, input_grad=False
+        )
+        # No input gradient for the treatment net: the appended control
+        # prediction is a constant input (stop-gradient).
         g_treatment, _ = nncore.backward(
-            model.nets["treatment"], caches["treatment"], gt
+            model.nets["treatment"], caches["treatment"], gt, input_grad=False
         )
         return np.concatenate([g_control, g_treatment])
     # SDR: both arms' pre-logistic values are shared_logit + private_logit,
     # so the shared net collects each row's factual-arm gradient.
-    g_shared, _ = nncore.backward(model.nets["shared"], caches["shared"], gt + gc)
-    g_priv_c, _ = nncore.backward(model.nets["private_c"], caches["private_c"], gc)
-    g_priv_t, _ = nncore.backward(model.nets["private_t"], caches["private_t"], gt)
+    g_shared, _ = nncore.backward(
+        model.nets["shared"], caches["shared"], gt + gc, input_grad=False
+    )
+    g_priv_c, _ = nncore.backward(
+        model.nets["private_c"], caches["private_c"], gc, input_grad=False
+    )
+    g_priv_t, _ = nncore.backward(
+        model.nets["private_t"], caches["private_t"], gt, input_grad=False
+    )
     return np.concatenate([g_shared, g_priv_c, g_priv_t])
 
 

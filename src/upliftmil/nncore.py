@@ -166,14 +166,19 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
 
 
 def backward(
-    params: NetworkParams, cache: ForwardCache, output_grad: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    params: NetworkParams,
+    cache: ForwardCache,
+    output_grad: np.ndarray,
+    *,
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact reverse-mode gradients for a loss whose gradient with respect
     to the final layer's pre-activations is `output_grad`.
 
     Returns (grad, input_grad) where grad is one vector laid out like
     `params.flat` and input_grad is the gradient with respect to the
-    batch input.
+    batch input, or None when `input_grad=False` asks not to form it.
+    The rectifier mask is applied in place, to a product no caller sees.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if len(cache.activations) != params.n_layers:
@@ -185,19 +190,19 @@ def backward(
         )
     grad = np.empty_like(params.flat)
     grad_w, grad_b = layer_views(grad, params.layer_sizes)
-    delta = output_grad
+    delta, d_input = output_grad, None
     for k in range(params.n_layers - 1, -1, -1):
         a_prev = cache.activations[k - 1] if k > 0 else cache.x
         if cache.activations[k].shape[1] != params.weights[k].shape[1]:
             raise ShapeError("cache does not match network layer widths")
         np.matmul(a_prev.T, delta, out=grad_w[k])
         np.sum(delta, axis=0, out=grad_b[k])
-        da_prev = delta @ params.weights[k].T
         if k > 0:
-            delta = da_prev * (cache.activations[k - 1] > 0)
-        else:
-            input_grad = da_prev
-    return grad, input_grad
+            delta = delta @ params.weights[k].T
+            delta *= cache.activations[k - 1] > 0
+        elif input_grad:
+            d_input = delta @ params.weights[k].T
+    return grad, d_input
 
 
 def output_grad_to_preact(

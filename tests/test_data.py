@@ -20,8 +20,9 @@ from upliftmil.errors import ConfigError, MetricError, ParseError, SchemaError
 
 
 def _write(tmp_path, text, name="data.csv"):
+    """Write `text` as UTF-8 with its line endings kept as given."""
     p = tmp_path / name
-    p.write_text(text)
+    p.write_bytes(text.encode("utf-8"))
     return p
 
 
@@ -52,6 +53,16 @@ class TestDataset:
                 np.array([0.0, 1.5]),
             )
 
+    def test_nan_true_ite_rejected(self):
+        # NaN fails every comparison, so a range test alone lets it through.
+        with pytest.raises(ConfigError, match="true_ite"):
+            Dataset(
+                np.zeros((2, 1)),
+                np.array([0, 1]),
+                np.array([0, 1]),
+                np.array([np.nan, 0.0]),
+            )
+
     def test_arrays_frozen(self):
         ds = Dataset(np.zeros((2, 2)), np.array([0, 1]), np.array([1, 0]))
         with pytest.raises(ValueError):
@@ -60,18 +71,69 @@ class TestDataset:
 
 class TestLoadTable:
     def test_small_file_shape(self, tmp_path):
-        p = _write(
-            tmp_path,
-            "a,b,treatment,outcome\n1,2,1,0\n3,4,0,1\n5,6,1,1\n7,8,0,0\n",
+        plain = "a,b,treatment,outcome\n1,2,1,0\n3,4,0,1\n5,6,1,1\n7,8,0,0\n"
+        quoted = (
+            '"a","b",treatment,outcome\n"1","2",1,"0"\n3,"4",0,1\n5,6,1,1\n7,8,0,0\n'
         )
-        ds = load_table(p, TableSchema())
-        assert (ds.n, ds.d) == (4, 2)
-        np.testing.assert_array_equal(ds.treatment, [1, 0, 1, 0])
+        # Plain, CRLF and CR line endings, quoted fields, a blank line.
+        for text in (plain, plain.replace("\n", "\r\n"), plain.replace("\n", "\r"),
+                     quoted, plain.replace("1,0\n", "1,0\n\n")):
+            p = _write(tmp_path, text)
+            ds = load_table(p, TableSchema())
+            assert (ds.n, ds.d) == (4, 2)
+            np.testing.assert_array_equal(ds.features, [[1, 2], [3, 4], [5, 6], [7, 8]])
+            np.testing.assert_array_equal(ds.treatment, [1, 0, 1, 0])
+            np.testing.assert_array_equal(ds.outcome, [0, 1, 1, 0])
 
     def test_nonbinary_treatment_names_row(self, tmp_path):
         p = _write(tmp_path, "a,treatment,outcome\n1,1,0\n2,0,1\n3,2,0\n4,1,1\n")
         with pytest.raises(ParseError, match="row 3"):
             load_table(p, TableSchema())
+
+    def test_blank_line_skipped_but_counted(self, tmp_path):
+        p = _write(tmp_path, "a,treatment,outcome\n1,1,0\n\n2,0,1\n3,2,0\n")
+        with pytest.raises(ParseError, match="row 4: column 'treatment'"):
+            load_table(p, TableSchema())
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        p = _write(tmp_path, "a,treatment,outcome\n1,1,0\n  \n2,0,1\n")
+        with pytest.raises(ParseError, match="row 2 has 1 fields, header has 3"):
+            load_table(p, TableSchema())
+
+    @pytest.mark.parametrize("features", [None, ["a"]])
+    def test_short_and_long_rows_named(self, tmp_path, features):
+        # With explicit features column b is unused and not parsed, yet
+        # every row must still have the header's field count.
+        schema = TableSchema(feature_cols=features)
+        for body, match in (("1,2,1,0\n3,4,0\n", "row 2 has 3 fields"),
+                            ("1,2,1,0\n3,4,0,1,5\n", "row 2 has 5 fields")):
+            p = _write(tmp_path, "a,b,treatment,outcome\n" + body)
+            with pytest.raises(ParseError, match=match + ", header has 4"):
+                load_table(p, schema)
+
+    def test_nonbinary_outcome_names_column_and_value(self, tmp_path):
+        p = _write(tmp_path, "a,treatment,outcome\n1,1,0\n2,0,0.5\n")
+        match = "row 2: column 'outcome' must be 0 or 1, got '0.5'"
+        with pytest.raises(ParseError, match=match):
+            load_table(p, TableSchema())
+
+    def test_edge_numbers_load_as_float_reads_them(self, tmp_path):
+        cells = ["5e-324", "-0.0", "1.7976931348623157e308", "0.10000000000000001",
+                 "2.2250738585072014e-308", "-1.2345678901234567e-89", " 7 ", "1E5"]
+        rows = [f"{c},1,0" for c in cells]
+        p = _write(tmp_path, "a,treatment,outcome\n" + "\n".join(rows) + "\n")
+        ds = load_table(p, TableSchema())
+        want = np.array([float(c) for c in cells])
+        assert ds.features[:, 0].tobytes() == want.tobytes()
+
+    def test_underscores_and_non_ascii_digits_rejected(self, tmp_path):
+        # float() reads these, the C parser does not: the loader takes
+        # the C parser's syntax.
+        match = "row 2: non-numeric feature value in column 'a'"
+        for cell in ("1_000", "\u0661", "\uff11"):
+            p = _write(tmp_path, f"a,treatment,outcome\n1,1,0\n{cell},0,1\n")
+            with pytest.raises(ParseError, match=match):
+                load_table(p, TableSchema())
 
     def test_twelve_feature_columns_accepted(self, tmp_path):
         cols = [f"f{i}" for i in range(12)]
@@ -92,15 +154,15 @@ class TestLoadTable:
             load_table(p, TableSchema())
 
     def test_explicit_feature_subset_and_delimiter(self, tmp_path):
-        p = _write(tmp_path, "a;b;t;y\n1;9;1;0\n2;8;0;1\n")
-        ds = load_table(
-            p,
-            TableSchema(
+        # The unused column b may hold anything, numbers or not.
+        for text in ("a;b;t;y\n1;9;1;0\n2;8;0;1\n", "a;b;t;y\n1;x;1;0\n2;;0;1\n"):
+            p = _write(tmp_path, text)
+            schema = TableSchema(
                 treatment_col="t", outcome_col="y", feature_cols=["a"], delimiter=";"
-            ),
-        )
-        assert ds.d == 1
-        np.testing.assert_array_equal(ds.features.ravel(), [1.0, 2.0])
+            )
+            ds = load_table(p, schema)
+            assert ds.d == 1
+            np.testing.assert_array_equal(ds.features.ravel(), [1.0, 2.0])
 
     def test_round_trip_with_true_ite(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n=200, d=3, seed=9))
@@ -111,6 +173,11 @@ class TestLoadTable:
         np.testing.assert_array_equal(back.treatment, ds.treatment)
         np.testing.assert_array_equal(back.outcome, ds.outcome)
         np.testing.assert_array_equal(back.true_ite, ds.true_ite)
+
+    def test_nan_true_ite_rejected(self, tmp_path):
+        p = _write(tmp_path, "a,treatment,outcome,ite\n1,1,0,0.1\n2,0,1,nan\n")
+        with pytest.raises(ConfigError, match="true_ite"):
+            load_table(p, TableSchema(true_ite_col="ite"))
 
 
 class TestSplit:

@@ -57,6 +57,17 @@ class TestClusterBags:
         part = cluster_bags(np.arange(8.0), 2, BagMode.RANDOM, rng)
         assert sorted(np.concatenate(part.bags).tolist()) == list(range(8))
 
+    def test_random_mode_without_rng_rejected(self):
+        # A seedless shuffle would draw OS entropy and break reproducibility.
+        with pytest.raises(ConfigError, match="rng"):
+            cluster_bags(np.arange(8.0), 2, BagMode.RANDOM)
+        m = models.build("tm", 3, (4,), 0)
+        x, t, y, u_t = _batch(30)
+        with pytest.raises(ConfigError, match="rng"):
+            combined_loss_and_grads(
+                m, x, t, y, u_t, alpha=0.01, bag_size=2, mode=BagMode.RANDOM
+            )
+
     def test_clustered_bags_monotone_between_bags(self):
         rng = np.random.default_rng(5)
         preds = rng.normal(size=100)

@@ -138,6 +138,19 @@ class TestBackward:
         d_pre = nncore.output_grad_to_preact(trunk, cache, np.ones((1, 2)))
         np.testing.assert_array_equal(d_pre, [[0.0, 1.0]])
 
+    def test_skipping_input_grad_leaves_gradients_unchanged(self):
+        net = nncore.init_network((3, 5, 4, 2), seed=4)
+        x = np.random.default_rng(4).normal(size=(6, 3))
+        _, cache = nncore.forward(net, x)
+        gz = np.random.default_rng(5).normal(size=(6, 2))
+        before = gz.copy()
+        grads, dx = nncore.backward(net, cache, gz)
+        got, no_dx = nncore.backward(net, cache, gz, input_grad=False)
+        assert no_dx is None and dx.shape == x.shape
+        assert got.tobytes() == grads.tobytes()
+        # The mask is applied in place, but never to the caller's array.
+        assert gz.tobytes() == before.tobytes()
+
     def test_mismatched_cache_raises(self):
         net = nncore.init_network((3, 4, 1), seed=5)
         other = nncore.init_network((3, 1), seed=5)
