@@ -36,8 +36,6 @@ from .mil import (
     BagPartition,
     BagStats,
     LossBreakdown,
-    bag_label,
-    bag_prediction,
     cluster_bags,
     combined_loss_and_grads,
     mil_loss,
@@ -76,8 +74,6 @@ __all__ = [
     "UpliftModel",
     "aggregate_runs",
     "auuc",
-    "bag_label",
-    "bag_prediction",
     "build",
     "cluster_bags",
     "combined_loss_and_grads",

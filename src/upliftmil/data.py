@@ -160,8 +160,20 @@ def load_table(path, schema: TableSchema) -> Dataset:
     column and, for treatment and outcome, the value; a csv scan finds
     it, and runs only once the fast parse or its checks have failed. A
     non-finite feature or `true_ite` raises `ConfigError` from `Dataset`.
+    The file is read as UTF-8 whatever the locale; bytes that do not
+    decode raise `ParseError` naming the file.
     """
-    with open(path, "r") as fh:
+    try:
+        ds = _read_table(path, schema)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.start + 1]
+        raise ParseError(f"{path}: not UTF-8 text, cannot decode byte {bad!r}") from exc
+    log.info("loaded %s: %d rows, %d features", path, ds.n, ds.d)
+    return ds
+
+
+def _read_table(path, schema: TableSchema) -> Dataset:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh, delimiter=schema.delimiter))
         except StopIteration:
@@ -222,21 +234,19 @@ def load_table(path, schema: TableSchema) -> Dataset:
     if not len(rows):
         raise ParseError(f"{path}: no data rows")
     ite = schema.true_ite_col
-    ds = Dataset(
+    return Dataset(
         np.take(table, [pos[c] for c in feature_cols], axis=1),
         flags[:, 0].astype(np.int64),
         flags[:, 1].astype(np.int64),
         None if ite is None else table[:, pos[ite]].copy(),
     )
-    log.info("loaded %s: %d rows, %d features", path, ds.n, ds.d)
-    return ds
 
 
 def _raise_first_bad_row(path, delimiter: str, n_fields: int, cells) -> None:
     """Read the body again with `csv`, one row at a time, and raise the
     ParseError of the first row the fast parse could not take; return if
     there is none."""
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         next(reader)
         for row_no, row in enumerate(reader, start=1):
@@ -282,18 +292,15 @@ def save_table(ds: Dataset, path, delimiter: str = ",") -> None:
     extra column when present. Floats use 17 significant digits so a
     re-import reproduces values bitwise."""
     header = [f"x{i + 1}" for i in range(ds.d)] + ["treatment", "outcome"]
+    columns = [ds.features, ds.treatment, ds.outcome]
+    fmt = ["%.17g"] * ds.d + ["%d", "%d"]
     if ds.true_ite is not None:
         header.append("true_ite")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(ds.n):
-            row = [f"{v:.17g}" for v in ds.features[i]]
-            row.append(str(int(ds.treatment[i])))
-            row.append(str(int(ds.outcome[i])))
-            if ds.true_ite is not None:
-                row.append(f"{ds.true_ite[i]:.17g}")
-            writer.writerow(row)
+        columns.append(ds.true_ite)
+        fmt.append("%.17g")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=delimiter,
+                   header=delimiter.join(header), comments="")
 
 
 def _largest_remainder(n: int, fractions) -> list[int]:
@@ -422,16 +429,6 @@ def empirical_ate(ds: Dataset) -> float:
             f"ATE undefined: {n_t} treated and {n_c} control rows"
         )
     return float(ds.outcome[treated].mean() - ds.outcome[~treated].mean())
-
-
-def ate_standard_error(ds: Dataset) -> float:
-    """Standard two-sample standard error of the empirical ATE."""
-    treated = ds.treatment == 1
-    y_t = ds.outcome[treated].astype(np.float64)
-    y_c = ds.outcome[~treated].astype(np.float64)
-    if len(y_t) < 2 or len(y_c) < 2:
-        raise MetricError("need at least 2 rows per group for a standard error")
-    return float(np.sqrt(y_t.var(ddof=1) / len(y_t) + y_c.var(ddof=1) / len(y_c)))
 
 
 def fit_scaler(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

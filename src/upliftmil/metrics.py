@@ -26,7 +26,6 @@ about 9e7 rows per arm.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -44,10 +43,6 @@ class UpliftCurve:
     phi: np.ndarray
     g: np.ndarray
     auuc: float
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.phi.tolist(), self.g.tolist()))
 
 
 @dataclass
@@ -181,15 +176,9 @@ def aggregate_runs(auucs) -> RunAggregate:
     values = [float(v) for v in auucs]
     if not values:
         raise ConfigError("aggregate_runs needs at least one value")
-    mean = float(np.mean(values))
-    if len(values) == 1:
-        return RunAggregate(values=values, mean=mean, std=0.0, single_run=True)
-    return RunAggregate(
-        values=values,
-        mean=mean,
-        std=float(np.std(values, ddof=1)),
-        single_run=False,
-    )
+    single = len(values) == 1
+    std = 0.0 if single else float(np.std(values, ddof=1))
+    return RunAggregate(values, float(np.mean(values)), std, single)
 
 
 def export_curve(curve: UpliftCurve, path) -> None:
@@ -197,21 +186,6 @@ def export_curve(curve: UpliftCurve, path) -> None:
     file round-trips bitwise."""
     if len(curve.phi) < 2:
         raise ConfigError("a curve needs at least 2 points")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi", "g"])
-        for p, g in zip(curve.phi, curve.g):
-            writer.writerow([f"{p:.17g}", f"{g:.17g}"])
-
-
-def load_curve(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back a curve file written by export_curve."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["phi", "g"]:
-            raise ConfigError(f"{path}: not a curve file (header {header!r})")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    phi = np.array([r[0] for r in rows])
-    g = np.array([r[1] for r in rows])
-    return phi, g
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, np.column_stack([curve.phi, curve.g]), fmt="%.17g",
+                   delimiter=",", header="phi,g", comments="")

@@ -19,7 +19,9 @@ predictions every step.
 
 A partition is one (n_bags, bag_size) array of batch positions, so every
 bag's label, prediction, residual and gradient comes from a few array
-operations over its rows; there are no per-bag objects.
+operations over its rows; there are no per-bag objects. `batch_bag_stats`
+gives every bag's label and prediction at once, and a single bag is a
+one-row partition.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import models, nncore
+from . import models
 from .errors import ConfigError
 from .models import ModelOutputs, UpliftModel
 
@@ -47,8 +49,6 @@ class BagPartition:
     size) belong to no bag."""
 
     bags: np.ndarray
-    bag_size: int
-    mode: BagMode
 
 
 @dataclass
@@ -66,14 +66,13 @@ class BagStats:
 @dataclass
 class LossBreakdown:
     """One training step's loss terms: loss = base_weight * l_base +
-    alpha * l_mil. base_weight is 1 except in the no-base-loss ablation."""
+    alpha * l_mil, with the base_weight and alpha the step was called
+    with. base_weight is 1 except in the no-base-loss ablation."""
 
     l_base: float
     l_mil: float
-    alpha: float
     loss: float
     usable_bags: int
-    base_weight: float = 1.0
 
 
 def cluster_bags(
@@ -110,7 +109,7 @@ def cluster_bags(
     else:
         order = rng.permutation(n)
     bags = order[: n - n % bag_size].reshape(-1, bag_size)
-    return BagPartition(bags=bags, bag_size=bag_size, mode=mode)
+    return BagPartition(bags)
 
 
 def _bag_sums(
@@ -138,36 +137,17 @@ def _bag_sums(
     return np.where(usable, s_t / u_t - s_c / (1.0 - u_t), np.nan), usable
 
 
-def bag_label(
-    outcome: np.ndarray, treatment: np.ndarray, bag: np.ndarray, u_t: float
-) -> tuple[float, bool]:
-    """Bag-wise ATE label: treated responses weighted by 1/u_t minus
-    control responses weighted by 1/(1-u_t).
-
-    Returns (y_bag, usable). A single-arm bag is unusable and its label
-    is NaN; it takes no part in the regularizer.
-    """
-    return bag_prediction(outcome, outcome, treatment, bag, u_t)
-
-
-def bag_prediction(
-    p_t: np.ndarray,
-    p_c: np.ndarray,
-    treatment: np.ndarray,
-    bag: np.ndarray,
-    u_t: float,
-) -> tuple[float, bool]:
-    """Bag-wise ATE prediction by the same weighted summation as the
-    label: each instance contributes only its factual arm's predicted
-    probability."""
-    values, usable = _bag_sums(p_t, p_c, treatment, np.asarray(bag)[None, :], u_t)
-    return float(values[0]), bool(usable[0])
-
-
 def batch_bag_stats(
     outcome, treatment, p_t, p_c, partition: BagPartition, u_t: float
 ) -> BagStats:
-    """Label and prediction for every bag of a partition."""
+    """Label and prediction for every bag of a partition.
+
+    The label y_bag is the treated members' outcomes over u_t minus the
+    control members' outcomes over (1 - u_t); the prediction h_bag is the
+    same weighted sum of each member's factual-arm probability (p_t if
+    treated, p_c if control). A single-arm bag is unusable: its label and
+    prediction are NaN and it takes no part in the regularizer.
+    """
     y_bag, usable = _bag_sums(outcome, outcome, treatment, partition.bags, u_t)
     h_bag, _ = _bag_sums(p_t, p_c, treatment, partition.bags, u_t)
     return BagStats(y_bag, h_bag, usable)
@@ -194,34 +174,28 @@ def combined_loss_and_grads(
     mode: BagMode = BagMode.CLUSTERED,
     rng: np.random.Generator | None = None,
     base_weight: float = 1.0,
-    partition: BagPartition | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, ModelOutputs]:
-    """Base loss plus the bag-level regularizer, with gradients.
+    """Base loss (`models.factual_loss`) plus the bag-level regularizer,
+    with gradients.
 
-    Bags are formed from the batch's current uplift predictions unless a
-    pre-built `partition` is supplied (used by tests that need the
-    assignment frozen); RANDOM bags draw from `rng`, which they need.
-    The assignment is fixed during the gradient; MIL gradient reaches
-    each row only through its factual arm's probability.
-    With alpha = 0 the bag machinery is skipped entirely and the
-    gradients are bit-for-bit those of the base loss.
+    Bags are formed by `cluster_bags` from the uplift predictions of this
+    call's own forward pass (the returned outputs); RANDOM bags draw from
+    `rng`, which they need. The assignment is fixed during the gradient;
+    MIL gradient reaches each row only through its factual arm's
+    probability. With alpha = 0 the bag machinery is skipped entirely and
+    the gradients are bit-for-bit those of `models.base_loss_and_grads`.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
     out = models.forward_full(model, x)
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
-    loss_t, gz_t = nncore.bce_loss(out.p_t, y, t)
-    loss_c, gz_c = nncore.bce_loss(out.p_c, y, 1.0 - t)
-    l_base = loss_t + loss_c
-    if base_weight != 1.0:
-        gz_t = base_weight * gz_t
-        gz_c = base_weight * gz_c
+    l_base, gz_t, gz_c = models.factual_loss(out, t, y)
+    gz_t, gz_c = base_weight * gz_t, base_weight * gz_c
 
     l_mil, usable = 0.0, 0
     if alpha != 0.0:
-        if partition is None:
-            partition = cluster_bags(out.uplift, bag_size, mode, rng)
+        partition = cluster_bags(out.uplift, bag_size, mode, rng)
         stats = batch_bag_stats(y, t, out.p_t, out.p_c, partition, u_t)
         l_mil, residuals = mil_loss(stats)
         usable = int(stats.usable.sum())
@@ -243,9 +217,7 @@ def combined_loss_and_grads(
     breakdown = LossBreakdown(
         l_base=l_base,
         l_mil=l_mil,
-        alpha=alpha,
         loss=base_weight * l_base + alpha * l_mil,
         usable_bags=usable,
-        base_weight=base_weight,
     )
     return breakdown, grads, out

@@ -5,6 +5,8 @@ response probabilities (p_t, p_c) and the uplift prediction p_t - p_c.
 The factual-arm base loss is binary cross-entropy of p_t on treated rows
 plus binary cross-entropy of p_c on control rows, each averaged within
 its own arm; gradients reach a row's counterfactual arm nowhere.
+`factual_loss` is its one implementation: the bag-regularized loss of
+`mil` adds to it rather than restating it.
 
 Architectures:
 
@@ -258,20 +260,27 @@ def backprop_factual(
     return np.concatenate([g_shared, g_priv_c, g_priv_t])
 
 
-def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
-    """Factual-arm cross-entropy and its parameter gradients.
+def factual_loss(out: ModelOutputs, treatment, outcome):
+    """The base loss: factual-arm cross-entropy of a forward pass.
 
-    Returns (loss, grads, outputs). Each arm's cross-entropy is averaged
-    over that arm's rows and the two arm losses are summed; a batch with
-    an empty arm simply contributes zero for that arm.
+    Returns (l_base, gz_t, gz_c), with gz_t and gz_c the per-row
+    pre-logistic gradients `backprop_factual` takes. Each arm's
+    cross-entropy is averaged over that arm's rows and the two arm losses
+    are summed; a batch with an empty arm contributes zero for that arm.
     """
-    out = forward_full(model, x)
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
     loss_t, gz_t = nncore.bce_loss(out.p_t, y, t)
     loss_c, gz_c = nncore.bce_loss(out.p_c, y, 1.0 - t)
-    grads = backprop_factual(model, out, gz_t, gz_c)
-    return loss_t + loss_c, grads, out
+    return loss_t + loss_c, gz_t, gz_c
+
+
+def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
+    """The base loss and its parameter gradients; returns (loss, grads,
+    outputs)."""
+    out = forward_full(model, x)
+    loss, gz_t, gz_c = factual_loss(out, treatment, outcome)
+    return loss, backprop_factual(model, out, gz_t, gz_c), out
 
 
 def set_parameter_arrays(model: UpliftModel, values: np.ndarray) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -119,14 +119,7 @@ class TrainReport:
     wall_clock_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "history": [asdict(h) for h in self.history],
-            "best_step": self.best_step,
-            "best_val_auuc": self.best_val_auuc,
-            "test_auuc": self.test_auuc,
-            "wall_clock_s": self.wall_clock_s,
-        }
+        return asdict(self)
 
 
 def evaluate(
@@ -249,8 +242,6 @@ def repeat_runs(
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs must be at least 1, got {n_runs}")
-    from dataclasses import replace
-
     tasks = [
         (train_ds, valid_ds, test_ds, replace(cfg, seed=cfg.seed + i))
         for i in range(n_runs)

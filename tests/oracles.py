@@ -4,8 +4,9 @@ Everything here is written straight from the defining formulas with
 plain loops, deliberately sharing no code with the package: a clean-room
 dense-net evaluator per architecture, the factual-arm and bag-level
 losses, the bag-noise identity, central finite differences, a
-functional per-array Adam step, and a brute-force uplift-curve evaluator
-that materializes every selection explicitly.
+functional per-array Adam step, a brute-force uplift-curve evaluator
+that materializes every selection explicitly, and the two-sample
+standard error of an empirical ATE.
 """
 
 import math
@@ -151,10 +152,9 @@ def variance_identity_check(labels, noise, bags):
     return lhs, rhs
 
 
-def combined_loss_ref(model, x, t, y, u_t, alpha, bags, base_weight=1.0,
-                      frozen_pc=None):
+def combined_loss_ref(model, x, t, y, u_t, alpha, bags, frozen_pc=None):
     p_t, p_c = model_probs(model, x, frozen_pc=frozen_pc)
-    loss = base_weight * base_loss_ref(p_t, p_c, t, y)
+    loss = base_loss_ref(p_t, p_c, t, y)
     if alpha != 0.0:
         loss += alpha * mil_loss_ref(p_t, p_c, t, y, bags, u_t)
     return loss
@@ -239,3 +239,10 @@ def brute_force_curve(scores, outcome, treatment, n_points):
         m_c = math.ceil(Fraction(k * n_c, n_points))
         g.append((k / n_points) * (rate(groups_t, m_t) - rate(groups_c, m_c)))
     return g, math.fsum(g) / n_points
+
+
+def ate_standard_error(ds):
+    """Standard two-sample standard error of the empirical ATE."""
+    y_t = ds.outcome[ds.treatment == 1].astype(np.float64)
+    y_c = ds.outcome[ds.treatment == 0].astype(np.float64)
+    return math.sqrt(y_t.var(ddof=1) / len(y_t) + y_c.var(ddof=1) / len(y_c))

@@ -1,5 +1,7 @@
 """Dataset construction, ingestion, splitting, batching, synthesis."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from upliftmil.data import (
     Dataset,
     SynthConfig,
     TableSchema,
-    ate_standard_error,
     empirical_ate,
     generate_synthetic,
     load_table,
@@ -17,6 +18,8 @@ from upliftmil.data import (
     split,
 )
 from upliftmil.errors import ConfigError, MetricError, ParseError, SchemaError
+
+from oracles import ate_standard_error
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -178,6 +181,27 @@ class TestLoadTable:
         p = _write(tmp_path, "a,treatment,outcome,ite\n1,1,0,0.1\n2,0,1,nan\n")
         with pytest.raises(ConfigError, match="true_ite"):
             load_table(p, TableSchema(true_ite_col="ite"))
+
+    def test_undecodable_bytes_name_file(self, tmp_path):
+        p = tmp_path / "data.csv"
+        # In the header's read and, past the first read buffer, in the body.
+        long_body = "1,1,0\n" * 5000
+        for raw in (b"a,treatment,outcome\n1,1,0\n2\xff,0,1\n",
+                    ("a,treatment,outcome\n" + long_body).encode() + b"2\xff,0,1\n"):
+            p.write_bytes(raw)
+            with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8 text")):
+                load_table(p, TableSchema())
+
+    def test_saved_bytes_exact(self, tmp_path):
+        ds = Dataset([[0.1, -2.5e-300], [3.0, 1e300]], [1, 0], [0, 1], [0.25, -1 / 3])
+        p = tmp_path / "out.csv"
+        rows = ["x1,x2,treatment,outcome,true_ite",
+                "0.10000000000000001,-2.5e-300,1,0,0.25",
+                "3,1.0000000000000001e+300,0,1,-0.33333333333333331"]
+        for delimiter in (",", "\t"):
+            save_table(ds, p, delimiter)
+            want = "".join(r.replace(",", delimiter) + "\n" for r in rows)
+            assert p.read_bytes() == want.encode()
 
 
 class TestSplit:

@@ -10,10 +10,10 @@ import pytest
 from upliftmil.data import SynthConfig, empirical_ate, generate_synthetic
 from upliftmil.errors import ConfigError, MetricError
 from upliftmil.metrics import (
+    UpliftCurve,
     aggregate_runs,
     auuc,
     export_curve,
-    load_curve,
     uplift_curve,
 )
 
@@ -232,9 +232,20 @@ class TestCurveFiles:
         curve = uplift_curve(ds.true_ite, ds.outcome, ds.treatment, 64)
         path = tmp_path / "curve.csv"
         export_curve(curve, path)
-        phi, g = load_curve(path)
+        assert path.read_text(encoding="utf-8").startswith("phi,g\n")
+        phi, g = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
         np.testing.assert_array_equal(phi, curve.phi)
         np.testing.assert_array_equal(g, curve.g)
+
+    def test_exact_bytes(self, tmp_path):
+        curve = UpliftCurve(np.array([1 / 3, 2 / 3, 1.0]),
+                            np.array([0.01, -0.0, 0.1 + 0.2]), 0.0)
+        path = tmp_path / "curve.csv"
+        export_curve(curve, path)
+        assert path.read_bytes() == (
+            b"phi,g\n0.33333333333333331,0.01\n0.66666666666666663,-0\n"
+            b"1,0.30000000000000004\n"
+        )
 
     def test_unwritable_path_raises(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n=500, seed=5))

@@ -8,8 +8,8 @@ from upliftmil import mil, models
 from upliftmil.errors import ConfigError
 from upliftmil.mil import (
     BagMode,
-    bag_label,
-    bag_prediction,
+    BagPartition,
+    batch_bag_stats,
     cluster_bags,
     combined_loss_and_grads,
     mil_loss,
@@ -84,12 +84,21 @@ class TestClusterBags:
         assert all(len(b) == 8 for b in part.bags)
 
 
+def _one_bag(outcome, treatment, u_t, p_t=None, p_c=None):
+    """(y_bag, h_bag, usable) of one bag holding every row, by
+    `batch_bag_stats`; the prediction defaults to the outcomes."""
+    p_t, p_c = (outcome, outcome) if p_t is None else (p_t, p_c)
+    bag = BagPartition(np.arange(len(treatment))[None, :])
+    stats = batch_bag_stats(outcome, treatment, p_t, p_c, bag, u_t)
+    return stats.y_bag[0], stats.h_bag[0], stats.usable[0]
+
+
 class TestBagLabel:
     def test_balanced_bag(self):
         # treated outcomes (1, 0), control outcomes (0, 0), u_t = 1/2
         y = np.array([1.0, 0.0, 0.0, 0.0])
         t = np.array([1, 1, 0, 0])
-        label, usable = bag_label(y, t, np.arange(4), 0.5)
+        label, _, usable = _one_bag(y, t, 0.5)
         assert usable
         assert abs(label - 2.0) < 1e-12
 
@@ -97,7 +106,7 @@ class TestBagLabel:
         # treated (1, 1, 0), control (1,), u_t = 3/4
         y = np.array([1.0, 1.0, 0.0, 1.0])
         t = np.array([1, 1, 1, 0])
-        label, usable = bag_label(y, t, np.arange(4), 0.75)
+        label, _, usable = _one_bag(y, t, 0.75)
         assert usable
         assert abs(label - (2 / 0.75 - 1 / 0.25)) < 1e-12
         assert abs(label - (-4 / 3)) < 1e-12
@@ -105,13 +114,13 @@ class TestBagLabel:
     def test_all_zero_outcomes(self):
         y = np.zeros(4)
         t = np.array([1, 0, 1, 0])
-        label, usable = bag_label(y, t, np.arange(4), 0.5)
+        label, _, usable = _one_bag(y, t, 0.5)
         assert usable and label == 0.0
 
     def test_single_arm_bag_unusable(self):
         y = np.array([1.0, 0.0])
         t = np.array([1, 1])
-        label, usable = bag_label(y, t, np.arange(2), 0.5)
+        label, _, usable = _one_bag(y, t, 0.5)
         assert not usable
         assert np.isnan(label)
 
@@ -122,14 +131,14 @@ class TestBagPrediction:
         p_t = np.array([0.6, 0.4, 0.9, 0.9])
         p_c = np.array([0.9, 0.9, 0.5, 0.3])
         t = np.array([1, 1, 0, 0])
-        pred, usable = bag_prediction(p_t, p_c, t, np.arange(4), 0.5)
+        _, pred, usable = _one_bag(np.zeros(4), t, 0.5, p_t, p_c)
         assert usable
         assert abs(pred - 0.4) < 1e-12
 
     def test_symmetric_half_probabilities_cancel(self):
         p = np.full(4, 0.5)
         t = np.array([1, 0, 1, 0])
-        pred, usable = bag_prediction(p, p, t, np.arange(4), 0.5)
+        _, pred, usable = _one_bag(np.zeros(4), t, 0.5, p, p)
         assert usable and abs(pred) < 1e-12
 
     def test_equals_label_when_predictions_equal_outcomes(self):
@@ -137,8 +146,7 @@ class TestBagPrediction:
         y = rng.integers(0, 2, 8).astype(float)
         t = np.array([1, 0, 1, 0, 1, 0, 1, 0])
         u_t = 0.5
-        label, _ = bag_label(y, t, np.arange(8), u_t)
-        pred, _ = bag_prediction(y, y, t, np.arange(8), u_t)
+        label, pred, _ = _one_bag(y, t, u_t, y, y)
         assert label == pred
 
 
@@ -192,8 +200,7 @@ class TestCombinedLoss:
             assert breakdown.l_base == base
             assert breakdown.l_mil == 0.0
             assert breakdown.loss == base
-            for a, b in zip(grads, base_grads):
-                np.testing.assert_array_equal(a, b)
+            assert grads.tobytes() == base_grads.tobytes()
 
     def test_loss_field_is_exact_combination(self):
         m = models.build("tm", 3, (5, 4), 9)
@@ -225,14 +232,14 @@ class TestCombinedLoss:
         # no MIL gradient.
         for n in (16, 18):
             x, t, y, u_t = _batch(231, n=n)
-            out = models.forward_full(m, x)
-            partition = cluster_bags(out.uplift, 4)
-            frozen_pc = out.p_c.copy() if kind == "ddr" else None
             alpha = 0.01
-            breakdown, grads, _ = combined_loss_and_grads(
-                m, x, t, y, u_t, alpha, bag_size=4, partition=partition
+            _, grads, out = combined_loss_and_grads(
+                m, x, t, y, u_t, alpha, bag_size=4
             )
-            bags = [b.tolist() for b in partition.bags]
+            # The bags the call formed, by the same stable sort of its own
+            # forward pass, frozen for the perturbed losses.
+            bags = cluster_bags(out.uplift, 4).bags.tolist()
+            frozen_pc = out.p_c.copy() if kind == "ddr" else None
 
             def loss_fn(_arrays):
                 return combined_loss_ref(
@@ -272,8 +279,7 @@ class TestCombinedLoss:
         _, base_grads, _ = models.base_loss_and_grads(m, x, t, y)
         assert breakdown.l_mil == 0.0
         assert breakdown.usable_bags == 0
-        for a, b in zip(grads, base_grads):
-            assert a.tobytes() == b.tobytes()
+        assert grads.tobytes() == base_grads.tobytes()
 
     def test_base_weight_zero_drops_base_loss_from_total(self):
         m = models.build("tarnet", 3, (5, 4), 5)
@@ -332,7 +338,6 @@ class TestLabelUnbiasedness:
         rate_c = rng.uniform(0.02, 0.30, bag_size)
         true_sum = float(np.sum(rate_t - rate_c))
         u_t = 0.5
-        bag = np.arange(bag_size)
         draws = []
         n_draws = 20_000
         for _ in range(n_draws):
@@ -341,7 +346,7 @@ class TestLabelUnbiasedness:
                 continue
             p = np.where(t == 1, rate_t, rate_c)
             y = (rng.random(bag_size) < p).astype(float)
-            label, usable = bag_label(y, t, bag, u_t)
+            label, _, usable = _one_bag(y, t, u_t)
             assert usable
             draws.append(label)
         draws = np.asarray(draws)

@@ -363,6 +363,8 @@ class TestCheckpoint:
             ("format_version", None),
             ("kind", "xyz"),
             ("manifest", None),
+            # An unknown name would otherwise run as a linear output layer.
+            ("nets.private_c.output_activation", "tanh"),
         ],
     )
     def test_bad_manifest_names_the_key(self, tmp_path, key, value):
@@ -389,19 +391,4 @@ class TestCheckpoint:
 
         self._rewrite(path, edit)
         with pytest.raises(ConfigError, match=re.escape(repr(value or last))):
-            models.load_checkpoint(path)
-
-    def test_unknown_output_activation_rejected(self, tmp_path):
-        # An unknown name would otherwise run as a linear output layer.
-        m = _tiny("tm", seed=18)
-        path = tmp_path / "model.npz"
-        models.save_checkpoint(m, path)
-
-        def edit(members):
-            manifest = json.loads(str(members["manifest"]))
-            manifest["nets"]["net"]["output_activation"] = "tanh"
-            members["manifest"] = np.array(json.dumps(manifest))
-
-        self._rewrite(path, edit)
-        with pytest.raises(ConfigError, match="tanh"):
             models.load_checkpoint(path)
