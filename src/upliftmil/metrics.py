@@ -16,7 +16,7 @@ every ordering of the tied rows, as in ROC analysis, where tied scores
 collapse into one threshold. The curve is therefore a function of the
 scores alone. A constant scorer gives g(phi) = phi * ATE exactly, so its
 AUUC is ATE * (P + 1) / (2 P) on a P-point grid, and g(1) equals the
-empirical ATE exactly since both rankings then include everyone. The
+empirical ATE exactly since both arms' rankings then include everyone. The
 empirical ATE acts as an approximate upper bound.
 
 Each selected rate is computed as one ratio of integers, which is exact
@@ -63,15 +63,14 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _ranked(scores: np.ndarray, *values: np.ndarray):
+def _ranked(scores: np.ndarray, values: np.ndarray):
     """Ascending sort keys (the negated scores, so best first) and the
-    0-prefixed cumulative sums of each value vector in that order. The
-    order within a tied group does not matter: only sums at group
-    boundaries are read."""
+    0-prefixed cumulative sum of `values` in that order. The order within
+    a tied group does not matter: only sums at group boundaries are
+    read."""
     keys = -scores
     order = np.argsort(keys)
-    cums = [np.concatenate(([0], np.cumsum(v[order]))) for v in values]
-    return keys[order], cums
+    return keys[order], np.concatenate(([0], np.cumsum(values[order])))
 
 
 def _tied_group(keys: np.ndarray, m: np.ndarray):
@@ -91,29 +90,34 @@ def _selected(cum: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray):
     return cum[a] * (b - a) + (m - a) * (cum[b] - cum[a])
 
 
+def _binary(values, name: str) -> np.ndarray:
+    """`values` as int64, or MetricError naming the column unless every
+    entry is 0 or 1."""
+    v = np.asarray(values)
+    ok = (v == 0) | (v == 1)
+    if not ok.all():
+        raise MetricError(
+            f"uplift curve undefined: {int((~ok).sum())} of {v.size} {name} "
+            "values are not 0 or 1"
+        )
+    return v.astype(np.int64, copy=False)
+
+
 def uplift_curve(
-    scores,
-    outcome,
-    treatment,
-    n_points: int = DEFAULT_GRID,
-    ranking: str = "separate",
+    scores, outcome, treatment, n_points: int = DEFAULT_GRID
 ) -> UpliftCurve:
     """Uplift curve over a uniform grid phi = k / n_points, k = 1..n_points.
 
-    `ranking="separate"` (default) ranks each arm by score on its own;
-    `ranking="joint"` ranks all rows together and compares the selected
-    arms' rates, provided for comparison only.
-
-    In both rankings a partly selected group of tied scores contributes
-    its mean response (and, for the joint ranking, its treated and
-    control counts) in proportion to the share it takes, so the result
-    does not depend on row order. A constant scorer gives
-    g(phi) = phi * ATE and AUUC = ATE * (n_points + 1) / (2 n_points).
-    NaN scores have no place in a ranking and raise MetricError.
+    Each arm is ranked by score on its own. A partly selected group of
+    tied scores contributes its mean response in proportion to the share
+    it takes, so the result does not depend on row order. A constant
+    scorer gives g(phi) = phi * ATE and AUUC = ATE * (n_points + 1) /
+    (2 n_points). NaN scores have no place in a ranking, and outcome and
+    treatment must be binary; both raise MetricError.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(outcome, dtype=np.int64)
-    t = np.asarray(treatment, dtype=np.int64)
+    y = _binary(outcome, "outcome")
+    t = _binary(treatment, "treatment")
     if not (scores.shape == y.shape == t.shape) or scores.ndim != 1:
         raise ConfigError("scores, outcome and treatment must be equal-length vectors")
     n_nan = int(np.isnan(scores).sum())
@@ -126,40 +130,16 @@ def uplift_curve(
     if n_t == 0 or n_c == 0:
         raise MetricError(f"uplift curve undefined: {n_t} treated, {n_c} control")
 
-    phi = np.arange(1, n_points + 1) / n_points
-    if ranking == "separate":
-        g = _separate_g(scores, y, t, n_points)
-    elif ranking == "joint":
-        g = _joint_g(scores, y, t, n_points)
-    else:
-        raise ConfigError(f"unknown ranking {ranking!r}")
-    auuc = math.fsum(g) / n_points
-    return UpliftCurve(phi=phi, g=np.asarray(g), auuc=auuc)
-
-
-def _separate_g(scores, y, t, n_points):
     k = np.arange(1, n_points + 1)
     treated = t == 1
     rates = []
     for arm in (treated, ~treated):
-        keys, (cum,) = _ranked(scores[arm], y[arm])
+        keys, cum = _ranked(scores[arm], y[arm])
         m = _ceil_div(k * len(keys), n_points)
         a, b = _tied_group(keys, m)
         rates.append(_selected(cum, a, b, m) / (m * (b - a)))
-    return (k / n_points) * (rates[0] - rates[1])
-
-
-def _joint_g(scores, y, t, n_points):
-    k = np.arange(1, n_points + 1)
-    keys, cums = _ranked(scores, t, y * t, 1 - t, y * (1 - t))
-    m = _ceil_div(k * len(keys), n_points)
-    a, b = _tied_group(keys, m)
-    n_t, y_t, n_c, y_c = (_selected(cum, a, b, m) for cum in cums)
-    # The (b - a) factor cancels, so each arm's rate is one integer
-    # ratio; an arm with no selected rows has rate 0.
-    rate_t = np.divide(y_t, n_t, out=np.zeros(n_points), where=n_t > 0)
-    rate_c = np.divide(y_c, n_c, out=np.zeros(n_points), where=n_c > 0)
-    return (k / n_points) * (rate_t - rate_c)
+    g = (k / n_points) * (rates[0] - rates[1])
+    return UpliftCurve(phi=k / n_points, g=g, auuc=math.fsum(g) / n_points)
 
 
 def auuc(scores, outcome, treatment) -> float:

@@ -65,9 +65,8 @@ class BagStats:
 
 @dataclass
 class LossBreakdown:
-    """One training step's loss terms: loss = base_weight * l_base +
-    alpha * l_mil, with the base_weight and alpha the step was called
-    with. base_weight is 1 except in the no-base-loss ablation."""
+    """One training step's loss terms: loss = l_base + alpha * l_mil, with
+    the alpha the step was called with."""
 
     l_base: float
     l_mil: float
@@ -173,7 +172,6 @@ def combined_loss_and_grads(
     bag_size: int,
     mode: BagMode = BagMode.CLUSTERED,
     rng: np.random.Generator | None = None,
-    base_weight: float = 1.0,
 ) -> tuple[LossBreakdown, np.ndarray, ModelOutputs]:
     """Base loss (`models.factual_loss`) plus the bag-level regularizer,
     with gradients.
@@ -184,6 +182,8 @@ def combined_loss_and_grads(
     MIL gradient reaches each row only through its factual arm's
     probability. With alpha = 0 the bag machinery is skipped entirely and
     the gradients are bit-for-bit those of `models.base_loss_and_grads`.
+    A non-finite base loss (a diverged model) forms no bags either: the
+    returned loss is then non-finite for the caller to report.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
@@ -191,10 +191,9 @@ def combined_loss_and_grads(
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
     l_base, gz_t, gz_c = models.factual_loss(out, t, y)
-    gz_t, gz_c = base_weight * gz_t, base_weight * gz_c
 
     l_mil, usable = 0.0, 0
-    if alpha != 0.0:
+    if alpha != 0.0 and np.isfinite(l_base):
         partition = cluster_bags(out.uplift, bag_size, mode, rng)
         stats = batch_bag_stats(y, t, out.p_t, out.p_c, partition, u_t)
         l_mil, residuals = mil_loss(stats)
@@ -217,7 +216,7 @@ def combined_loss_and_grads(
     breakdown = LossBreakdown(
         l_base=l_base,
         l_mil=l_mil,
-        loss=base_weight * l_base + alpha * l_mil,
+        loss=l_base + alpha * l_mil,
         usable_bags=usable,
     )
     return breakdown, grads, out

@@ -21,6 +21,13 @@ Architectures:
 * SDR: the two arms share part of their output: a shared logit net on
   the features plus per-arm private one-hidden-layer logit heads, with
   p_arm = logistic(shared logit + private logit).
+
+`_layout` is the one definition of each architecture: its nets' names,
+parameter order, layer sizes and output activations. A checkpoint
+(format 2) is a .npz archive of a JSON manifest (format_version, kind,
+input_dim, hidden_sizes, seed, has_scaler), the one vector `params` and,
+with a scaler, its mean and std; `params` must have the length of the
+layout the manifest gives.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from . import nncore
 from .errors import ConfigError, ShapeError
 from .nncore import ForwardCache, NetworkParams
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Rows per forward pass in `predict`: it holds one chunk's activations
 # at a time, not the whole set's.
@@ -49,21 +56,11 @@ class ModelKind(str, Enum):
     SDR = "sdr"
 
 
-# Fixed net ordering per kind; parameter flattening and checkpoints rely
-# on it.
-_NET_ORDER = {
-    ModelKind.TM: ("net",),
-    ModelKind.TARNET: ("trunk", "head_c", "head_t"),
-    ModelKind.DDR: ("control", "treatment"),
-    ModelKind.SDR: ("shared", "private_c", "private_t"),
-}
-
-
 @dataclass
 class UpliftModel:
     """An architecture's nets, all views into the one vector `params`. The
     constructor copies the given nets' values into `params` (back to back
-    in `_NET_ORDER`) and replaces each net by views into its slice."""
+    in the order of `nets`) and replaces each net by views into its slice."""
 
     kind: ModelKind
     input_dim: int
@@ -74,10 +71,9 @@ class UpliftModel:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = np.concatenate([self.nets[n].flat for n in self.net_names()])
+        self.params = np.concatenate([net.flat for net in self.nets.values()])
         views, pos = {}, 0
-        for name in self.net_names():
-            net = self.nets[name]
+        for name, net in self.nets.items():
             flat = self.params[pos : pos + net.flat.size]
             views[name] = NetworkParams(flat, net.layer_sizes, net.output_activation)
             pos += flat.size
@@ -90,7 +86,7 @@ class UpliftModel:
         self.__post_init__()
 
     def net_names(self) -> tuple[str, ...]:
-        return _NET_ORDER[self.kind]
+        return tuple(self.nets)
 
     def parameter_arrays(self) -> np.ndarray:
         return self.params
@@ -114,38 +110,56 @@ def _model_kind(value) -> ModelKind:
         raise ConfigError(f"unknown model kind {value!r}")
 
 
+def _is_size(v) -> bool:
+    """A positive integer; bool, float and str values are not sizes."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+
+
+def _layout(kind: ModelKind, input_dim, hidden_sizes) -> list[tuple[str, tuple, str]]:
+    """The nets of an architecture as (name, layer_sizes, output_activation),
+    in parameter order: the one place that knows each kind's shape."""
+    if not _is_size(input_dim):
+        raise ConfigError(f"input_dim must be a positive integer, got {input_dim!r}")
+    try:
+        hidden = tuple(hidden_sizes)
+    except TypeError:
+        hidden = ()
+    if not hidden or not all(map(_is_size, hidden)):
+        raise ConfigError(
+            f"hidden_sizes must be positive integers, got {hidden_sizes!r}"
+        )
+    last = hidden[-1]
+    if kind is ModelKind.TM:
+        return [("net", (input_dim, *hidden, 2), "logistic")]
+    if kind is ModelKind.TARNET:
+        return [
+            ("trunk", (input_dim, *hidden), "relu"),
+            ("head_c", (last, last, 1), "logistic"),
+            ("head_t", (last, last, 1), "logistic"),
+        ]
+    if kind is ModelKind.DDR:
+        return [
+            ("control", (input_dim, *hidden, 1), "logistic"),
+            ("treatment", (input_dim + 1, *hidden, 1), "logistic"),
+        ]
+    return [  # SDR
+        ("shared", (input_dim, *hidden, 1), "linear"),
+        ("private_c", (input_dim, last, 1), "linear"),
+        ("private_t", (input_dim, last, 1), "linear"),
+    ]
+
+
 def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
     """Wire a model of the given kind; deterministic for a fixed seed."""
     kind = _model_kind(kind)
-    if input_dim < 1:
-        raise ConfigError(f"input_dim must be at least 1, got {input_dim}")
-    hidden = tuple(int(h) for h in hidden_sizes)
-    if not hidden or any(h <= 0 for h in hidden):
-        raise ConfigError(f"hidden sizes must be positive, got {hidden_sizes}")
-    last = hidden[-1]
+    layout = _layout(kind, input_dim, hidden_sizes)
     # Per-net seeds derive from (seed, index) so nets are independent but
     # the whole model is reproducible from one integer.
-    s = lambda i: [int(seed), i]
-
-    if kind is ModelKind.TM:
-        nets = {"net": nncore.init_network((input_dim, *hidden, 2), s(0))}
-    elif kind is ModelKind.TARNET:
-        nets = {
-            "trunk": nncore.init_network((input_dim, *hidden), s(0), "relu"),
-            "head_c": nncore.init_network((last, last, 1), s(1)),
-            "head_t": nncore.init_network((last, last, 1), s(2)),
-        }
-    elif kind is ModelKind.DDR:
-        nets = {
-            "control": nncore.init_network((input_dim, *hidden, 1), s(0)),
-            "treatment": nncore.init_network((input_dim + 1, *hidden, 1), s(1)),
-        }
-    else:  # SDR
-        nets = {
-            "shared": nncore.init_network((input_dim, *hidden, 1), s(0), "linear"),
-            "private_c": nncore.init_network((input_dim, last, 1), s(1), "linear"),
-            "private_t": nncore.init_network((input_dim, last, 1), s(2), "linear"),
-        }
+    nets = {
+        name: nncore.init_network(sizes, [int(seed), i], activation)
+        for i, (name, sizes, activation) in enumerate(layout)
+    }
+    hidden = tuple(int(h) for h in hidden_sizes)
     return UpliftModel(kind, input_dim, hidden, int(seed), nets)
 
 
@@ -295,28 +309,17 @@ def clone_parameter_arrays(model: UpliftModel) -> np.ndarray:
 
 
 def save_checkpoint(model: UpliftModel, path) -> None:
-    """Write all matrices plus a manifest to a .npz archive."""
+    """Write the manifest, the parameter vector and the scaler to a .npz
+    archive (checkpoint format 2)."""
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "kind": model.kind.value,
         "input_dim": model.input_dim,
         "hidden_sizes": list(model.hidden_sizes),
         "seed": model.seed,
-        "nets": {
-            name: {
-                "layer_sizes": list(model.nets[name].layer_sizes),
-                "output_activation": model.nets[name].output_activation,
-            }
-            for name in model.net_names()
-        },
         "has_scaler": model.scaler is not None,
     }
-    arrays = {}
-    for name in model.net_names():
-        net = model.nets[name]
-        for k in range(net.n_layers):
-            arrays[f"{name}.w{k}"] = net.weights[k]
-            arrays[f"{name}.b{k}"] = net.biases[k]
+    arrays = {"params": model.params}
     if model.scaler is not None:
         arrays["scaler.mean"], arrays["scaler.std"] = model.scaler
     np.savez(path, manifest=np.array(json.dumps(manifest)), **arrays)
@@ -335,14 +338,16 @@ def _read(archive, key: str, out: np.ndarray) -> None:
     out[...] = value
 
 
-def _entry(mapping: dict, key: str, where: str = "manifest"):
-    """mapping[key] of a checkpoint manifest, or ConfigError naming it."""
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"checkpoint {where} has no entry {key!r}")
-    return mapping[key]
+def _entry(manifest: dict, key: str):
+    """manifest[key] of a checkpoint, or ConfigError naming it."""
+    if not isinstance(manifest, dict) or key not in manifest:
+        raise ConfigError(f"checkpoint manifest has no entry {key!r}")
+    return manifest[key]
 
 
 def load_checkpoint(path) -> UpliftModel:
+    """Read a format-2 checkpoint. The nets are laid out empty from the
+    manifest by `_layout` and filled from `params`; no weights are drawn."""
     with np.load(path) as archive:
         if "manifest" not in archive:
             raise ConfigError("checkpoint member 'manifest' is missing")
@@ -351,28 +356,17 @@ def load_checkpoint(path) -> UpliftModel:
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"checkpoint format {version} not supported")
         kind = _model_kind(_entry(manifest, "kind"))
-        nets = {}
-        for name in _NET_ORDER[kind]:
-            info = _entry(_entry(manifest, "nets"), name, "manifest nets")
-            where = f"manifest net {name!r}"
-            sizes = tuple(_entry(info, "layer_sizes", where))
-            activation = _entry(info, "output_activation", where)
-            net = NetworkParams(np.empty(nncore.param_count(sizes)), sizes, activation)
-            nets[name] = net
-            for k in range(net.n_layers):
-                _read(archive, f"{name}.w{k}", net.weights[k])
-                _read(archive, f"{name}.b{k}", net.biases[k])
-        input_dim = int(_entry(manifest, "input_dim"))
-        scaler = None
+        input_dim = _entry(manifest, "input_dim")
+        hidden = _entry(manifest, "hidden_sizes")
+        nets = {
+            name: NetworkParams(np.empty(nncore.param_count(sizes)), sizes, activation)
+            for name, sizes, activation in _layout(kind, input_dim, hidden)
+        }
+        model = UpliftModel(kind, int(input_dim), tuple(hidden),
+                            int(_entry(manifest, "seed")), nets)
+        _read(archive, "params", model.params)
         if _entry(manifest, "has_scaler"):
-            scaler = (np.empty(input_dim), np.empty(input_dim))
-            _read(archive, "scaler.mean", scaler[0])
-            _read(archive, "scaler.std", scaler[1])
-    return UpliftModel(
-        kind=kind,
-        input_dim=input_dim,
-        hidden_sizes=tuple(_entry(manifest, "hidden_sizes")),
-        seed=int(_entry(manifest, "seed")),
-        nets=nets,
-        scaler=scaler,
-    )
+            model.scaler = (np.empty(input_dim), np.empty(input_dim))
+            _read(archive, "scaler.mean", model.scaler[0])
+            _read(archive, "scaler.std", model.scaler[1])
+    return model

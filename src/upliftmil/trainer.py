@@ -30,6 +30,13 @@ from .models import ModelKind, UpliftModel
 class TrainConfig:
     """All knobs of one training run.
 
+    model and hidden_sizes pick the architecture; learning_rate, beta1,
+    beta2 and eps set Adam; alpha weighs the bag regularizer over bags of
+    bag_size rows from batch_size batches, formed as `mode` says;
+    max_steps, warmup_steps, eval_every and patience set the schedule;
+    seed fixes every draw and n_points the curves' grid. Features are
+    always standardized by the training split's scaler.
+
     Defaults mirror the reference regime (batch 1024, bag 64, Adam with
     betas 0.9/0.999, alpha 1e-3, hidden sizes 1024/512/256) with the
     step budget scaled to desk-size data. warmup_steps=None resolves to
@@ -40,7 +47,6 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (1024, 512, 256)
     learning_rate: float = 1e-3
     alpha: float = 1e-3
-    base_weight: float = 1.0
     batch_size: int = 1024
     bag_size: int = 64
     max_steps: int = 3000
@@ -49,7 +55,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     mode: str = "clustered"
-    standardize: bool = True
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -65,8 +70,6 @@ class TrainConfig:
         BagMode(self.mode)
         if self.alpha < 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.base_weight < 0:
-            raise ConfigError(f"base_weight must be nonnegative, got {self.base_weight}")
         if self.bag_size < 2:
             raise ConfigError(f"bag_size must be at least 2, got {self.bag_size}")
         if self.bag_size > self.batch_size:
@@ -138,8 +141,7 @@ def train(
     cfg.validate()
     started = time.perf_counter()
     model = models.build(cfg.model, train_ds.d, cfg.hidden_sizes, cfg.seed)
-    if cfg.standardize:
-        model.scaler = fit_scaler(train_ds.features)
+    model.scaler = fit_scaler(train_ds.features)
     state = nncore.init_adam(model.params, cfg.learning_rate,
                              cfg.beta1, cfg.beta2, cfg.eps)
     # Dedicated stream for the random-bag ablation; consumed only when
@@ -177,7 +179,6 @@ def train(
             cfg.bag_size,
             mode,
             rng=bag_rng,
-            base_weight=cfg.base_weight,
         )
         if not np.isfinite(breakdown.loss):
             raise TrainingError(

@@ -59,10 +59,8 @@ def model_probs(model, x, frozen_pc=None):
     mirrors the stop-gradient the trainer applies on that input.
     """
     kind = model.kind.value
-    nets = {
-        name: (net_layers(model.nets[name]), model.nets[name].output_activation)
-        for name in model.net_names()
-    }
+    # Each net's output activation is written below, not read from the model.
+    nets = {name: net_layers(net) for name, net in model.nets.items()}
     if model.scaler is not None:
         mean, std = model.scaler
         x = [(np.asarray(row) - mean) / std for row in x]
@@ -70,23 +68,23 @@ def model_probs(model, x, frozen_pc=None):
     for r, row in enumerate(x):
         row = list(np.asarray(row, dtype=float))
         if kind == "tm":
-            out = dense_eval(nets["net"][0], "logistic", row)
+            out = dense_eval(nets["net"], "logistic", row)
             p_c.append(out[0])
             p_t.append(out[1])
         elif kind == "tarnet":
-            rep = dense_eval(nets["trunk"][0], "relu", row)
-            p_c.append(dense_eval(nets["head_c"][0], "logistic", rep)[0])
-            p_t.append(dense_eval(nets["head_t"][0], "logistic", rep)[0])
+            rep = dense_eval(nets["trunk"], "relu", row)
+            p_c.append(dense_eval(nets["head_c"], "logistic", rep)[0])
+            p_t.append(dense_eval(nets["head_t"], "logistic", rep)[0])
         elif kind == "ddr":
-            pc = dense_eval(nets["control"][0], "logistic", row)[0]
+            pc = dense_eval(nets["control"], "logistic", row)[0]
             fed = pc if frozen_pc is None else float(frozen_pc[r])
-            pt = dense_eval(nets["treatment"][0], "logistic", row + [fed])[0]
+            pt = dense_eval(nets["treatment"], "logistic", row + [fed])[0]
             p_c.append(pc)
             p_t.append(pt)
         else:  # sdr
-            zs = dense_eval(nets["shared"][0], "linear", row)[0]
-            zc = dense_eval(nets["private_c"][0], "linear", row)[0]
-            zt = dense_eval(nets["private_t"][0], "linear", row)[0]
+            zs = dense_eval(nets["shared"], "linear", row)[0]
+            zc = dense_eval(nets["private_c"], "linear", row)[0]
+            zt = dense_eval(nets["private_t"], "linear", row)[0]
             p_c.append(sigmoid(zs + zc))
             p_t.append(sigmoid(zs + zt))
     return p_t, p_c

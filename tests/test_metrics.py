@@ -112,13 +112,11 @@ class TestUpliftCurve:
         scores = np.round(rng.normal(size=n))
         y = rng.integers(0, 2, n)
         t = np.array([0, 1] * (n // 2))
-        for ranking in ("separate", "joint"):
-            a = uplift_curve(scores, y, t, n_points=17, ranking=ranking)
-            perm = rng.permutation(n)
-            b = uplift_curve(scores[perm], y[perm], t[perm], n_points=17,
-                             ranking=ranking)
-            np.testing.assert_array_equal(a.g, b.g)
-            assert a.auuc == b.auuc
+        a = uplift_curve(scores, y, t, n_points=17)
+        perm = rng.permutation(n)
+        b = uplift_curve(scores[perm], y[perm], t[perm], n_points=17)
+        np.testing.assert_array_equal(a.g, b.g)
+        assert a.auuc == b.auuc
 
     def test_tie_rule_is_mean_over_row_orders(self):
         # A partly selected tied group counts at its mean response: the
@@ -155,17 +153,17 @@ class TestUpliftCurve:
         with pytest.raises(ConfigError):
             uplift_curve(np.zeros(4), np.zeros(4), np.array([1, 0, 1, 0]), n_points=1)
 
-    def test_joint_ranking_available(self):
-        rng = np.random.default_rng(9)
-        scores, y, t = _random_set(rng)
-        curve = uplift_curve(scores, y, t, n_points=10, ranking="joint")
-        assert len(curve.g) == 10
-        # An all-tied scorer selects each arm in proportion at every phi.
-        ds = generate_synthetic(SynthConfig(n=3000, seed=9))
-        tied = uplift_curve(np.zeros(ds.n), ds.outcome, ds.treatment,
-                            n_points=10, ranking="joint")
-        np.testing.assert_allclose(tied.g, tied.phi * empirical_ate(ds),
-                                   rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("column, bad", [
+        ("treatment", 2), ("outcome", 0.7), ("outcome", np.nan), ("treatment", -1),
+    ])
+    def test_nonbinary_column_rejected(self, column, bad):
+        # A treatment of 2 would count as treated but rank as control, an
+        # outcome of 0.7 would truncate to 0, and a NaN has no integer.
+        cols = {"outcome": np.array([1.0, 0.0, 1.0, 0.0]),
+                "treatment": np.array([1.0, 1.0, 0.0, 0.0])}
+        cols[column][1] = bad
+        with pytest.raises(MetricError, match=f"1 of 4 {column} values"):
+            uplift_curve(np.array([0.4, 0.3, 0.2, 0.1]), **cols)
 
 
 class TestAuuc:

@@ -281,14 +281,19 @@ class TestCombinedLoss:
         assert breakdown.usable_bags == 0
         assert grads.tobytes() == base_grads.tobytes()
 
-    def test_base_weight_zero_drops_base_loss_from_total(self):
-        m = models.build("tarnet", 3, (5, 4), 5)
-        x, t, y, u_t = _batch(50)
-        breakdown, _, _ = combined_loss_and_grads(
-            m, x, t, y, u_t, alpha=0.01, bag_size=4, base_weight=0.0
-        )
-        assert breakdown.l_base > 0.0
-        assert breakdown.loss == 0.01 * breakdown.l_mil
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_diverged_model_forms_no_bags(self, kind):
+        # NaN predictions must not reach cluster_bags, which would raise a
+        # ConfigError; the non-finite loss goes back for the caller to report.
+        m = models.build(kind, 3, (5, 4), 29)
+        m.params[...] = np.nan
+        x, t, y, u_t = _batch(29)
+        with np.errstate(invalid="ignore"):
+            breakdown, _, _ = combined_loss_and_grads(
+                m, x, t, y, u_t, alpha=0.01, bag_size=4
+            )
+        assert np.isnan(breakdown.l_base) and np.isnan(breakdown.loss)
+        assert breakdown.l_mil == 0.0 and breakdown.usable_bags == 0
 
     def test_negative_alpha_rejected(self):
         m = models.build("tm", 3, (4,), 0)

@@ -11,7 +11,7 @@ import pytest
 
 from upliftmil import models, nncore
 from upliftmil.errors import ConfigError, ShapeError
-from upliftmil.models import CHUNK, ModelKind, build, predict
+from upliftmil.models import CHUNK, build, predict
 
 from oracles import (
     base_loss_ref,
@@ -25,19 +25,12 @@ ALL_KINDS = ["tm", "tarnet", "ddr", "sdr"]
 
 
 def _zero_output_layers(model):
-    """Zero every layer whose output feeds a logistic, so p = 0.5."""
-    if model.kind is ModelKind.TM:
-        targets = ["net"]
-    elif model.kind is ModelKind.TARNET:
-        targets = ["head_c", "head_t"]
-    elif model.kind is ModelKind.DDR:
-        targets = ["control", "treatment"]
-    else:
-        targets = ["shared", "private_c", "private_t"]
-    for name in targets:
-        net = model.nets[name]
-        net.weights[-1][...] = np.zeros_like(net.weights[-1])
-        net.biases[-1][...] = np.zeros_like(net.biases[-1])
+    """Zero every layer whose output feeds a logistic, so p = 0.5: the last
+    layer of every net but TARNet's trunk, which feeds the heads."""
+    for name, net in model.nets.items():
+        if name != "trunk":
+            net.weights[-1][...] = np.zeros_like(net.weights[-1])
+            net.biases[-1][...] = np.zeros_like(net.biases[-1])
 
 
 def _tiny(kind, seed=0, d=3):
@@ -330,65 +323,81 @@ class TestCheckpoint:
         x = np.random.default_rng(17).random((5, 3))
         np.testing.assert_array_equal(predict(m, x)[2], predict(back, x)[2])
 
-    def _rewrite(self, path, edit):
-        with np.load(path) as archive:
-            members = {key: archive[key] for key in archive.files}
-        edit(members)
-        np.savez(path, **members)
-
-    def test_wrong_member_shape_names_it(self, tmp_path):
-        m = _tiny("sdr", seed=18)
+    def _saved(self, tmp_path, entries=None, edit=None, kind="sdr"):
+        """Path of a saved tiny model with a scaler. `edit` changes the
+        archive's members; `entries` replace manifest entries, and an
+        entry of None is deleted."""
+        m = _tiny(kind, seed=18)
+        m.scaler = (np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
         path = tmp_path / "model.npz"
         models.save_checkpoint(m, path)
-        # A (1,) bias would broadcast silently over the 5 hidden units.
-        self._rewrite(path, lambda members: members.update({"shared.b0": np.zeros(1)}))
-        with pytest.raises(ConfigError, match=re.escape("'shared.b0'")):
+        with np.load(path) as archive:
+            members = {key: archive[key] for key in archive.files}
+        manifest = {**json.loads(str(members["manifest"])), **(entries or {})}
+        manifest = {k: v for k, v in manifest.items() if v is not None}
+        members["manifest"] = np.array(json.dumps(manifest))
+        if edit:
+            edit(members)
+        np.savez(path, **members)
+        return path
+
+    def test_one_params_member_and_no_weight_draws(self, tmp_path, monkeypatch):
+        path = self._saved(tmp_path)
+        with np.load(path) as archive:
+            assert sorted(archive.files) == [
+                "manifest", "params", "scaler.mean", "scaler.std"]
+        monkeypatch.setattr(nncore, "init_network", None)  # a call would raise
+        models.load_checkpoint(path)
+
+    def test_wrong_member_shape_names_it(self, tmp_path):
+        # One value would broadcast silently over the whole vector.
+        path = self._saved(tmp_path, edit=lambda m: m.update({"params": np.zeros(1)}))
+        with pytest.raises(ConfigError, match=re.escape("'params'")):
             models.load_checkpoint(path)
 
     def test_missing_member_names_it(self, tmp_path):
-        m = _tiny("tarnet", seed=18)
-        path = tmp_path / "model.npz"
-        models.save_checkpoint(m, path)
-        self._rewrite(path, lambda members: members.pop("head_t.w1"))
-        with pytest.raises(ConfigError, match=re.escape("'head_t.w1'")):
+        path = self._saved(tmp_path, edit=lambda m: m.pop("params"), kind="tarnet")
+        with pytest.raises(ConfigError, match=re.escape("'params'")):
+            models.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            # The manifest alone lays out the nets: a params vector of
+            # another length fails the load rather than a later predict.
+            ({"hidden_sizes": [99], "input_dim": 7}, "'params'"),
+            ({"hidden_sizes": [5]}, "'params'"),
+            ({"input_dim": 7}, "'params'"),
+            *[({"hidden_sizes": v}, "hidden_sizes must be")
+              for v in ([], [0], ["a"], 5, [2.5], [True])],
+            *[({"input_dim": v}, "input_dim must be")
+              for v in (0, "3", 2.5, [3], True)],
+            ({"format_version": 1}, "checkpoint format 1 not supported"),
+        ],
+    )
+    def test_manifest_at_odds_with_params_rejected(self, tmp_path, entries, match):
+        path = self._saved(tmp_path, entries)
+        with pytest.raises(ConfigError, match=re.escape(match)):
             models.load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("nets.private_t", None),
-            ("nets.private_c.layer_sizes", None),
+            ("input_dim", None),
+            ("hidden_sizes", None),
             ("seed", None),
             ("has_scaler", None),
             ("format_version", None),
             ("kind", "xyz"),
             ("manifest", None),
-            # An unknown name would otherwise run as a linear output layer.
-            ("nets.private_c.output_activation", "tanh"),
         ],
     )
     def test_bad_manifest_names_the_key(self, tmp_path, key, value):
         # value None deletes the manifest entry `key` (or, for "manifest",
         # the whole member); a value replaces the entry.
-        m = _tiny("sdr", seed=18)
-        path = tmp_path / "model.npz"
-        models.save_checkpoint(m, path)
-        *parents, last = key.split(".")
-
-        def edit(members):
-            if key == "manifest":
-                del members["manifest"]
-                return
-            manifest = json.loads(str(members["manifest"]))
-            entry = manifest
-            for name in parents:
-                entry = entry[name]
-            if value is None:
-                del entry[last]
-            else:
-                entry[last] = value
-            members["manifest"] = np.array(json.dumps(manifest))
-
-        self._rewrite(path, edit)
-        with pytest.raises(ConfigError, match=re.escape(repr(value or last))):
+        if key == "manifest":
+            path = self._saved(tmp_path, edit=lambda m: m.pop("manifest"))
+        else:
+            path = self._saved(tmp_path, {key: value})
+        with pytest.raises(ConfigError, match=re.escape(repr(value or key))):
             models.load_checkpoint(path)

@@ -122,6 +122,21 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="step"):
             train(tr, va, te, _cfg(learning_rate=1e200, max_steps=50))
 
+    @pytest.mark.parametrize("warmup_steps", [0, 3])
+    def test_divergence_with_bags_is_a_training_error(self, splits, warmup_steps):
+        # NaN predictions must not reach bag formation: a run that diverges
+        # with the regularizer on fails as a TrainingError naming the step.
+        tr, va, te = splits
+        cfg = _cfg(model="sdr", bag_size=4, learning_rate=1e300,
+                   warmup_steps=warmup_steps)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="at step"):
+            train(tr, va, te, cfg)
+        with np.errstate(all="ignore"):
+            agg, results, failures = repeat_runs(tr, va, te, cfg, n_runs=2)
+        assert agg is None and not results
+        assert [seed for seed, _ in failures] == [3, 4]
+        assert all("non-finite loss at step" in msg for _, msg in failures)
+
 
 class TestEvaluate:
     def test_constant_model_near_random_baseline(self):
