@@ -1,8 +1,11 @@
 """Two-model uplift architectures behind one interface.
 
-Every model maps a feature batch to per-row treatment and control
-response probabilities (p_t, p_c) and the uplift prediction p_t - p_c.
-The factual-arm base loss is binary cross-entropy of p_t on treated rows
+Every model maps a feature batch to per-row arm logits (z_c, z_t), and
+`forward_full` alone applies the sigmoid, giving the control and
+treatment response probabilities (p_c, p_t) = logistic([z_c, z_t]) and
+the uplift prediction p_t - p_c. Every net ends in a logit ("linear")
+or, for TARNet's trunk, a rectifier representation ("relu"). The
+factual-arm base loss is binary cross-entropy of p_t on treated rows
 plus binary cross-entropy of p_c on control rows, each averaged within
 its own arm; gradients reach a row's counterfactual arm nowhere.
 `factual_loss` is its one implementation: the bag-regularized loss of
@@ -10,17 +13,16 @@ its own arm; gradients reach a row's counterfactual arm nowhere.
 
 Architectures:
 
-* TM: one trunk ending in two logistic output nodes (p_c, p_t), so all
-  hidden layers train on every instance.
-* TARNET: shared rectifier trunk, then one-hidden-layer logistic heads
-  per arm (head width = last trunk width).
+* TM: one trunk ending in two logit nodes, so all hidden layers train
+  on every instance.
+* TARNET: shared rectifier trunk, then one-hidden-layer logit heads per
+  arm (head width = last trunk width).
 * DDR: a control net on the features, and a treatment net whose input is
-  the features concatenated with the control prediction. The fed-in
-  control prediction is treated as a constant (stop-gradient), so
-  treated rows never push gradient into the control net.
-* SDR: the two arms share part of their output: a shared logit net on
-  the features plus per-arm private one-hidden-layer logit heads, with
-  p_arm = logistic(shared logit + private logit).
+  the features concatenated with logistic(z_c). That input is treated
+  as a constant (stop-gradient), so treated rows never push gradient
+  into the control net.
+* SDR: a shared logit net on the features plus per-arm private
+  one-hidden-layer logit heads, with z_arm = shared + private logit.
 
 `_layout` is the one definition of each architecture: its nets' names,
 parameter order, layer sizes and output activations. A checkpoint
@@ -58,35 +60,41 @@ class ModelKind(str, Enum):
 
 @dataclass
 class UpliftModel:
-    """An architecture's nets, all views into the one vector `params`. The
-    constructor copies the given nets' values into `params` (back to back
-    in the order of `nets`) and replaces each net by views into its slice."""
+    """An architecture's nets, all views into the one vector `params`.
+
+    The one constructor (`build`, `load_checkpoint` and unpickling call
+    it) checks the architecture, that `seed` is an integer >= 0 and that
+    `params` has the layout's length (`ConfigError` naming the field),
+    then lays `nets` out as views into `params`, copying no contiguous
+    float64 vector. A pickle holds its arguments, so `params` once."""
 
     kind: ModelKind
     input_dim: int
     hidden_sizes: tuple[int, ...]
     seed: int
-    nets: dict[str, NetworkParams]
+    params: np.ndarray = field(repr=False)
     scaler: tuple[np.ndarray, np.ndarray] | None = None
-    params: np.ndarray = field(init=False, repr=False)
+    nets: dict[str, NetworkParams] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.params = np.concatenate([net.flat for net in self.nets.values()])
-        views, pos = {}, 0
-        for name, net in self.nets.items():
-            flat = self.params[pos : pos + net.flat.size]
-            views[name] = NetworkParams(flat, net.layer_sizes, net.output_activation)
-            pos += flat.size
-        self.nets = views
+        self.kind = _model_kind(self.kind)
+        layout = _layout(self.kind, self.input_dim, self.hidden_sizes)
+        if not _is_int(self.seed, least=0):
+            raise ConfigError(f"'seed' must be an integer >= 0, got {self.seed!r}")
+        self.input_dim, self.seed = int(self.input_dim), int(self.seed)
+        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        counts = [nncore.param_count(sizes) for _, sizes, _ in layout]
+        params = np.ascontiguousarray(self.params, dtype=np.float64)
+        if params.shape != (sum(counts),):
+            shape = np.shape(self.params)
+            raise ConfigError(f"'params' has shape {shape}, expected ({sum(counts)},)")
+        self.params = params
+        flats = np.split(params, np.cumsum(counts)[:-1])
+        self.nets = {n: NetworkParams(f, s, a) for (n, s, a), f in zip(layout, flats)}
 
-    def __setstate__(self, state):
-        # Pickle copies each view on its own (as when repeat_runs returns a
-        # model from a worker process): join them into one vector again.
-        self.__dict__.update(state)
-        self.__post_init__()
-
-    def net_names(self) -> tuple[str, ...]:
-        return tuple(self.nets)
+    def __reduce__(self):
+        return UpliftModel, (self.kind, self.input_dim, self.hidden_sizes,
+                             self.seed, self.params, self.scaler)
 
     def parameter_arrays(self) -> np.ndarray:
         return self.params
@@ -110,37 +118,37 @@ def _model_kind(value) -> ModelKind:
         raise ConfigError(f"unknown model kind {value!r}")
 
 
-def _is_size(v) -> bool:
-    """A positive integer; bool, float and str values are not sizes."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+def _is_int(v, least: int = 1) -> bool:
+    """An integer >= least; bool, float and str values are not integers."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
 def _layout(kind: ModelKind, input_dim, hidden_sizes) -> list[tuple[str, tuple, str]]:
     """The nets of an architecture as (name, layer_sizes, output_activation),
     in parameter order: the one place that knows each kind's shape."""
-    if not _is_size(input_dim):
+    if not _is_int(input_dim):
         raise ConfigError(f"input_dim must be a positive integer, got {input_dim!r}")
     try:
         hidden = tuple(hidden_sizes)
     except TypeError:
         hidden = ()
-    if not hidden or not all(map(_is_size, hidden)):
+    if not hidden or not all(map(_is_int, hidden)):
         raise ConfigError(
             f"hidden_sizes must be positive integers, got {hidden_sizes!r}"
         )
     last = hidden[-1]
     if kind is ModelKind.TM:
-        return [("net", (input_dim, *hidden, 2), "logistic")]
+        return [("net", (input_dim, *hidden, 2), "linear")]
     if kind is ModelKind.TARNET:
         return [
             ("trunk", (input_dim, *hidden), "relu"),
-            ("head_c", (last, last, 1), "logistic"),
-            ("head_t", (last, last, 1), "logistic"),
+            ("head_c", (last, last, 1), "linear"),
+            ("head_t", (last, last, 1), "linear"),
         ]
     if kind is ModelKind.DDR:
         return [
-            ("control", (input_dim, *hidden, 1), "logistic"),
-            ("treatment", (input_dim + 1, *hidden, 1), "logistic"),
+            ("control", (input_dim, *hidden, 1), "linear"),
+            ("treatment", (input_dim + 1, *hidden, 1), "linear"),
         ]
     return [  # SDR
         ("shared", (input_dim, *hidden, 1), "linear"),
@@ -153,14 +161,13 @@ def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
     """Wire a model of the given kind; deterministic for a fixed seed."""
     kind = _model_kind(kind)
     layout = _layout(kind, input_dim, hidden_sizes)
+    size = sum(nncore.param_count(sizes) for _, sizes, _ in layout)
+    model = UpliftModel(kind, input_dim, hidden_sizes, seed, np.empty(size))
     # Per-net seeds derive from (seed, index) so nets are independent but
     # the whole model is reproducible from one integer.
-    nets = {
-        name: nncore.init_network(sizes, [int(seed), i], activation)
-        for i, (name, sizes, activation) in enumerate(layout)
-    }
-    hidden = tuple(int(h) for h in hidden_sizes)
-    return UpliftModel(kind, input_dim, hidden, int(seed), nets)
+    for i, net in enumerate(model.nets.values()):
+        net.flat[...] = nncore.init_network(net.layer_sizes, [model.seed, i]).flat
+    return model
 
 
 def _check_input(model: UpliftModel, x: np.ndarray) -> np.ndarray:
@@ -181,29 +188,27 @@ def _scale(model: UpliftModel, x: np.ndarray) -> np.ndarray:
 
 
 def forward_full(model: UpliftModel, x: np.ndarray) -> ModelOutputs:
-    """Forward pass keeping the caches needed for backpropagation."""
+    """Forward pass keeping the caches needed for backpropagation; the
+    (n, 2) arm logits [z_c, z_t] go through the model's one logistic."""
     xs = _scale(model, x)
     caches: dict[str, ForwardCache] = {}
+
+    def run(name, inputs):
+        out, caches[name] = nncore.forward(model.nets[name], inputs)
+        return out
+
     if model.kind is ModelKind.TM:
-        out, caches["net"] = nncore.forward(model.nets["net"], xs)
-        p_c, p_t = out[:, 0], out[:, 1]
+        z = run("net", xs)
     elif model.kind is ModelKind.TARNET:
-        rep, caches["trunk"] = nncore.forward(model.nets["trunk"], xs)
-        out_c, caches["head_c"] = nncore.forward(model.nets["head_c"], rep)
-        out_t, caches["head_t"] = nncore.forward(model.nets["head_t"], rep)
-        p_c, p_t = out_c[:, 0], out_t[:, 0]
+        rep = run("trunk", xs)
+        z = np.hstack([run("head_c", rep), run("head_t", rep)])
     elif model.kind is ModelKind.DDR:
-        out_c, caches["control"] = nncore.forward(model.nets["control"], xs)
-        p_c = out_c[:, 0]
-        xt = np.hstack([xs, out_c])
-        out_t, caches["treatment"] = nncore.forward(model.nets["treatment"], xt)
-        p_t = out_t[:, 0]
-    else:  # SDR
-        z_s, caches["shared"] = nncore.forward(model.nets["shared"], xs)
-        z_c, caches["private_c"] = nncore.forward(model.nets["private_c"], xs)
-        z_t, caches["private_t"] = nncore.forward(model.nets["private_t"], xs)
-        p_c = nncore.logistic(z_s[:, 0] + z_c[:, 0])
-        p_t = nncore.logistic(z_s[:, 0] + z_t[:, 0])
+        z_c = run("control", xs)
+        z = np.hstack([z_c, run("treatment", np.hstack([xs, nncore.logistic(z_c)]))])
+    else:  # SDR: both arms add their private logit to the shared one.
+        z = run("shared", xs) + np.hstack([run("private_c", xs), run("private_t", xs)])
+    p = nncore.logistic(z)
+    p_c, p_t = p[:, 0], p[:, 1]
     return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c, caches=caches)
 
 
@@ -228,57 +233,46 @@ def predict(model: UpliftModel, x: np.ndarray):
 def backprop_factual(
     model: UpliftModel, out: ModelOutputs, gz_t: np.ndarray, gz_c: np.ndarray
 ) -> np.ndarray:
-    """Route per-row pre-logistic gradients through the architecture.
+    """Route per-row arm-logit gradients through the architecture.
 
-    gz_t[i] is the loss gradient at the treatment arm's pre-logistic
-    value for row i (zero on rows whose treatment arm takes no gradient),
-    gz_c likewise for the control arm. Returns one gradient vector
-    aligned with `model.params`.
+    gz_t[i] is the loss gradient at the treatment arm's logit for row i
+    (zero on rows whose treatment arm takes no gradient), gz_c likewise
+    for the control arm. Returns one gradient vector aligned with
+    `model.params`: each net's gradient, in the order of `model.nets`.
     """
     gt = np.asarray(gz_t, dtype=np.float64).reshape(-1, 1)
     gc = np.asarray(gz_c, dtype=np.float64).reshape(-1, 1)
-    caches = out.caches
+    grads: dict[str, np.ndarray] = {}
+
+    def back(name, output_grad, input_grad=False):
+        grads[name], d_input = nncore.backward(
+            model.nets[name], out.caches[name], output_grad, input_grad=input_grad
+        )
+        return d_input
+
     if model.kind is ModelKind.TM:
-        grads, _ = nncore.backward(
-            model.nets["net"], caches["net"], np.hstack([gc, gt]), input_grad=False
-        )
-        return grads
-    if model.kind is ModelKind.TARNET:
-        g_head_c, din_c = nncore.backward(model.nets["head_c"], caches["head_c"], gc)
-        g_head_t, din_t = nncore.backward(model.nets["head_t"], caches["head_t"], gt)
+        back("net", np.hstack([gc, gt]))
+    elif model.kind is ModelKind.TARNET:
+        d_rep = back("head_c", gc, True) + back("head_t", gt, True)
         trunk = model.nets["trunk"]
-        d_rep = nncore.output_grad_to_preact(trunk, caches["trunk"], din_c + din_t)
-        g_trunk, _ = nncore.backward(trunk, caches["trunk"], d_rep, input_grad=False)
-        return np.concatenate([g_trunk, g_head_c, g_head_t])
-    if model.kind is ModelKind.DDR:
-        g_control, _ = nncore.backward(
-            model.nets["control"], caches["control"], gc, input_grad=False
-        )
+        back("trunk", nncore.output_grad_to_preact(trunk, out.caches["trunk"], d_rep))
+    elif model.kind is ModelKind.DDR:
         # No input gradient for the treatment net: the appended control
-        # prediction is a constant input (stop-gradient).
-        g_treatment, _ = nncore.backward(
-            model.nets["treatment"], caches["treatment"], gt, input_grad=False
-        )
-        return np.concatenate([g_control, g_treatment])
-    # SDR: both arms' pre-logistic values are shared_logit + private_logit,
-    # so the shared net collects each row's factual-arm gradient.
-    g_shared, _ = nncore.backward(
-        model.nets["shared"], caches["shared"], gt + gc, input_grad=False
-    )
-    g_priv_c, _ = nncore.backward(
-        model.nets["private_c"], caches["private_c"], gc, input_grad=False
-    )
-    g_priv_t, _ = nncore.backward(
-        model.nets["private_t"], caches["private_t"], gt, input_grad=False
-    )
-    return np.concatenate([g_shared, g_priv_c, g_priv_t])
+        # probability is a constant input (stop-gradient).
+        back("control", gc)
+        back("treatment", gt)
+    else:  # SDR: the shared net collects each row's factual-arm gradient.
+        back("shared", gt + gc)
+        back("private_c", gc)
+        back("private_t", gt)
+    return np.concatenate([grads[name] for name in model.nets])
 
 
 def factual_loss(out: ModelOutputs, treatment, outcome):
     """The base loss: factual-arm cross-entropy of a forward pass.
 
     Returns (l_base, gz_t, gz_c), with gz_t and gz_c the per-row
-    pre-logistic gradients `backprop_factual` takes. Each arm's
+    arm-logit gradients `backprop_factual` takes. Each arm's
     cross-entropy is averaged over that arm's rows and the two arm losses
     are summed; a batch with an empty arm contributes zero for that arm.
     """
@@ -325,17 +319,17 @@ def save_checkpoint(model: UpliftModel, path) -> None:
     np.savez(path, manifest=np.array(json.dumps(manifest)), **arrays)
 
 
-def _read(archive, key: str, out: np.ndarray) -> None:
-    """Copy checkpoint member `key` into `out`, checking that it exists
-    and has `out`'s shape; the member is read once."""
+def _read(archive, key: str, shape=None) -> np.ndarray:
+    """Checkpoint member `key` as float64, read once; ConfigError naming
+    it if it is missing or, given a `shape`, has another shape."""
     if key not in archive:
         raise ConfigError(f"checkpoint member {key!r} is missing")
-    value = archive[key]
-    if value.shape != out.shape:
+    value = archive[key].astype(np.float64, copy=False)
+    if shape is not None and value.shape != shape:
         raise ConfigError(
-            f"checkpoint member {key!r} has shape {value.shape}, expected {out.shape}"
+            f"checkpoint member {key!r} has shape {value.shape}, expected {shape}"
         )
-    out[...] = value
+    return value
 
 
 def _entry(manifest: dict, key: str):
@@ -346,8 +340,8 @@ def _entry(manifest: dict, key: str):
 
 
 def load_checkpoint(path) -> UpliftModel:
-    """Read a format-2 checkpoint. The nets are laid out empty from the
-    manifest by `_layout` and filled from `params`; no weights are drawn."""
+    """Read a format-2 checkpoint. The model is laid out from the
+    manifest over the stored `params`; no weights are drawn."""
     with np.load(path) as archive:
         if "manifest" not in archive:
             raise ConfigError("checkpoint member 'manifest' is missing")
@@ -355,18 +349,9 @@ def load_checkpoint(path) -> UpliftModel:
         version = _entry(manifest, "format_version")
         if version != CHECKPOINT_VERSION:
             raise ConfigError(f"checkpoint format {version} not supported")
-        kind = _model_kind(_entry(manifest, "kind"))
-        input_dim = _entry(manifest, "input_dim")
-        hidden = _entry(manifest, "hidden_sizes")
-        nets = {
-            name: NetworkParams(np.empty(nncore.param_count(sizes)), sizes, activation)
-            for name, sizes, activation in _layout(kind, input_dim, hidden)
-        }
-        model = UpliftModel(kind, int(input_dim), tuple(hidden),
-                            int(_entry(manifest, "seed")), nets)
-        _read(archive, "params", model.params)
+        args = [_entry(manifest, k) for k in ("kind", "input_dim", "hidden_sizes")]
+        model = UpliftModel(*args, _entry(manifest, "seed"), _read(archive, "params"))
         if _entry(manifest, "has_scaler"):
-            model.scaler = (np.empty(input_dim), np.empty(input_dim))
-            _read(archive, "scaler.mean", model.scaler[0])
-            _read(archive, "scaler.std", model.scaler[1])
+            model.scaler = tuple(_read(archive, k, (model.input_dim,))
+                                 for k in ("scaler.mean", "scaler.std"))
     return model

@@ -7,12 +7,14 @@ backpropagation into one gradient vector, bias-corrected Adam updates
 in place, and masked binary cross-entropy. All arithmetic is float64;
 batches are row-major (batch x features) numpy arrays.
 
-Gradient convention: `backward` consumes the gradient of the scalar loss
-with respect to the final layer's PRE-activation values. Cross-entropy
-hands that gradient out directly (`bce_loss` returns (p - y) / n at the
-pre-logistic level, which is the numerically stable form); gradients
-expressed with respect to post-activation outputs can be converted with
-`output_grad_to_preact`.
+A net ends in "linear" (a logit) or "relu" (a representation for
+further nets), never in a sigmoid: `models.forward_full` alone applies
+`logistic`, to the arm logits. Gradient convention: `backward` consumes
+the gradient of the scalar loss with respect to the final layer's
+PRE-activation values. Cross-entropy hands that gradient out directly
+(`bce_loss` returns (p - y) / n at the logit, which is the numerically
+stable form); gradients with respect to post-activation outputs can be
+converted with `output_grad_to_preact`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import ConfigError, ShapeError
 # log of a probability.
 PROB_CLIP = 1e-7
 
-_ACTIVATIONS = ("logistic", "linear", "relu")
+_ACTIVATIONS = ("linear", "relu")
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,8 @@ class NetworkParams:
     """Weights and biases of a dense net, one (in x out) matrix per layer.
 
     Hidden layers use the rectifier; the final layer's activation is
-    `output_activation` ("logistic" for probability outputs, "linear" for
-    logit heads, "relu" for shared representation trunks).
+    `output_activation` ("linear" for logit heads, "relu" for shared
+    representation trunks).
 
     `weights` and `biases` are views into `flat` cut by `layer_sizes`, in
     tuples so none can be rebound and detached: write them in place.
@@ -45,7 +47,7 @@ class NetworkParams:
 
     flat: np.ndarray
     layer_sizes: tuple[int, ...]
-    output_activation: str = "logistic"
+    output_activation: str = "linear"
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
@@ -66,8 +68,7 @@ class ForwardCache:
     """The input and every layer's activation of one forward pass: all
     that backward needs. Pre-activations are not kept, since a rectifier
     passes gradient where `relu(z) > 0`, which equals `z > 0` (NaN and
-    exact zero included), and the logistic and linear outputs need only
-    their activations."""
+    exact zero included), and a linear output needs none."""
 
     x: np.ndarray
     activations: list[np.ndarray] = field(default_factory=list)
@@ -119,9 +120,7 @@ def layer_views(flat: np.ndarray, layer_sizes) -> tuple[tuple, tuple]:
     return tuple(weights), tuple(biases)
 
 
-def init_network(
-    layer_sizes, seed, output_activation: str = "logistic"
-) -> NetworkParams:
+def init_network(layer_sizes, seed, output_activation: str = "linear") -> NetworkParams:
     """Build a network with fan-in-scaled zero-mean weights and zero biases.
 
     Weights are drawn N(0, 2/fan_in), the standard scaling for rectifier
@@ -153,14 +152,10 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
     a = x
     last = params.n_layers - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w
-        z += b
+        a = a @ w
+        a += b
         if k < last or params.output_activation == "relu":
-            a = np.maximum(z, 0.0, out=z)
-        elif params.output_activation == "logistic":
-            a = logistic(z)
-        else:
-            a = z
+            np.maximum(a, 0.0, out=a)
         cache.activations.append(a)
     return a, cache
 
@@ -210,9 +205,6 @@ def output_grad_to_preact(
 ) -> np.ndarray:
     """Convert a gradient taken w.r.t. the net's outputs into the
     pre-activation gradient `backward` expects."""
-    if params.output_activation == "logistic":
-        p = cache.outputs
-        return grad_outputs * p * (1.0 - p)
     if params.output_activation == "relu":
         return grad_outputs * (cache.outputs > 0)
     return grad_outputs

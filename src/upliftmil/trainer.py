@@ -87,8 +87,6 @@ class TrainConfig:
             raise ConfigError("eval_every and patience must be positive")
         if self.n_points < 2:
             raise ConfigError(f"n_points must be at least 2, got {self.n_points}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -243,6 +241,8 @@ def repeat_runs(
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs must be at least 1, got {n_runs}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (train_ds, valid_ds, test_ds, replace(cfg, seed=cfg.seed + i))
         for i in range(n_runs)

@@ -66,6 +66,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build("slearner", 3, (4,), seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, None, "1"])
+    def test_bad_seed_names_it(self, seed):
+        with pytest.raises(ConfigError, match="'seed'"):
+            build("tm", 3, (4,), seed)
+
     def test_tarnet_head_widths(self):
         m = build("tarnet", 5, (16, 8), seed=1)
         assert m.nets["trunk"].layer_sizes == (5, 16, 8)
@@ -101,11 +106,21 @@ class TestParameterVector:
         values = np.concatenate([a.ravel() for a in layers])
         np.testing.assert_array_equal(np.sort(values), np.arange(m.params.size))
 
-        net = m.nets[m.net_names()[0]]
+        net = next(iter(m.nets.values()))
         with pytest.raises(TypeError):
             net.weights[0] = np.zeros_like(net.weights[0])
         with pytest.raises(TypeError):
             net.biases[0] = np.zeros_like(net.biases[0])
+
+    def test_pickle_keeps_params_once(self):
+        m = build("tarnet", 6, (1024, 512, 256), seed=0)
+        assert abs(len(pickle.dumps(m)) / m.params.nbytes - 1.0) < 0.01
+
+    def test_params_of_wrong_shape_rejected(self):
+        n = _tiny("tm").params.size
+        for shape in [(0,), (n - 1,), (n + 1,), (2, n // 2)]:
+            with pytest.raises(ConfigError, match="'params'"):
+                models.UpliftModel("tm", 3, (5, 4), 0, np.zeros(shape))
 
 
 class TestPredict:
@@ -390,6 +405,7 @@ class TestCheckpoint:
             ("format_version", None),
             ("kind", "xyz"),
             ("manifest", None),
+            *[("seed", v) for v in ("a", [1], 1.5, True, -1)],
         ],
     )
     def test_bad_manifest_names_the_key(self, tmp_path, key, value):

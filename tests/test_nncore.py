@@ -12,9 +12,9 @@ from oracles import adam_ref, fd_gradients, max_relative_error
 
 
 def _loss_through_net(net, x, y):
-    """Scalar BCE of the net's outputs against labels, for FD checks."""
+    """Scalar BCE of the net's logits through the logistic, for FD checks."""
     out, _ = nncore.forward(net, x)
-    loss, _ = nncore.bce_loss(out.ravel(), y, np.ones_like(y))
+    loss, _ = nncore.bce_loss(nncore.logistic(out).ravel(), y, np.ones_like(y))
     return loss
 
 
@@ -53,7 +53,7 @@ class TestForward:
         net = nncore.init_network((3, 1), seed=0)
         net.weights[0][:] = 0.0
         out, _ = nncore.forward(net, np.zeros((4, 3)))
-        np.testing.assert_array_equal(out, np.full((4, 1), 0.5))
+        np.testing.assert_array_equal(nncore.logistic(out), np.full((4, 1), 0.5))
 
     def test_identity_hidden_layer_passes_nonnegative_input(self):
         net = nncore.init_network((3, 3, 1), seed=0, output_activation="linear")
@@ -73,8 +73,9 @@ class TestForward:
         net.weights[0][:] = 0.0
         net.biases[0][:] = 1e6  # saturate
         out, _ = nncore.forward(net, np.ones((2, 2)))
-        assert np.all(out > 0) and np.all(out < 1)
-        np.testing.assert_allclose(out, 1 - nncore.PROB_CLIP)
+        p = nncore.logistic(out)
+        assert np.all(p > 0) and np.all(p < 1)
+        np.testing.assert_allclose(p, 1 - nncore.PROB_CLIP)
 
     def test_dimension_mismatch_raises(self):
         net = nncore.init_network((3, 1), seed=0)
@@ -99,7 +100,7 @@ class TestBackward:
             x = rng.normal(size=(6, sizes[0]))
             y = rng.integers(0, 2, size=6 * sizes[-1]).astype(float)
             out, cache = nncore.forward(net, x)
-            _, gz = nncore.bce_loss(out.ravel(), y, np.ones_like(y))
+            _, gz = nncore.bce_loss(nncore.logistic(out).ravel(), y, np.ones_like(y))
             grads, _ = nncore.backward(net, cache, gz.reshape(out.shape))
 
             def loss_fn(_arrays):

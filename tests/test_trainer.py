@@ -199,6 +199,11 @@ class TestRepeatRuns:
         for a, b in zip(seq_results, par_results):
             assert _report_key(a.report) == _report_key(b.report)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_rejected(self, splits, jobs):
+        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+            repeat_runs(*splits, _cfg(), n_runs=1, jobs=jobs)
+
     def test_failed_runs_counted_not_fatal(self, splits):
         tr, va, te = splits
         cfg = _cfg(learning_rate=1e200, max_steps=40, warmup_steps=10, eval_every=20)
