@@ -172,6 +172,7 @@ def combined_loss_and_grads(
     bag_size: int,
     mode: BagMode = BagMode.CLUSTERED,
     rng: np.random.Generator | None = None,
+    buffers: models.BufferSet | None = None,
 ) -> tuple[LossBreakdown, np.ndarray, ModelOutputs]:
     """Base loss (`models.factual_loss`) plus the bag-level regularizer,
     with gradients.
@@ -184,10 +185,16 @@ def combined_loss_and_grads(
     the gradients are bit-for-bit those of `models.base_loss_and_grads`.
     A non-finite base loss (a diverged model) forms no bags either: the
     returned loss is then non-finite for the caller to report.
+
+    The pass runs in `buffers` (`models.buffer_set`; one fresh set when
+    none is given), and the returned gradient and outputs' caches are
+    views into it.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
-    out = models.forward_full(model, x)
+    if buffers is None:
+        buffers = models.buffer_set(model, len(x))
+    out = models.forward_full(model, x, buffers)
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
     l_base, gz_t, gz_c = models.factual_loss(out, t, y)
@@ -212,7 +219,7 @@ def combined_loss_and_grads(
         gz_t = gz_t + alpha * dp_t * out.p_t * (1.0 - out.p_t)
         gz_c = gz_c + alpha * dp_c * out.p_c * (1.0 - out.p_c)
 
-    grads = models.backprop_factual(model, out, gz_t, gz_c)
+    grads = models.backprop_factual(model, out, gz_t, gz_c, buffers)
     breakdown = LossBreakdown(
         l_base=l_base,
         l_mil=l_mil,

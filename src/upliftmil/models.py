@@ -30,6 +30,17 @@ parameter order, layer sizes and output activations. A checkpoint
 input_dim, hidden_sizes, seed, has_scaler), the one vector `params` and,
 with a scaler, its mean and std; `params` must have the length of the
 layout the manifest gives.
+
+Buffers: `forward_full`, `backprop_factual` and `predict` run in the
+`BufferSet` their caller passes: each net's `nncore.NetBuffers` and, in
+a set made for training, one gradient vector laid out like `params`,
+whose per-net slices the nets' backward passes write. The caller owns
+the set and makes it with `buffer_set`; `trainer.train` keeps one for a
+whole run, steps and evaluations alike, and drops it on return. The
+caches of the returned `ModelOutputs` and the returned gradient are
+views into the set, valid until its next pass. Without a set, each call
+makes a fresh one. A set is never an attribute of the model: a model
+outlives its run.
 """
 
 from __future__ import annotations
@@ -46,8 +57,8 @@ from .nncore import ForwardCache, NetworkParams
 
 CHECKPOINT_VERSION = 2
 
-# Rows per forward pass in `predict`: it holds one chunk's activations
-# at a time, not the whole set's.
+# Rows per forward pass of a `predict` called without buffers: it holds
+# one chunk's activations at a time, not the whole set's.
 CHUNK = 2048
 
 
@@ -98,6 +109,30 @@ class UpliftModel:
 
     def parameter_arrays(self) -> np.ndarray:
         return self.params
+
+
+@dataclass
+class BufferSet:
+    """A model's reusable arrays for passes over at most `rows` rows: each
+    net's buffers and, for training, the one gradient vector `grad` whose
+    slices are the nets' `grad`; None in an activation-only set."""
+
+    rows: int
+    nets: dict[str, nncore.NetBuffers]
+    grad: np.ndarray | None
+
+
+def buffer_set(model: UpliftModel, rows: int, backward: bool = True) -> BufferSet:
+    """A buffer set for `model` over up to `rows` rows; with
+    `backward=False`, activations only."""
+    counts = [net.flat.size for net in model.nets.values()]
+    grad, slices = None, [None] * len(counts)
+    if backward:
+        grad = np.empty(sum(counts))
+        slices = np.split(grad, np.cumsum(counts)[:-1])
+    nets = {name: nncore.net_buffers(net.layer_sizes, rows, g)
+            for (name, net), g in zip(model.nets.items(), slices)}
+    return BufferSet(rows, nets, grad)
 
 
 @dataclass
@@ -187,14 +222,18 @@ def _scale(model: UpliftModel, x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def forward_full(model: UpliftModel, x: np.ndarray) -> ModelOutputs:
-    """Forward pass keeping the caches needed for backpropagation; the
-    (n, 2) arm logits [z_c, z_t] go through the model's one logistic."""
+def forward_full(
+    model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None
+) -> ModelOutputs:
+    """Forward pass keeping the caches needed for backpropagation, in
+    `buffers` (fresh ones when none are given); the (n, 2) arm logits
+    [z_c, z_t] go through the model's one logistic."""
     xs = _scale(model, x)
+    nets = buffers.nets if buffers is not None else {}
     caches: dict[str, ForwardCache] = {}
 
     def run(name, inputs):
-        out, caches[name] = nncore.forward(model.nets[name], inputs)
+        out, caches[name] = nncore.forward(model.nets[name], inputs, nets.get(name))
         return out
 
     if model.kind is ModelKind.TM:
@@ -212,50 +251,61 @@ def forward_full(model: UpliftModel, x: np.ndarray) -> ModelOutputs:
     return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c, caches=caches)
 
 
-def predict(model: UpliftModel, x: np.ndarray):
+def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None):
     """Per-row (p_t, p_c, uplift) with uplift = p_t - p_c exactly.
 
-    Scores `CHUNK` rows at a time and keeps no cache past its chunk, so
-    beyond the three output vectors its memory is bounded by one chunk's
-    activations, whatever the number of rows.
+    Scores `buffers.rows` rows at a time in `buffers`, which the caller
+    owns and which hold no result once this returns. Called alone, it
+    makes one activation-only set of `CHUNK` rows (fewer for a smaller
+    `x`) for the whole call. Beyond the three output vectors, its memory
+    is that set, whatever the number of rows.
     """
     x = _check_input(model, x)
     n = x.shape[0]
+    if buffers is None:
+        buffers = buffer_set(model, min(CHUNK, max(n, 1)), backward=False)
+    step = buffers.rows
     p_t, p_c, uplift = np.empty(n), np.empty(n), np.empty(n)
-    for s in range(0, n, CHUNK):
-        out = forward_full(model, x[s : s + CHUNK])
-        p_t[s : s + CHUNK], p_c[s : s + CHUNK] = out.p_t, out.p_c
-        uplift[s : s + CHUNK] = out.uplift
-        del out  # so the next chunk's pass does not overlap this one's caches
+    for s in range(0, n, step):
+        out = forward_full(model, x[s : s + step], buffers)
+        p_t[s : s + step], p_c[s : s + step] = out.p_t, out.p_c
+        uplift[s : s + step] = out.uplift
     return p_t, p_c, uplift
 
 
 def backprop_factual(
-    model: UpliftModel, out: ModelOutputs, gz_t: np.ndarray, gz_c: np.ndarray
+    model: UpliftModel,
+    out: ModelOutputs,
+    gz_t: np.ndarray,
+    gz_c: np.ndarray,
+    buffers: BufferSet | None = None,
 ) -> np.ndarray:
     """Route per-row arm-logit gradients through the architecture.
 
     gz_t[i] is the loss gradient at the treatment arm's logit for row i
     (zero on rows whose treatment arm takes no gradient), gz_c likewise
-    for the control arm. Returns one gradient vector aligned with
-    `model.params`: each net's gradient, in the order of `model.nets`.
+    for the control arm. Returns `buffers.grad` (from a fresh set when
+    none is given), aligned with `model.params`: each net's backward pass
+    writes its own slice.
     """
     gt = np.asarray(gz_t, dtype=np.float64).reshape(-1, 1)
     gc = np.asarray(gz_c, dtype=np.float64).reshape(-1, 1)
-    grads: dict[str, np.ndarray] = {}
+    if buffers is None:
+        buffers = buffer_set(model, len(gt))
 
     def back(name, output_grad, input_grad=False):
-        grads[name], d_input = nncore.backward(
-            model.nets[name], out.caches[name], output_grad, input_grad=input_grad
-        )
+        _, d_input = nncore.backward(model.nets[name], out.caches[name], output_grad,
+                                     input_grad=input_grad, buffers=buffers.nets[name])
         return d_input
 
     if model.kind is ModelKind.TM:
         back("net", np.hstack([gc, gt]))
     elif model.kind is ModelKind.TARNET:
-        d_rep = back("head_c", gc, True) + back("head_t", gt, True)
-        trunk = model.nets["trunk"]
-        back("trunk", nncore.output_grad_to_preact(trunk, out.caches["trunk"], d_rep))
+        # Both heads' input gradients summed in head_c's delta buffer.
+        d_rep = back("head_c", gc, True)
+        d_rep += back("head_t", gt, True)
+        trunk, cache = model.nets["trunk"], out.caches["trunk"]
+        back("trunk", nncore.output_grad_to_preact(trunk, cache, d_rep, out=d_rep))
     elif model.kind is ModelKind.DDR:
         # No input gradient for the treatment net: the appended control
         # probability is a constant input (stop-gradient).
@@ -265,7 +315,7 @@ def backprop_factual(
         back("shared", gt + gc)
         back("private_c", gc)
         back("private_t", gt)
-    return np.concatenate([grads[name] for name in model.nets])
+    return buffers.grad
 
 
 def factual_loss(out: ModelOutputs, treatment, outcome):

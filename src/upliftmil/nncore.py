@@ -7,6 +7,16 @@ backpropagation into one gradient vector, bias-corrected Adam updates
 in place, and masked binary cross-entropy. All arithmetic is float64;
 batches are row-major (batch x features) numpy arrays.
 
+Buffers: `forward` and `backward` write into the `NetBuffers` their
+caller passes, using the first n rows of each array for a pass over n
+rows; of a batch's size they allocate only the rectifier mask, a
+transient boolean array. The caller owns that set:
+the returned outputs, `ForwardCache`, gradient and input gradient are
+views into it, valid until the set's next pass of the same kind
+overwrites them. Without a set, each call makes a fresh one, so its
+results stay valid for good. `adam_step` works through the vector in
+blocks of `ADAM_BLOCK` values, with scratch kept in its `AdamState`.
+
 A net ends in "linear" (a logit) or "relu" (a representation for
 further nets), never in a sigmoid: `models.forward_full` alone applies
 `logistic`, to the arm logits. Gradient convention: `backward` consumes
@@ -31,6 +41,10 @@ from .errors import ConfigError, ShapeError
 PROB_CLIP = 1e-7
 
 _ACTIVATIONS = ("linear", "relu")
+
+# Values per block of `adam_step`: its two scratch vectors and the four
+# blocks it reads stay in cache.
+ADAM_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -68,7 +82,8 @@ class ForwardCache:
     """The input and every layer's activation of one forward pass: all
     that backward needs. Pre-activations are not kept, since a rectifier
     passes gradient where `relu(z) > 0`, which equals `z > 0` (NaN and
-    exact zero included), and a linear output needs none."""
+    exact zero included), and a linear output needs none. The
+    activations are views into the pass's `NetBuffers`."""
 
     x: np.ndarray
     activations: list[np.ndarray] = field(default_factory=list)
@@ -79,8 +94,26 @@ class ForwardCache:
 
 
 @dataclass
+class NetBuffers:
+    """Reusable arrays for one net's passes over up to a fixed number of
+    rows, the arrays' length.
+
+    `activations[k]` holds layer k's output (rows x its width). For
+    backward, `deltas[k]` holds the loss gradient at layer k's input
+    (rows x that width; `deltas[0]` is the input gradient) and `grad` is
+    the vector the parameter gradient is written to, laid out like the
+    net's `flat`. An activation-only set, for inference, has neither.
+    """
+
+    activations: tuple[np.ndarray, ...]
+    deltas: tuple[np.ndarray, ...]
+    grad: np.ndarray | None
+
+
+@dataclass
 class AdamState:
-    """First/second moment vectors plus the step counter."""
+    """First/second moment vectors plus the step counter, and two
+    block-sized scratch vectors for `adam_step`."""
 
     m: np.ndarray
     v: np.ndarray
@@ -89,16 +122,20 @@ class AdamState:
     beta1: float
     beta2: float
     eps: float
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty((2, min(ADAM_BLOCK, self.m.size)))
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid, clamped to [PROB_CLIP, 1 - PROB_CLIP]."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
+    """Numerically stable sigmoid, clamped to [PROB_CLIP, 1 - PROB_CLIP]:
+    1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|),
+    formed as exp(min(z, -z)) so a NaN keeps its sign."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP, out=out)
 
 
 def param_count(layer_sizes) -> int:
@@ -138,8 +175,31 @@ def init_network(layer_sizes, seed, output_activation: str = "linear") -> Networ
     return net
 
 
-def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the net on a batch; returns outputs and the backward cache."""
+def _rows(n: int, widths) -> tuple[np.ndarray, ...]:
+    return tuple(np.empty((n, w)) for w in widths)
+
+
+def net_buffers(layer_sizes, rows: int, grad: np.ndarray | None = None) -> NetBuffers:
+    """Buffers for passes of a net with these sizes over up to `rows` rows:
+    forward only, or with `grad` (where backward writes the gradient)
+    backward too."""
+    sizes = tuple(layer_sizes)
+    deltas = () if grad is None else _rows(rows, sizes[:-1])
+    return NetBuffers(_rows(rows, sizes[1:]), deltas, grad)
+
+
+def _first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of a buffer, where a pass over n rows works."""
+    if n > len(buffer):
+        raise ShapeError(f"a pass over {n} rows does not fit buffers of {len(buffer)}")
+    return buffer[:n]
+
+
+def forward(
+    params: NetworkParams, x: np.ndarray, buffers: NetBuffers | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the net on a batch; returns outputs and the backward cache,
+    both views into `buffers` (a fresh set when none is given)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected 2-D input, got shape {x.shape}")
@@ -148,11 +208,14 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCa
             f"input has {x.shape[1]} columns, network expects "
             f"{params.weights[0].shape[0]}"
         )
+    n = x.shape[0]
+    if buffers is None:
+        buffers = net_buffers(params.layer_sizes, n)
     cache = ForwardCache(x=x)
     a = x
     last = params.n_layers - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = a @ w
+        a = np.matmul(a, w, out=_first_rows(buffers.activations[k], n))
         a += b
         if k < last or params.output_activation == "relu":
             np.maximum(a, 0.0, out=a)
@@ -166,14 +229,17 @@ def backward(
     output_grad: np.ndarray,
     *,
     input_grad: bool = True,
+    buffers: NetBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact reverse-mode gradients for a loss whose gradient with respect
     to the final layer's pre-activations is `output_grad`.
 
-    Returns (grad, input_grad) where grad is one vector laid out like
-    `params.flat` and input_grad is the gradient with respect to the
-    batch input, or None when `input_grad=False` asks not to form it.
-    The rectifier mask is applied in place, to a product no caller sees.
+    Returns (grad, input_grad) where grad is `buffers.grad`, laid out
+    like `params.flat`, and input_grad is the gradient with respect to the
+    batch input (a view into `buffers.deltas[0]`), or None when
+    `input_grad=False` asks not to form it. Without `buffers`, both come
+    from a fresh set. The rectifier mask is applied in place, to a delta
+    no caller sees.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if len(cache.activations) != params.n_layers:
@@ -183,30 +249,44 @@ def backward(
             f"output_grad shape {output_grad.shape} does not match final "
             f"layer shape {cache.outputs.shape}"
         )
-    grad = np.empty_like(params.flat)
+    n = output_grad.shape[0]
+    if buffers is None:
+        buffers = net_buffers(params.layer_sizes, n, np.empty_like(params.flat))
+    grad = buffers.grad
     grad_w, grad_b = layer_views(grad, params.layer_sizes)
-    delta, d_input = output_grad, None
+    delta = output_grad
     for k in range(params.n_layers - 1, -1, -1):
         a_prev = cache.activations[k - 1] if k > 0 else cache.x
-        if cache.activations[k].shape[1] != params.weights[k].shape[1]:
+        w = params.weights[k]
+        if cache.activations[k].shape[1] != w.shape[1]:
             raise ShapeError("cache does not match network layer widths")
         np.matmul(a_prev.T, delta, out=grad_w[k])
         np.sum(delta, axis=0, out=grad_b[k])
+        if k == 0 and not input_grad:
+            return grad, None
+        d_prev = _first_rows(buffers.deltas[k], n)
+        if w.shape[1] == 1:
+            # A one-unit layer: the K=1 product as a broadcast, same bits.
+            np.multiply(delta, w.T, out=d_prev)
+        else:
+            np.matmul(delta, w.T, out=d_prev)
         if k > 0:
-            delta = delta @ params.weights[k].T
-            delta *= cache.activations[k - 1] > 0
-        elif input_grad:
-            d_input = delta @ params.weights[k].T
-    return grad, d_input
+            d_prev *= cache.activations[k - 1] > 0
+        delta = d_prev
+    return grad, delta
 
 
 def output_grad_to_preact(
-    params: NetworkParams, cache: ForwardCache, grad_outputs: np.ndarray
+    params: NetworkParams,
+    cache: ForwardCache,
+    grad_outputs: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convert a gradient taken w.r.t. the net's outputs into the
-    pre-activation gradient `backward` expects."""
+    pre-activation gradient `backward` expects; a rectifier output's
+    masked gradient goes to `out` (`grad_outputs` itself may be it)."""
     if params.output_activation == "relu":
-        return grad_outputs * (cache.outputs > 0)
+        return np.multiply(grad_outputs, cache.outputs > 0, out=out)
     return grad_outputs
 
 
@@ -228,26 +308,35 @@ def init_adam(
 def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update of `params`, `state.m` and `state.v`,
-    all in place; returns the same (params, state)."""
-    if not (params.shape == grads.shape == state.m.shape):
+    """One bias-corrected Adam update of the vectors `params`, `state.m`
+    and `state.v`, all in place, one block of `ADAM_BLOCK` values at a
+    time; returns the same (params, state)."""
+    if not (params.shape == grads.shape == state.m.shape) or params.ndim != 1:
         raise ShapeError(
-            f"shapes differ: params {params.shape}, grads {grads.shape}, "
-            f"moments {state.m.shape}"
+            f"shapes differ or are not vectors: params {params.shape}, "
+            f"grads {grads.shape}, moments {state.m.shape}"
         )
     state.step += 1
     t, b1, b2 = state.step, state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     # lr * m_hat / (sqrt(v_hat) + eps) one operation at a time, in order.
-    state.m *= b1
-    state.m += (1.0 - b1) * grads
-    state.v *= b2
-    state.v += (1.0 - b2) * grads * grads
-    denom = np.sqrt(state.v / (1.0 - b2**t))
-    denom += state.eps
-    update = state.m / (1.0 - b1**t)
-    update *= state.learning_rate
-    update /= denom
-    params -= update
+    for lo in range(0, params.size, ADAM_BLOCK):
+        g = grads[lo : lo + ADAM_BLOCK]
+        m, v = state.m[lo : lo + ADAM_BLOCK], state.v[lo : lo + ADAM_BLOCK]
+        s, u = state.scratch[:, : g.size]
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=s)
+        s *= g
+        v += s
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += state.eps
+        np.divide(m, c1, out=u)
+        u *= state.learning_rate
+        u /= s
+        params[lo : lo + ADAM_BLOCK] -= u
     return params, state
 
 

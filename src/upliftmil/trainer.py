@@ -8,6 +8,11 @@ with bags re-formed from fresh predictions every step. Validation AUUC
 is computed every `eval_every` steps; training stops at `max_steps` or
 after `patience` evaluations without improvement, and the returned model
 is the best-validation checkpoint.
+
+`train` makes one `models.BufferSet` of `batch_size` rows for the whole
+run: every step's forward and backward pass and every evaluation within
+the run (scored `batch_size` rows at a time) reuse it, so a step
+allocates nothing of the model's size. The set is dropped on return.
 """
 
 from __future__ import annotations
@@ -66,8 +71,11 @@ class TrainConfig:
         return int(self.warmup_steps)
 
     def validate(self) -> None:
-        ModelKind(self.model)
-        BagMode(self.mode)
+        for name, kind in (("model", ModelKind), ("mode", BagMode)):
+            value = getattr(self, name)
+            if value not in {k.value for k in kind}:
+                choices = ", ".join(k.value for k in kind)
+                raise ConfigError(f"{name!r} must be one of {choices}, got {value!r}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
         if self.bag_size < 2:
@@ -124,10 +132,14 @@ class TrainReport:
 
 
 def evaluate(
-    model: UpliftModel, ds: Dataset, n_points: int = 100
+    model: UpliftModel,
+    ds: Dataset,
+    n_points: int = 100,
+    buffers: models.BufferSet | None = None,
 ) -> tuple[float, UpliftCurve]:
-    """AUUC and uplift curve of a model's uplift scores on a dataset."""
-    _, _, uplift = models.predict(model, ds.features)
+    """AUUC and uplift curve of a model's uplift scores on a dataset,
+    scored in `buffers` when given (see `models.predict`)."""
+    _, _, uplift = models.predict(model, ds.features, buffers)
     curve = metrics.uplift_curve(uplift, ds.outcome, ds.treatment, n_points)
     return curve.auuc, curve
 
@@ -142,6 +154,7 @@ def train(
     model.scaler = fit_scaler(train_ds.features)
     state = nncore.init_adam(model.params, cfg.learning_rate,
                              cfg.beta1, cfg.beta2, cfg.eps)
+    buffers = models.buffer_set(model, cfg.batch_size)
     # Dedicated stream for the random-bag ablation; consumed only when
     # that mode is active, so clustered runs stay bitwise comparable.
     bag_rng = np.random.default_rng([cfg.seed, 104729])
@@ -177,17 +190,19 @@ def train(
             cfg.bag_size,
             mode,
             rng=bag_rng,
+            buffers=buffers,
         )
         if not np.isfinite(breakdown.loss):
             raise TrainingError(
                 f"non-finite loss at step {step}: l_base={breakdown.l_base!r} "
                 f"l_mil={breakdown.l_mil!r} u_t={batch.u_t!r} "
-                f"batch_head={batch.indices[:8].tolist()}"
+                f"batch_head={batch.indices[:8].tolist()} "
+                f"first_nonfinite_grad={_first_nonfinite_grad(model, buffers)}"
             )
         nncore.adam_step(model.params, grads, state)
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            val_auuc, _ = evaluate(model, valid_ds, cfg.n_points)
+            val_auuc, _ = evaluate(model, valid_ds, cfg.n_points, buffers)
             report.history.append(
                 EvalPoint(step, breakdown.l_base, breakdown.l_mil, val_auuc,
                           breakdown.usable_bags)
@@ -203,9 +218,20 @@ def train(
                     break
 
     np.copyto(model.params, best_params)
-    report.test_auuc, _ = evaluate(model, test_ds, cfg.n_points)
+    report.test_auuc, _ = evaluate(model, test_ds, cfg.n_points, buffers)
     report.wall_clock_s = time.perf_counter() - started
     return model, report
+
+
+def _first_nonfinite_grad(model: UpliftModel, buffers: models.BufferSet) -> str:
+    """'net layer k' of the first gradient slice, in parameter order, that
+    holds a non-finite value; 'none' when every value is finite."""
+    for name, net in buffers.nets.items():
+        weights, biases = nncore.layer_views(net.grad, model.nets[name].layer_sizes)
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                return f"{name} layer {k}"
+    return "none"
 
 
 @dataclass

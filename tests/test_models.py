@@ -123,6 +123,49 @@ class TestParameterVector:
                 models.UpliftModel("tm", 3, (5, 4), 0, np.zeros(shape))
 
 
+class TestBufferSet:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_nets_write_slices_of_one_gradient_vector(self, kind):
+        m = _tiny(kind, seed=23)
+        bufs = models.buffer_set(m, 8)
+        assert bufs.grad.shape == m.params.shape
+        for name, net in m.nets.items():
+            grad = bufs.nets[name].grad
+            assert np.shares_memory(grad, bufs.grad) and grad.size == net.flat.size
+        assert sum(b.grad.size for b in bufs.nets.values()) == bufs.grad.size
+        inference = models.buffer_set(m, 8, backward=False)
+        assert inference.grad is None
+        assert all(b.grad is None and not b.deltas for b in inference.nets.values())
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_step_in_buffers_gives_fresh_bits(self, kind):
+        # A batch shorter than the set, run twice in it, against fresh
+        # passes; the returned gradient is the set's vector.
+        m = _tiny(kind, seed=29)
+        m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
+        rng = np.random.default_rng(29)
+        bufs = models.buffer_set(m, 12)
+        for _ in range(2):
+            x = rng.random((9, 3))
+            t = rng.integers(0, 2, 9).astype(float)
+            gz_t, gz_c = rng.normal(size=9) * t, rng.normal(size=9) * (1.0 - t)
+            fresh = models.forward_full(m, x)
+            want = models.backprop_factual(m, fresh, gz_t, gz_c)
+            out = models.forward_full(m, x, bufs)
+            got = models.backprop_factual(m, out, gz_t, gz_c, bufs)
+            assert got is bufs.grad and got.tobytes() == want.tobytes()
+            assert out.uplift.tobytes() == fresh.uplift.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_predict_scores_chunks_as_wide_as_the_set(self, rows):
+        m = _tiny("tarnet", seed=37)
+        x = np.random.default_rng(37).random((50, 3))
+        p_t, p_c, uplift = predict(m, x, models.buffer_set(m, rows, backward=False))
+        np.testing.assert_array_equal(uplift, p_t - p_c)
+        for got, want in zip((p_t, p_c), predict(m, x)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 class TestPredict:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_zeroed_output_model_predicts_half(self, kind):

@@ -83,6 +83,60 @@ class TestForward:
             nncore.forward(net, np.zeros((2, 4)))
 
 
+def _two_branch_logistic(z):
+    """The sigmoid as two masked branches, 1 / (1 + exp(-z)) for z >= 0
+    and exp(z) / (1 + exp(z)) below, then clamped: the reference whose
+    bits `nncore.logistic` keeps."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, nncore.PROB_CLIP, 1.0 - nncore.PROB_CLIP)
+
+
+class TestLogistic:
+    def test_bits_match_two_branch_formula(self):
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 700.0,
+                          -700.0, 36.0, -36.0, 5e-324, -5e-324])
+        rng = np.random.default_rng(8)
+        for z in (edges, np.tile(edges, 9).reshape(-1, 2),
+                  rng.normal(scale=3.0, size=(1024, 2)),
+                  rng.normal(scale=300.0, size=4097)):
+            got = nncore.logistic(z)
+            assert got.shape == z.shape
+            assert got.tobytes() == _two_branch_logistic(z).tobytes()
+
+
+class TestBuffers:
+    def test_buffers_give_fresh_bits(self):
+        # A pass over fewer rows than the set holds works in its first
+        # rows and returns views into it, with the bits of a fresh pass.
+        net = nncore.init_network((3, 7, 5, 2), seed=6)
+        rng = np.random.default_rng(6)
+        x, gz = rng.normal(size=(9, 3)), rng.normal(size=(9, 2))
+        out, cache = nncore.forward(net, x)
+        grads, dx = nncore.backward(net, cache, gz)
+        bufs = nncore.net_buffers(net.layer_sizes, 16, np.empty_like(net.flat))
+        b_out, b_cache = nncore.forward(net, x, bufs)
+        b_grads, b_dx = nncore.backward(net, b_cache, gz, buffers=bufs)
+        assert b_out.tobytes() == out.tobytes()
+        assert b_grads.tobytes() == grads.tobytes()
+        assert b_dx.tobytes() == dx.tobytes()
+        assert b_grads is bufs.grad
+        assert np.shares_memory(b_out, bufs.activations[-1])
+        assert np.shares_memory(b_dx, bufs.deltas[0])
+
+    def test_pass_wider_than_buffers_rejected(self):
+        net = nncore.init_network((3, 4, 1), seed=0)
+        bufs = nncore.net_buffers(net.layer_sizes, 4, np.empty_like(net.flat))
+        with pytest.raises(ShapeError, match="5 rows"):
+            nncore.forward(net, np.zeros((5, 3)), bufs)
+        _, cache = nncore.forward(net, np.zeros((5, 3)))
+        with pytest.raises(ShapeError, match="5 rows"):
+            nncore.backward(net, cache, np.zeros((5, 1)), buffers=bufs)
+
+
 class TestBackward:
     def test_zero_output_grad_gives_zero_grads(self):
         net = nncore.init_network((3, 4, 2), seed=1)
@@ -151,6 +205,17 @@ class TestBackward:
         assert got.tobytes() == grads.tobytes()
         # The mask is applied in place, but never to the caller's array.
         assert gz.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("width", [32, 256])
+    def test_one_unit_layer_input_grad_is_the_product_bits(self, width):
+        # A layer of one unit forms its input gradient as a broadcast
+        # product, with the bits of the K=1 matrix product it replaces.
+        net = nncore.init_network((width, 1), seed=width)
+        rng = np.random.default_rng(width)
+        _, cache = nncore.forward(net, rng.normal(size=(1024, width)))
+        delta = rng.normal(size=(1024, 1))
+        _, dx = nncore.backward(net, cache, delta)
+        assert dx.tobytes() == (delta @ net.weights[0].T).tobytes()
 
     def test_mismatched_cache_raises(self):
         net = nncore.init_network((3, 4, 1), seed=5)
@@ -222,6 +287,28 @@ class TestAdam:
             assert params.tobytes() == np.concatenate(ref).tobytes()
             assert state.m.tobytes() == np.concatenate(m).tobytes()
             assert state.v.tobytes() == np.concatenate(v).tobytes()
+
+    def test_blocks_match_reference_bit_for_bit(self):
+        # A vector of two whole blocks and a short one, through the
+        # block-sized scratch, against the whole-vector reference.
+        n = 2 * nncore.ADAM_BLOCK + 37
+        rng = np.random.default_rng(78)
+        params = rng.normal(size=n)
+        state = nncore.init_adam(params, 1e-3)
+        assert state.scratch.shape == (2, nncore.ADAM_BLOCK)
+        ref, m, v = [params.copy()], [np.zeros(n)], [np.zeros(n)]
+        for step in range(1, 4):
+            grads = rng.normal(size=n)
+            nncore.adam_step(params, grads, state)
+            ref, m, v = adam_ref(ref, [grads], m, v, step, 1e-3)
+            assert params.tobytes() == ref[0].tobytes()
+            assert state.m.tobytes() == m[0].tobytes()
+            assert state.v.tobytes() == v[0].tobytes()
+
+    def test_matrix_rejected(self):
+        params = np.zeros((2, 3))
+        with pytest.raises(ShapeError):
+            nncore.adam_step(params, np.zeros((2, 3)), nncore.init_adam(params, 0.1))
 
     @pytest.mark.parametrize("rate", [0.0, -1e-3])
     def test_nonpositive_learning_rate_rejected(self, rate):

@@ -1,9 +1,12 @@
 """Training loop: warm-up, early stopping, checkpointing, repetition."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from upliftmil import models
+from upliftmil import mil, models, nncore
 from upliftmil.data import SynthConfig, empirical_ate, generate_synthetic, split
 from upliftmil.errors import ConfigError, TrainingError
 from upliftmil.metrics import auuc
@@ -68,8 +71,12 @@ class TestConfig:
             _cfg(warmup_steps=201, max_steps=200).validate()
 
     def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="'model'.*'xlearner'"):
             _cfg(model="xlearner").validate()
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="'mode'.*'nearest'"):
+            _cfg(mode="nearest").validate()
 
 
 class TestTrain:
@@ -110,6 +117,11 @@ class TestTrain:
             else:
                 assert h.usable_bags > 0
 
+    def test_returned_model_holds_no_buffers(self, splits):
+        # A model outlives its run: the run's buffer set must not ride on it.
+        model, _ = train(*splits, _cfg(max_steps=20, warmup_steps=5, eval_every=10))
+        assert set(vars(model)) == {f.name for f in fields(models.UpliftModel)}
+
     def test_history_steps_strictly_increase(self, splits):
         tr, va, te = splits
         _, report = train(tr, va, te, _cfg(max_steps=130, eval_every=40))
@@ -119,7 +131,11 @@ class TestTrain:
 
     def test_nonfinite_loss_aborts_with_diagnostics(self, splits):
         tr, va, te = splits
-        with np.errstate(all="ignore"), pytest.raises(TrainingError, match="step"):
+        # The message names the step and the first net and layer, in
+        # parameter order, whose gradient holds a non-finite value.
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"at step \d+: .*first_nonfinite_grad=trunk layer \d"
+        ):
             train(tr, va, te, _cfg(learning_rate=1e200, max_steps=50))
 
     @pytest.mark.parametrize("warmup_steps", [0, 3])
@@ -136,6 +152,36 @@ class TestTrain:
         assert agg is None and not results
         assert [seed for seed, _ in failures] == [3, 4]
         assert all("non-finite loss at step" in msg for _, msg in failures)
+
+
+class TestStepMemory:
+    def test_steady_state_step_allocates_less_than_the_parameters(self):
+        # The reference regime, TARNet 1024/512/256 at batch 1024: once a
+        # warm step has run, a step in the run's buffer set (loss, gradient
+        # and Adam) allocates less than one parameter vector.
+        rng = np.random.default_rng(0)
+        n, d = 1024, 6
+        x = rng.normal(size=(n, d))
+        t = (rng.random(n) < 0.5).astype(float)
+        y = (rng.random(n) < 0.3).astype(float)
+        model = models.build("tarnet", d, (1024, 512, 256), seed=0)
+        state = nncore.init_adam(model.params, 1e-3)
+        buffers = models.buffer_set(model, n)
+
+        def step():
+            _, grads, _ = mil.combined_loss_and_grads(
+                model, x, t, y, t.mean(), 1e-3, 64, buffers=buffers)
+            nncore.adam_step(model.params, grads, state)
+
+        step()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params.nbytes
 
 
 class TestEvaluate:
