@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `enum_member`, the
+one lookup that reports an unknown enum value as a `ConfigError`."""
 
 
 class UpliftError(Exception):
@@ -27,3 +28,13 @@ class MetricError(UpliftError, ValueError):
 
 class TrainingError(UpliftError, RuntimeError):
     """Training aborted; message carries the offending step diagnostics."""
+
+
+def enum_member(enum, value, name: str):
+    """`enum(value)`, or a ConfigError naming the field `name`, the
+    choices and the value."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum)
+        raise ConfigError(f"{name!r} must be one of {choices}, got {value!r}") from None

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .errors import ConfigError
+from .errors import ConfigError, enum_member
 from .models import ModelOutputs, UpliftModel
 
 
@@ -89,7 +89,7 @@ def cluster_bags(
     is reproducible. Trailing rows that do not fill a bag are dropped.
     """
     preds = np.asarray(uplift_predictions, dtype=np.float64)
-    mode = BagMode(mode)
+    mode = enum_member(BagMode, mode, "mode")
     if bag_size < 2:
         raise ConfigError(f"bag_size must be at least 2, got {bag_size}")
     if mode is BagMode.RANDOM and rng is None:
@@ -193,7 +193,7 @@ def combined_loss_and_grads(
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
     if buffers is None:
-        buffers = models.buffer_set(model, len(x))
+        buffers = models.buffer_set(model, 2 * len(x))
     out = models.forward_full(model, x, buffers)
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)

@@ -35,7 +35,8 @@ Buffers: `forward_full`, `backprop_factual` and `predict` run in the
 `BufferSet` their caller passes: each net's `nncore.NetBuffers` and, in
 a set made for training, one gradient vector laid out like `params`,
 whose per-net slices the nets' backward passes write. The caller owns
-the set and makes it with `buffer_set`; `trainer.train` keeps one for a
+the set and makes it with `buffer_set`; a set of r rows scores up to
+r rows and trains on up to r // 2. `trainer.train` keeps one for a
 whole run, steps and evaluations alike, and drops it on return. The
 caches of the returned `ModelOutputs` and the returned gradient are
 views into the set, valid until its next pass. Without a set, each call
@@ -52,13 +53,13 @@ from enum import Enum
 import numpy as np
 
 from . import nncore
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, enum_member
 from .nncore import ForwardCache, NetworkParams
 
 CHECKPOINT_VERSION = 2
 
-# Rows per forward pass of a `predict` called without buffers: it holds
-# one chunk's activations at a time, not the whole set's.
+# Rows per forward pass of `predict`: it holds one chunk's activations
+# at a time, not the whole set's.
 CHUNK = 2048
 
 
@@ -88,7 +89,7 @@ class UpliftModel:
     nets: dict[str, NetworkParams] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.kind = _model_kind(self.kind)
+        self.kind = enum_member(ModelKind, self.kind, "kind")
         layout = _layout(self.kind, self.input_dim, self.hidden_sizes)
         if not _is_int(self.seed, least=0):
             raise ConfigError(f"'seed' must be an integer >= 0, got {self.seed!r}")
@@ -113,18 +114,18 @@ class UpliftModel:
 
 @dataclass
 class BufferSet:
-    """A model's reusable arrays for passes over at most `rows` rows: each
-    net's buffers and, for training, the one gradient vector `grad` whose
-    slices are the nets' `grad`; None in an activation-only set."""
+    """A model's reusable arrays, from `buffer_set`: each net's buffers
+    and, for training, the one gradient vector `grad` whose slices are
+    the nets' `grad`; None in an activation-only set."""
 
-    rows: int
     nets: dict[str, nncore.NetBuffers]
     grad: np.ndarray | None
 
 
 def buffer_set(model: UpliftModel, rows: int, backward: bool = True) -> BufferSet:
-    """A buffer set for `model` over up to `rows` rows; with
-    `backward=False`, activations only."""
+    """A buffer set for `model` over up to `rows` rows, which trains on
+    batches of up to `rows // 2`; with `backward=False`, activations
+    only."""
     counts = [net.flat.size for net in model.nets.values()]
     grad, slices = None, [None] * len(counts)
     if backward:
@@ -132,7 +133,7 @@ def buffer_set(model: UpliftModel, rows: int, backward: bool = True) -> BufferSe
         slices = np.split(grad, np.cumsum(counts)[:-1])
     nets = {name: nncore.net_buffers(net.layer_sizes, rows, g)
             for (name, net), g in zip(model.nets.items(), slices)}
-    return BufferSet(rows, nets, grad)
+    return BufferSet(nets, grad)
 
 
 @dataclass
@@ -144,13 +145,6 @@ class ModelOutputs:
     p_c: np.ndarray
     uplift: np.ndarray
     caches: dict[str, ForwardCache]
-
-
-def _model_kind(value) -> ModelKind:
-    try:
-        return ModelKind(value)
-    except ValueError:
-        raise ConfigError(f"unknown model kind {value!r}")
 
 
 def _is_int(v, least: int = 1) -> bool:
@@ -194,7 +188,7 @@ def _layout(kind: ModelKind, input_dim, hidden_sizes) -> list[tuple[str, tuple, 
 
 def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
     """Wire a model of the given kind; deterministic for a fixed seed."""
-    kind = _model_kind(kind)
+    kind = enum_member(ModelKind, kind, "kind")
     layout = _layout(kind, input_dim, hidden_sizes)
     size = sum(nncore.param_count(sizes) for _, sizes, _ in layout)
     model = UpliftModel(kind, input_dim, hidden_sizes, seed, np.empty(size))
@@ -254,22 +248,22 @@ def forward_full(
 def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None):
     """Per-row (p_t, p_c, uplift) with uplift = p_t - p_c exactly.
 
-    Scores `buffers.rows` rows at a time in `buffers`, which the caller
-    owns and which hold no result once this returns. Called alone, it
-    makes one activation-only set of `CHUNK` rows (fewer for a smaller
-    `x`) for the whole call. Beyond the three output vectors, its memory
-    is that set, whatever the number of rows.
+    Scores `CHUNK` rows at a time, whoever calls it, so its bits do not
+    depend on the caller. The chunks run in `buffers`, which must hold
+    `CHUNK` rows (or all of a smaller `x`); the caller owns them, and
+    they hold no result once this returns. Called alone, it makes one
+    activation-only set for the whole call. Beyond the three output
+    vectors, its memory is that set, whatever the number of rows.
     """
     x = _check_input(model, x)
     n = x.shape[0]
     if buffers is None:
         buffers = buffer_set(model, min(CHUNK, max(n, 1)), backward=False)
-    step = buffers.rows
     p_t, p_c, uplift = np.empty(n), np.empty(n), np.empty(n)
-    for s in range(0, n, step):
-        out = forward_full(model, x[s : s + step], buffers)
-        p_t[s : s + step], p_c[s : s + step] = out.p_t, out.p_c
-        uplift[s : s + step] = out.uplift
+    for s in range(0, n, CHUNK):
+        out = forward_full(model, x[s : s + CHUNK], buffers)
+        p_t[s : s + CHUNK], p_c[s : s + CHUNK] = out.p_t, out.p_c
+        uplift[s : s + CHUNK] = out.uplift
     return p_t, p_c, uplift
 
 
@@ -291,7 +285,7 @@ def backprop_factual(
     gt = np.asarray(gz_t, dtype=np.float64).reshape(-1, 1)
     gc = np.asarray(gz_c, dtype=np.float64).reshape(-1, 1)
     if buffers is None:
-        buffers = buffer_set(model, len(gt))
+        buffers = buffer_set(model, 2 * len(gt))
 
     def back(name, output_grad, input_grad=False):
         _, d_input = nncore.backward(model.nets[name], out.caches[name], output_grad,
@@ -336,9 +330,10 @@ def factual_loss(out: ModelOutputs, treatment, outcome):
 def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
     """The base loss and its parameter gradients; returns (loss, grads,
     outputs)."""
-    out = forward_full(model, x)
+    buffers = buffer_set(model, 2 * len(x))
+    out = forward_full(model, x, buffers)
     loss, gz_t, gz_c = factual_loss(out, treatment, outcome)
-    return loss, backprop_factual(model, out, gz_t, gz_c), out
+    return loss, backprop_factual(model, out, gz_t, gz_c, buffers), out
 
 
 def set_parameter_arrays(model: UpliftModel, values: np.ndarray) -> None:

@@ -10,12 +10,16 @@ batches are row-major (batch x features) numpy arrays.
 Buffers: `forward` and `backward` write into the `NetBuffers` their
 caller passes, using the first n rows of each array for a pass over n
 rows; of a batch's size they allocate only the rectifier mask, a
-transient boolean array. The caller owns that set:
+transient boolean array. A set of r rows takes forward passes over up
+to r rows and backward passes over up to r // 2: a backward pass writes
+its hidden deltas into the upper half of the activation buffers, rows
+that a forward pass of its size leaves alone. The caller owns that set:
 the returned outputs, `ForwardCache`, gradient and input gradient are
 views into it, valid until the set's next pass of the same kind
-overwrites them. Without a set, each call makes a fresh one, so its
-results stay valid for good. `adam_step` works through the vector in
-blocks of `ADAM_BLOCK` values, with scratch kept in its `AdamState`.
+overwrites them (a backward pass also overwrites activation rows past
+r // 2). Without a set, each call makes a fresh one, so its results
+stay valid for good. `adam_step` works through the vector in blocks of
+`ADAM_BLOCK` values, with scratch kept in its `AdamState`.
 
 A net ends in "linear" (a logit) or "relu" (a representation for
 further nets), never in a sigmoid: `models.forward_full` alone applies
@@ -95,14 +99,15 @@ class ForwardCache:
 
 @dataclass
 class NetBuffers:
-    """Reusable arrays for one net's passes over up to a fixed number of
-    rows, the arrays' length.
+    """Reusable arrays for one net's passes: forward passes over up to
+    the activations' length in rows, backward passes over up to the
+    deltas' length.
 
     `activations[k]` holds layer k's output (rows x its width). For
     backward, `deltas[k]` holds the loss gradient at layer k's input
-    (rows x that width; `deltas[0]` is the input gradient) and `grad` is
-    the vector the parameter gradient is written to, laid out like the
-    net's `flat`. An activation-only set, for inference, has neither.
+    (that width; `deltas[0]` is the input gradient) and `grad` is the
+    vector the parameter gradient is written to, laid out like the net's
+    `flat`. An activation-only set, for inference, has neither.
     """
 
     activations: tuple[np.ndarray, ...]
@@ -180,12 +185,22 @@ def _rows(n: int, widths) -> tuple[np.ndarray, ...]:
 
 
 def net_buffers(layer_sizes, rows: int, grad: np.ndarray | None = None) -> NetBuffers:
-    """Buffers for passes of a net with these sizes over up to `rows` rows:
-    forward only, or with `grad` (where backward writes the gradient)
-    backward too."""
+    """Buffers for forward passes of a net with these sizes over up to
+    `rows` rows, and with `grad` (where backward writes the gradient)
+    backward passes over up to `rows // 2`.
+
+    A backward pass needs the activations of the forward pass it follows
+    only in their first rows, so `deltas[k]` for k >= 1 is the upper half
+    of `activations[k - 1]`, whose width is layer k's input width; only
+    the input gradient `deltas[0]` has an array of its own.
+    """
     sizes = tuple(layer_sizes)
-    deltas = () if grad is None else _rows(rows, sizes[:-1])
-    return NetBuffers(_rows(rows, sizes[1:]), deltas, grad)
+    activations = _rows(rows, sizes[1:])
+    if grad is None:
+        return NetBuffers(activations, (), None)
+    half = rows // 2
+    deltas = (np.empty((half, sizes[0])), *(a[rows - half :] for a in activations[:-1]))
+    return NetBuffers(activations, deltas, grad)
 
 
 def _first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
@@ -250,8 +265,9 @@ def backward(
             f"layer shape {cache.outputs.shape}"
         )
     n = output_grad.shape[0]
-    if buffers is None:
-        buffers = net_buffers(params.layer_sizes, n, np.empty_like(params.flat))
+    if buffers is None:  # backward writes no activations
+        buffers = NetBuffers((), _rows(n, params.layer_sizes[:-1]),
+                             np.empty_like(params.flat))
     grad = buffers.grad
     grad_w, grad_b = layer_views(grad, params.layer_sizes)
     delta = output_grad
@@ -264,12 +280,7 @@ def backward(
         np.sum(delta, axis=0, out=grad_b[k])
         if k == 0 and not input_grad:
             return grad, None
-        d_prev = _first_rows(buffers.deltas[k], n)
-        if w.shape[1] == 1:
-            # A one-unit layer: the K=1 product as a broadcast, same bits.
-            np.multiply(delta, w.T, out=d_prev)
-        else:
-            np.matmul(delta, w.T, out=d_prev)
+        d_prev = np.matmul(delta, w.T, out=_first_rows(buffers.deltas[k], n))
         if k > 0:
             d_prev *= cache.activations[k - 1] > 0
         delta = d_prev

@@ -9,10 +9,11 @@ is computed every `eval_every` steps; training stops at `max_steps` or
 after `patience` evaluations without improvement, and the returned model
 is the best-validation checkpoint.
 
-`train` makes one `models.BufferSet` of `batch_size` rows for the whole
-run: every step's forward and backward pass and every evaluation within
-the run (scored `batch_size` rows at a time) reuse it, so a step
-allocates nothing of the model's size. The set is dropped on return.
+`train` makes one `models.BufferSet` for the whole run, of
+max(2 * `batch_size`, `models.CHUNK`) rows: every step's forward and
+backward pass and every evaluation within the run (`models.CHUNK` rows
+at a time, as outside a run) reuse it, so a step allocates nothing of
+the model's size. The set is dropped on return.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import metrics, mil, models, nncore
 from .data import Dataset, fit_scaler, minibatches
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, enum_member
 from .metrics import RunAggregate, UpliftCurve
 from .mil import BagMode
 from .models import ModelKind, UpliftModel
@@ -71,11 +72,8 @@ class TrainConfig:
         return int(self.warmup_steps)
 
     def validate(self) -> None:
-        for name, kind in (("model", ModelKind), ("mode", BagMode)):
-            value = getattr(self, name)
-            if value not in {k.value for k in kind}:
-                choices = ", ".join(k.value for k in kind)
-                raise ConfigError(f"{name!r} must be one of {choices}, got {value!r}")
+        enum_member(ModelKind, self.model, "model")
+        enum_member(BagMode, self.mode, "mode")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
         if self.bag_size < 2:
@@ -138,7 +136,8 @@ def evaluate(
     buffers: models.BufferSet | None = None,
 ) -> tuple[float, UpliftCurve]:
     """AUUC and uplift curve of a model's uplift scores on a dataset,
-    scored in `buffers` when given (see `models.predict`)."""
+    scored in `buffers` when given (see `models.predict`); the AUUC is
+    the same with or without them."""
     _, _, uplift = models.predict(model, ds.features, buffers)
     curve = metrics.uplift_curve(uplift, ds.outcome, ds.treatment, n_points)
     return curve.auuc, curve
@@ -154,7 +153,7 @@ def train(
     model.scaler = fit_scaler(train_ds.features)
     state = nncore.init_adam(model.params, cfg.learning_rate,
                              cfg.beta1, cfg.beta2, cfg.eps)
-    buffers = models.buffer_set(model, cfg.batch_size)
+    buffers = models.buffer_set(model, max(2 * cfg.batch_size, models.CHUNK))
     # Dedicated stream for the random-bag ablation; consumed only when
     # that mode is active, so clustered runs stay bitwise comparable.
     bag_rng = np.random.default_rng([cfg.seed, 104729])

@@ -57,6 +57,10 @@ class TestClusterBags:
         part = cluster_bags(np.arange(8.0), 2, BagMode.RANDOM, rng)
         assert sorted(np.concatenate(part.bags).tolist()) == list(range(8))
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="'mode'.*'nearest'"):
+            cluster_bags(np.arange(8.0), 2, "nearest")
+
     def test_random_mode_without_rng_rejected(self):
         # A seedless shuffle would draw OS entropy and break reproducibility.
         with pytest.raises(ConfigError, match="rng"):

@@ -63,7 +63,7 @@ class TestBuild:
             np.testing.assert_array_equal(a.params, b.params)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'kind'.*'slearner'"):
             build("slearner", 3, (4,), seed=0)
 
     @pytest.mark.parametrize("seed", [1.5, True, -1, None, "1"])
@@ -144,7 +144,7 @@ class TestBufferSet:
         m = _tiny(kind, seed=29)
         m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
         rng = np.random.default_rng(29)
-        bufs = models.buffer_set(m, 12)
+        bufs = models.buffer_set(m, 20)
         for _ in range(2):
             x = rng.random((9, 3))
             t = rng.integers(0, 2, 9).astype(float)
@@ -156,14 +156,28 @@ class TestBufferSet:
             assert got is bufs.grad and got.tobytes() == want.tobytes()
             assert out.uplift.tobytes() == fresh.uplift.tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 7, 64])
-    def test_predict_scores_chunks_as_wide_as_the_set(self, rows):
+    @pytest.mark.parametrize("tail", [0, 1, 7])
+    def test_predict_bits_do_not_depend_on_the_set(self, tail, monkeypatch):
+        # predict scores CHUNK rows at a time in any set that holds them,
+        # a training set wider than CHUNK included, so in-run and direct
+        # evaluations give the same bits; tails of 1 and 7 rows too.
         m = _tiny("tarnet", seed=37)
-        x = np.random.default_rng(37).random((50, 3))
-        p_t, p_c, uplift = predict(m, x, models.buffer_set(m, rows, backward=False))
-        np.testing.assert_array_equal(uplift, p_t - p_c)
-        for got, want in zip((p_t, p_c), predict(m, x)):
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+        x = np.random.default_rng(37).random((2 * models.CHUNK + tail, 3))
+        want = b"".join(v.tobytes() for v in predict(m, x))
+        passes, forward_full = [], models.forward_full
+        monkeypatch.setattr(models, "forward_full", lambda model, rows, bufs=None: (
+            passes.append(len(rows)) or forward_full(model, rows, bufs)))
+        for bufs in (models.buffer_set(m, models.CHUNK, backward=False),
+                     models.buffer_set(m, 2 * models.CHUNK + 300)):
+            passes.clear()
+            assert b"".join(v.tobytes() for v in predict(m, x, bufs)) == want
+            assert passes == [models.CHUNK] * 2 + [tail] * (tail > 0)
+
+    def test_predict_in_a_set_narrower_than_a_chunk_rejected(self):
+        m = _tiny("tarnet", seed=37)
+        bufs = models.buffer_set(m, 64, backward=False)
+        with pytest.raises(ShapeError, match="65 rows"):
+            predict(m, np.zeros((65, 3)), bufs)
 
 
 class TestPredict:

@@ -166,7 +166,7 @@ class TestStepMemory:
         y = (rng.random(n) < 0.3).astype(float)
         model = models.build("tarnet", d, (1024, 512, 256), seed=0)
         state = nncore.init_adam(model.params, 1e-3)
-        buffers = models.buffer_set(model, n)
+        buffers = models.buffer_set(model, max(2 * n, models.CHUNK))  # as train sizes it
 
         def step():
             _, grads, _ = mil.combined_loss_and_grads(
