@@ -25,23 +25,34 @@ Architectures:
   one-hidden-layer logit heads, with z_arm = shared + private logit.
 
 `_layout` is the one definition of each architecture: its nets' names,
-parameter order, layer sizes and output activations. A checkpoint
+parameter order, layer sizes, output activations and inputs. A checkpoint
 (format 2) is a .npz archive of a JSON manifest (format_version, kind,
 input_dim, hidden_sizes, seed, has_scaler), the one vector `params` and,
 with a scaler, its mean and std; `params` must have the length of the
 layout the manifest gives.
 
 Buffers: `forward_full`, `backprop_factual` and `predict` run in the
-`BufferSet` their caller passes: each net's `nncore.NetBuffers` and, in
-a set made for training, one gradient vector laid out like `params`,
-whose per-net slices the nets' backward passes write. The caller owns
-the set and makes it with `buffer_set`; a set of r rows scores up to
-r rows and trains on up to r // 2. `trainer.train` keeps one for a
-whole run, steps and evaluations alike, and drops it on return. The
-caches of the returned `ModelOutputs` and the returned gradient are
-views into the set, valid until its next pass. Without a set, each call
-makes a fresh one. A set is never an attribute of the model: a model
-outlives its run.
+`BufferSet` their caller passes: one model-input buffer, each net's
+`nncore.NetBuffers` and, in a set made for training, one gradient
+vector laid out like `params`, whose per-net slices the nets' backward
+passes write. Every input and activation buffer has a last column held
+at 1.0, so that each layer is one matrix product against its [W; b]
+block; `nncore.forward` sets that column for the rows of each pass,
+since a backward pass uses it as scratch in the rows it writes. The
+model-input buffer, of rows x (input_dim + 1), is shared by every net
+that reads the scaled features (TM's net, TARNet's trunk, DDR's control
+net and all three SDR nets): `forward_full` scales `x` straight into
+it, once per pass. TARNet's heads read the trunk's output buffer, and
+DDR's treatment net has an input buffer of its own, for the features
+and the control probability. The caller owns the set and makes it with
+`buffer_set`; a set of r rows scores up to r rows and trains on up to
+r // 2. `trainer.train` keeps one for a whole run, steps and
+evaluations alike, and drops it on return. The caches of the returned
+`ModelOutputs` (augmented activations, see `nncore.ForwardCache`) and
+the returned gradient are views into the set, valid until its next
+pass. Without a set, `forward_full` makes a fresh one and
+`backprop_factual` fresh deltas and one gradient vector. A set is never
+an attribute of the model: a model outlives its run.
 """
 
 from __future__ import annotations
@@ -95,14 +106,14 @@ class UpliftModel:
             raise ConfigError(f"'seed' must be an integer >= 0, got {self.seed!r}")
         self.input_dim, self.seed = int(self.input_dim), int(self.seed)
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
-        counts = [nncore.param_count(sizes) for _, sizes, _ in layout]
+        counts = [nncore.param_count(sizes) for _, sizes, _, _ in layout]
         params = np.ascontiguousarray(self.params, dtype=np.float64)
         if params.shape != (sum(counts),):
             shape = np.shape(self.params)
             raise ConfigError(f"'params' has shape {shape}, expected ({sum(counts)},)")
         self.params = params
         flats = np.split(params, np.cumsum(counts)[:-1])
-        self.nets = {n: NetworkParams(f, s, a) for (n, s, a), f in zip(layout, flats)}
+        self.nets = {n: NetworkParams(f, s, a) for (n, s, a, _), f in zip(layout, flats)}
 
     def __reduce__(self):
         return UpliftModel, (self.kind, self.input_dim, self.hidden_sizes,
@@ -114,26 +125,36 @@ class UpliftModel:
 
 @dataclass
 class BufferSet:
-    """A model's reusable arrays, from `buffer_set`: each net's buffers
-    and, for training, the one gradient vector `grad` whose slices are
-    the nets' `grad`; None in an activation-only set."""
+    """A model's reusable arrays, from `buffer_set`: the model-input
+    buffer `inputs` (scaled features and a ones column), each net's
+    buffers and, for training, the one gradient vector `grad` whose
+    slices are the nets' `grad`; None in an activation-only set."""
 
+    inputs: np.ndarray | None
     nets: dict[str, nncore.NetBuffers]
     grad: np.ndarray | None
+
+
+def _gradient(model: UpliftModel) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One gradient vector laid out like `params`, and its per-net slices."""
+    counts = [net.flat.size for net in model.nets.values()]
+    grad = np.empty(sum(counts))
+    return grad, np.split(grad, np.cumsum(counts)[:-1])
 
 
 def buffer_set(model: UpliftModel, rows: int, backward: bool = True) -> BufferSet:
     """A buffer set for `model` over up to `rows` rows, which trains on
     batches of up to `rows // 2`; with `backward=False`, activations
-    only."""
-    counts = [net.flat.size for net in model.nets.values()]
-    grad, slices = None, [None] * len(counts)
-    if backward:
-        grad = np.empty(sum(counts))
-        slices = np.split(grad, np.cumsum(counts)[:-1])
-    nets = {name: nncore.net_buffers(net.layer_sizes, rows, g)
-            for (name, net), g in zip(model.nets.items(), slices)}
-    return BufferSet(nets, grad)
+    only. Each net's input buffer is the one its `_layout` entry names."""
+    grad, slices = _gradient(model) if backward else (None, [None] * len(model.nets))
+    inputs = np.empty((rows, model.input_dim + 1))
+    nets: dict[str, nncore.NetBuffers] = {}
+    layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
+    for (name, sizes, _, source), g in zip(layout, slices):
+        shared = None if source is None else (
+            inputs if source == "x" else nets[source].activations[-1])
+        nets[name] = nncore.net_buffers(sizes, rows, g, shared)
+    return BufferSet(inputs, nets, grad)
 
 
 @dataclass
@@ -152,9 +173,14 @@ def _is_int(v, least: int = 1) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
-def _layout(kind: ModelKind, input_dim, hidden_sizes) -> list[tuple[str, tuple, str]]:
-    """The nets of an architecture as (name, layer_sizes, output_activation),
-    in parameter order: the one place that knows each kind's shape."""
+def _layout(
+    kind: ModelKind, input_dim, hidden_sizes
+) -> list[tuple[str, tuple, str, str | None]]:
+    """The nets of an architecture as (name, layer_sizes, output_activation,
+    input), in parameter order: the one place that knows each kind's
+    shape. `input` is "x" for a net that reads the scaled features,
+    another net's name for one that reads that net's output, and None
+    for one whose input is its own."""
     if not _is_int(input_dim):
         raise ConfigError(f"input_dim must be a positive integer, got {input_dim!r}")
     try:
@@ -167,22 +193,22 @@ def _layout(kind: ModelKind, input_dim, hidden_sizes) -> list[tuple[str, tuple, 
         )
     last = hidden[-1]
     if kind is ModelKind.TM:
-        return [("net", (input_dim, *hidden, 2), "linear")]
+        return [("net", (input_dim, *hidden, 2), "linear", "x")]
     if kind is ModelKind.TARNET:
         return [
-            ("trunk", (input_dim, *hidden), "relu"),
-            ("head_c", (last, last, 1), "linear"),
-            ("head_t", (last, last, 1), "linear"),
+            ("trunk", (input_dim, *hidden), "relu", "x"),
+            ("head_c", (last, last, 1), "linear", "trunk"),
+            ("head_t", (last, last, 1), "linear", "trunk"),
         ]
     if kind is ModelKind.DDR:
         return [
-            ("control", (input_dim, *hidden, 1), "linear"),
-            ("treatment", (input_dim + 1, *hidden, 1), "linear"),
+            ("control", (input_dim, *hidden, 1), "linear", "x"),
+            ("treatment", (input_dim + 1, *hidden, 1), "linear", None),
         ]
     return [  # SDR
-        ("shared", (input_dim, *hidden, 1), "linear"),
-        ("private_c", (input_dim, last, 1), "linear"),
-        ("private_t", (input_dim, last, 1), "linear"),
+        ("shared", (input_dim, *hidden, 1), "linear", "x"),
+        ("private_c", (input_dim, last, 1), "linear", "x"),
+        ("private_t", (input_dim, last, 1), "linear", "x"),
     ]
 
 
@@ -190,7 +216,7 @@ def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
     """Wire a model of the given kind; deterministic for a fixed seed."""
     kind = enum_member(ModelKind, kind, "kind")
     layout = _layout(kind, input_dim, hidden_sizes)
-    size = sum(nncore.param_count(sizes) for _, sizes, _ in layout)
+    size = sum(nncore.param_count(sizes) for _, sizes, _, _ in layout)
     model = UpliftModel(kind, input_dim, hidden_sizes, seed, np.empty(size))
     # Per-net seeds derive from (seed, index) so nets are independent but
     # the whole model is reproducible from one integer.
@@ -208,12 +234,15 @@ def _check_input(model: UpliftModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scale(model: UpliftModel, x: np.ndarray) -> np.ndarray:
-    x = _check_input(model, x)
+def _scale(model: UpliftModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The model's scaled features (x - mean) / std, or `x` itself
+    without a scaler, written into `out`."""
     if model.scaler is None:
-        return x
+        np.copyto(out, x)
+        return out
     mean, std = model.scaler
-    return (x - mean) / std
+    np.subtract(x, mean, out=out)
+    return np.divide(out, std, out=out)
 
 
 def forward_full(
@@ -222,12 +251,15 @@ def forward_full(
     """Forward pass keeping the caches needed for backpropagation, in
     `buffers` (fresh ones when none are given); the (n, 2) arm logits
     [z_c, z_t] go through the model's one logistic."""
-    xs = _scale(model, x)
-    nets = buffers.nets if buffers is not None else {}
+    x = _check_input(model, x)
+    n = len(x)
+    if buffers is None:
+        buffers = buffer_set(model, n, backward=False)
+    xs = _scale(model, x, nncore.first_rows(buffers.inputs, n)[:, :-1])
     caches: dict[str, ForwardCache] = {}
 
     def run(name, inputs):
-        out, caches[name] = nncore.forward(model.nets[name], inputs, nets.get(name))
+        out, caches[name] = nncore.forward(model.nets[name], inputs, buffers.nets[name])
         return out
 
     if model.kind is ModelKind.TM:
@@ -237,7 +269,10 @@ def forward_full(
         z = np.hstack([run("head_c", rep), run("head_t", rep)])
     elif model.kind is ModelKind.DDR:
         z_c = run("control", xs)
-        z = np.hstack([z_c, run("treatment", np.hstack([xs, nncore.logistic(z_c)]))])
+        fed = nncore.first_rows(buffers.nets["treatment"].inputs, n)[:, :-1]
+        fed[:, :-1] = xs
+        fed[:, -1:] = nncore.logistic(z_c)
+        z = np.hstack([z_c, run("treatment", fed)])
     else:  # SDR: both arms add their private logit to the shared one.
         z = run("shared", xs) + np.hstack([run("private_c", xs), run("private_t", xs)])
     p = nncore.logistic(z)
@@ -252,8 +287,11 @@ def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None)
     depend on the caller. The chunks run in `buffers`, which must hold
     `CHUNK` rows (or all of a smaller `x`); the caller owns them, and
     they hold no result once this returns. Called alone, it makes one
-    activation-only set for the whole call. Beyond the three output
-    vectors, its memory is that set, whatever the number of rows.
+    activation-only set for the whole call. Each chunk is scaled into
+    the set's model-input buffer, next to its column of ones, and every
+    net reading the features runs on that one copy. Beyond the three
+    output vectors, its memory is that set, inputs and activations one
+    column wider than their layers, whatever the number of rows.
     """
     x = _check_input(model, x)
     n = x.shape[0]
@@ -280,12 +318,16 @@ def backprop_factual(
     (zero on rows whose treatment arm takes no gradient), gz_c likewise
     for the control arm. Returns `buffers.grad` (from a fresh set when
     none is given), aligned with `model.params`: each net's backward pass
-    writes its own slice.
+    writes its own slice. Without a set, the call allocates that vector
+    and each net's deltas, and nothing of the activations' size.
     """
     gt = np.asarray(gz_t, dtype=np.float64).reshape(-1, 1)
     gc = np.asarray(gz_c, dtype=np.float64).reshape(-1, 1)
     if buffers is None:
-        buffers = buffer_set(model, 2 * len(gt))
+        grad, slices = _gradient(model)
+        nets = {name: nncore.backward_buffers(net.layer_sizes, len(gt), g)
+                for (name, net), g in zip(model.nets.items(), slices)}
+        buffers = BufferSet(None, nets, grad)
 
     def back(name, output_grad, input_grad=False):
         _, d_input = nncore.backward(model.nets[name], out.caches[name], output_grad,

@@ -7,17 +7,36 @@ backpropagation into one gradient vector, bias-corrected Adam updates
 in place, and masked binary cross-entropy. All arithmetic is float64;
 batches are row-major (batch x features) numpy arrays.
 
+Affine layers: `flat` holds each layer as W (fan_in x fan_out) then b,
+so the (fan_in + 1) x fan_out block [W; b] is one contiguous view
+(`layer_blocks`). Every layer input carries a trailing column of ones,
+which makes a layer one matrix product against its block, forward and
+backward: the bias is the product's last term and its gradient the
+last row of the block's gradient.
+
 Buffers: `forward` and `backward` write into the `NetBuffers` their
 caller passes, using the first n rows of each array for a pass over n
 rows; of a batch's size they allocate only the rectifier mask, a
-transient boolean array. A set of r rows takes forward passes over up
-to r rows and backward passes over up to r // 2: a backward pass writes
-its hidden deltas into the upper half of the activation buffers, rows
-that a forward pass of its size leaves alone. The caller owns that set:
-the returned outputs, `ForwardCache`, gradient and input gradient are
-views into it, valid until the set's next pass of the same kind
+transient boolean array. The input buffer and every activation buffer
+have one column more than their layer's width, held at 1.0: `forward`
+copies its input into the input buffer's other columns (numpy skips the
+copy when the input is that very view, as for an input a caller wrote
+there or the output of another net that shares the buffer) and sets the
+ones column of every buffer for the rows of its pass. A rectifier keeps
+that column, as max(1, 0) = 1. A set of r rows takes forward passes
+over up to r rows and backward passes over up to r // 2: a backward
+pass writes its hidden deltas, one column wider than the layer input
+with the last column scratch, into the upper half of the activation
+buffers, rows that a forward pass of its size leaves alone. That
+scratch overwrites the ones column in those rows, which is why every
+forward pass sets it again; the input gradient has an array of its own
+and never shares memory with the input buffer. The caller owns the
+set: the returned outputs, `ForwardCache`, gradient and input gradient
+are views into it, valid until the set's next pass of the same kind
 overwrites them (a backward pass also overwrites activation rows past
-r // 2). Without a set, each call makes a fresh one, so its results
+r // 2); the returned outputs are the final activations without their
+ones column. Without a set, `forward` makes a fresh one and `backward`
+fresh deltas and a fresh gradient (`backward_buffers`), so their results
 stay valid for good. `adam_step` works through the vector in blocks of
 `ADAM_BLOCK` values, with scratch kept in its `AdamState`.
 
@@ -59,42 +78,48 @@ class NetworkParams:
     `output_activation` ("linear" for logit heads, "relu" for shared
     representation trunks).
 
-    `weights` and `biases` are views into `flat` cut by `layer_sizes`, in
-    tuples so none can be rebound and detached: write them in place.
+    `blocks` are the layers' [W; b] views into `flat` cut by
+    `layer_sizes`; `weights` and `biases` are views of the blocks (all
+    rows but the last, and the last). All are in tuples so none can be
+    rebound and detached: write them in place.
     """
 
     flat: np.ndarray
     layer_sizes: tuple[int, ...]
     output_activation: str = "linear"
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.output_activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown output activation {self.output_activation!r}")
-        weights, biases = layer_views(self.flat, self.layer_sizes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
+        blocks = layer_blocks(self.flat, self.layer_sizes)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "weights", tuple(b[:-1] for b in blocks))
+        object.__setattr__(self, "biases", tuple(b[-1] for b in blocks))
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.blocks)
 
 
 @dataclass
 class ForwardCache:
     """The input and every layer's activation of one forward pass: all
-    that backward needs. Pre-activations are not kept, since a rectifier
-    passes gradient where `relu(z) > 0`, which equals `z > 0` (NaN and
-    exact zero included), and a linear output needs none. The
-    activations are views into the pass's `NetBuffers`."""
+    that backward needs. Both are augmented, each with its trailing
+    column of ones, and are views into the pass's `NetBuffers`;
+    `outputs` is the final activation without that column.
+    Pre-activations are not kept, since a rectifier passes gradient
+    where `relu(z) > 0`, which equals `z > 0` (NaN and exact zero
+    included), and a linear output needs none."""
 
     x: np.ndarray
     activations: list[np.ndarray] = field(default_factory=list)
 
     @property
     def outputs(self) -> np.ndarray:
-        return self.activations[-1]
+        return self.activations[-1][:, :-1]
 
 
 @dataclass
@@ -103,13 +128,17 @@ class NetBuffers:
     the activations' length in rows, backward passes over up to the
     deltas' length.
 
-    `activations[k]` holds layer k's output (rows x its width). For
-    backward, `deltas[k]` holds the loss gradient at layer k's input
-    (that width; `deltas[0]` is the input gradient) and `grad` is the
+    `inputs` holds the net's input and `activations[k]` layer k's output,
+    each with a last column of ones (rows x width + 1); other nets may
+    share `inputs`. For backward, `deltas[k]` holds the loss gradient at
+    layer k's input, one column wider than that input with the last
+    column scratch (`deltas[0]` is the input gradient), and `grad` is the
     vector the parameter gradient is written to, laid out like the net's
-    `flat`. An activation-only set, for inference, has neither.
+    `flat`. An activation-only set, for inference, has neither; a set
+    for a backward pass alone has no `inputs` and no activations.
     """
 
+    inputs: np.ndarray | None
     activations: tuple[np.ndarray, ...]
     deltas: tuple[np.ndarray, ...]
     grad: np.ndarray | None
@@ -148,18 +177,18 @@ def param_count(layer_sizes) -> int:
     return sum((i + 1) * o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
-def layer_views(flat: np.ndarray, layer_sizes) -> tuple[tuple, tuple]:
-    """(weights, biases) of a dense net as views into the vector `flat`,
-    which holds W0, b0, W1, b1, ... back to back."""
+def layer_blocks(flat: np.ndarray, layer_sizes) -> tuple[np.ndarray, ...]:
+    """The (fan_in + 1) x fan_out block [W; b] of every layer of a dense
+    net, as views into the vector `flat`, which holds W0, b0, W1, b1, ...
+    back to back."""
     if flat.shape != (param_count(layer_sizes),):
         raise ShapeError(f"{flat.shape} does not hold a net of sizes {layer_sizes}")
-    weights, biases, pos = [], [], 0
+    blocks, pos = [], 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        biases.append(flat[pos : pos + fan_out])
-        pos += fan_out
-    return tuple(weights), tuple(biases)
+        size = (fan_in + 1) * fan_out
+        blocks.append(flat[pos : pos + size].reshape(fan_in + 1, fan_out))
+        pos += size
+    return tuple(blocks)
 
 
 def init_network(layer_sizes, seed, output_activation: str = "linear") -> NetworkParams:
@@ -181,29 +210,49 @@ def init_network(layer_sizes, seed, output_activation: str = "linear") -> Networ
 
 
 def _rows(n: int, widths) -> tuple[np.ndarray, ...]:
-    return tuple(np.empty((n, w)) for w in widths)
+    """Arrays of n rows, one column wider than each width: room for the
+    ones column of an input or activation, or a delta's scratch column."""
+    return tuple(np.empty((n, w + 1)) for w in widths)
 
 
-def net_buffers(layer_sizes, rows: int, grad: np.ndarray | None = None) -> NetBuffers:
+def net_buffers(
+    layer_sizes,
+    rows: int,
+    grad: np.ndarray | None = None,
+    inputs: np.ndarray | None = None,
+) -> NetBuffers:
     """Buffers for forward passes of a net with these sizes over up to
     `rows` rows, and with `grad` (where backward writes the gradient)
-    backward passes over up to `rows // 2`.
+    backward passes over up to `rows // 2`. `inputs` is an input buffer
+    of `rows` x (input width + 1) that other nets share; a fresh one
+    when None.
 
     A backward pass needs the activations of the forward pass it follows
     only in their first rows, so `deltas[k]` for k >= 1 is the upper half
-    of `activations[k - 1]`, whose width is layer k's input width; only
-    the input gradient `deltas[0]` has an array of its own.
+    of `activations[k - 1]`, whose width is layer k's input width plus
+    one; only the input gradient `deltas[0]` has an array of its own.
     """
     sizes = tuple(layer_sizes)
+    if inputs is None:
+        (inputs,) = _rows(rows, sizes[:1])
+    elif inputs.shape != (rows, sizes[0] + 1):
+        raise ShapeError(f"input buffer of shape {inputs.shape} does not take "
+                         f"{rows} rows of {sizes[0]} inputs and a ones column")
     activations = _rows(rows, sizes[1:])
     if grad is None:
-        return NetBuffers(activations, (), None)
+        return NetBuffers(inputs, activations, (), None)
     half = rows // 2
-    deltas = (np.empty((half, sizes[0])), *(a[rows - half :] for a in activations[:-1]))
-    return NetBuffers(activations, deltas, grad)
+    deltas = (*_rows(half, sizes[:1]), *(a[rows - half :] for a in activations[:-1]))
+    return NetBuffers(inputs, activations, deltas, grad)
 
 
-def _first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
+def backward_buffers(layer_sizes, rows: int, grad: np.ndarray) -> NetBuffers:
+    """Buffers for backward passes alone over up to `rows` rows: deltas
+    of their own and the gradient vector `grad`, no activations."""
+    return NetBuffers(None, (), _rows(rows, tuple(layer_sizes)[:-1]), grad)
+
+
+def first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
     """The first n rows of a buffer, where a pass over n rows works."""
     if n > len(buffer):
         raise ShapeError(f"a pass over {n} rows does not fit buffers of {len(buffer)}")
@@ -214,7 +263,8 @@ def forward(
     params: NetworkParams, x: np.ndarray, buffers: NetBuffers | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the net on a batch; returns outputs and the backward cache,
-    both views into `buffers` (a fresh set when none is given)."""
+    both views into `buffers` (a fresh set when none is given). `x` is
+    copied into the input buffer unless it is already the view of it."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected 2-D input, got shape {x.shape}")
@@ -226,16 +276,20 @@ def forward(
     n = x.shape[0]
     if buffers is None:
         buffers = net_buffers(params.layer_sizes, n)
-    cache = ForwardCache(x=x)
-    a = x
+    a = first_rows(buffers.inputs, n)
+    np.copyto(a[:, :-1], x)
+    a[:, -1] = 1.0
+    cache = ForwardCache(x=a)
     last = params.n_layers - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = np.matmul(a, w, out=_first_rows(buffers.activations[k], n))
-        a += b
+    for k, block in enumerate(params.blocks):
+        out = first_rows(buffers.activations[k], n)
+        out[:, -1] = 1.0  # a backward pass may have used it as scratch
+        np.matmul(a, block, out=out[:, :-1])
         if k < last or params.output_activation == "relu":
-            np.maximum(a, 0.0, out=a)
-        cache.activations.append(a)
-    return a, cache
+            np.maximum(out, 0.0, out=out)
+        cache.activations.append(out)
+        a = out
+    return cache.outputs, cache
 
 
 def backward(
@@ -253,8 +307,14 @@ def backward(
     like `params.flat`, and input_grad is the gradient with respect to the
     batch input (a view into `buffers.deltas[0]`), or None when
     `input_grad=False` asks not to form it. Without `buffers`, both come
-    from a fresh set. The rectifier mask is applied in place, to a delta
-    no caller sees.
+    from fresh arrays (`backward_buffers`). The rectifier mask is applied
+    in place, to a delta no caller sees.
+
+    Each layer's block gradient is one product, input.T @ delta, and the
+    gradient at its input one more, delta @ block.T over the augmented
+    width, whose last column is scratch. For a one-unit layer that second
+    product is a broadcast multiply instead: the same values as the
+    product over one term, without its call.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     if len(cache.activations) != params.n_layers:
@@ -265,25 +325,27 @@ def backward(
             f"layer shape {cache.outputs.shape}"
         )
     n = output_grad.shape[0]
-    if buffers is None:  # backward writes no activations
-        buffers = NetBuffers((), _rows(n, params.layer_sizes[:-1]),
-                             np.empty_like(params.flat))
+    if buffers is None:
+        buffers = backward_buffers(params.layer_sizes, n, np.empty_like(params.flat))
     grad = buffers.grad
-    grad_w, grad_b = layer_views(grad, params.layer_sizes)
+    grad_blocks = layer_blocks(grad, params.layer_sizes)
     delta = output_grad
     for k in range(params.n_layers - 1, -1, -1):
         a_prev = cache.activations[k - 1] if k > 0 else cache.x
-        w = params.weights[k]
-        if cache.activations[k].shape[1] != w.shape[1]:
+        block = params.blocks[k]
+        if cache.activations[k].shape[1] != block.shape[1] + 1:
             raise ShapeError("cache does not match network layer widths")
-        np.matmul(a_prev.T, delta, out=grad_w[k])
-        np.sum(delta, axis=0, out=grad_b[k])
+        np.matmul(a_prev.T, delta, out=grad_blocks[k])
         if k == 0 and not input_grad:
             return grad, None
-        d_prev = np.matmul(delta, w.T, out=_first_rows(buffers.deltas[k], n))
+        d_prev = first_rows(buffers.deltas[k], n)
+        if block.shape[1] == 1:
+            np.multiply(delta, block.T, out=d_prev)
+        else:
+            np.matmul(delta, block.T, out=d_prev)
         if k > 0:
-            d_prev *= cache.activations[k - 1] > 0
-        delta = d_prev
+            d_prev *= a_prev > 0
+        delta = d_prev[:, :-1]
     return grad, delta
 
 

@@ -226,9 +226,9 @@ def _first_nonfinite_grad(model: UpliftModel, buffers: models.BufferSet) -> str:
     """'net layer k' of the first gradient slice, in parameter order, that
     holds a non-finite value; 'none' when every value is finite."""
     for name, net in buffers.nets.items():
-        weights, biases = nncore.layer_views(net.grad, model.nets[name].layer_sizes)
-        for k, (w, b) in enumerate(zip(weights, biases)):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        blocks = nncore.layer_blocks(net.grad, model.nets[name].layer_sizes)
+        for k, block in enumerate(blocks):
+            if not np.isfinite(block).all():
                 return f"{name} layer {k}"
     return "none"
 

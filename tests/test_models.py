@@ -137,6 +137,40 @@ class TestBufferSet:
         assert inference.grad is None
         assert all(b.grad is None and not b.deltas for b in inference.nets.values())
 
+    def test_nets_share_input_buffers(self):
+        # Every net that reads the scaled features reads the set's one
+        # model-input buffer; TARNet's heads read the trunk's output
+        # buffer and DDR's treatment net has an input buffer of its own.
+        for kind, readers in [("sdr", ["shared", "private_c", "private_t"]),
+                              ("tm", ["net"]), ("ddr", ["control"]),
+                              ("tarnet", ["trunk"])]:
+            bufs = models.buffer_set(_tiny(kind, seed=23), 8)
+            assert bufs.inputs.shape == (8, 4)
+            for name in readers:
+                assert bufs.nets[name].inputs is bufs.inputs
+        bufs = models.buffer_set(_tiny("tarnet", seed=23), 8)
+        for head in ("head_c", "head_t"):
+            assert np.shares_memory(bufs.nets[head].inputs,
+                                    bufs.nets["trunk"].activations[-1])
+            assert not np.shares_memory(bufs.nets[head].inputs, bufs.inputs)
+        bufs = models.buffer_set(_tiny("ddr", seed=23), 8)
+        assert bufs.nets["treatment"].inputs.shape == (8, 5)
+        assert not np.shares_memory(bufs.nets["treatment"].inputs, bufs.inputs)
+
+    def test_features_are_scaled_once_into_the_set(self):
+        # forward_full scales x into the model-input buffer, and the SDR
+        # nets' caches are views of that one copy.
+        m = _tiny("sdr", seed=23)
+        m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
+        x = np.random.default_rng(23).random((5, 3))
+        bufs = models.buffer_set(m, 8)
+        out = models.forward_full(m, x, bufs)
+        scaled = (x - m.scaler[0]) / m.scaler[1]
+        assert bufs.inputs[:5, :-1].tobytes() == scaled.tobytes()
+        assert (bufs.inputs[:5, -1] == 1.0).all()
+        for cache in out.caches.values():
+            assert np.shares_memory(cache.x, bufs.inputs)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_step_in_buffers_gives_fresh_bits(self, kind):
         # A batch shorter than the set, run twice in it, against fresh
@@ -155,6 +189,29 @@ class TestBufferSet:
             got = models.backprop_factual(m, out, gz_t, gz_c, bufs)
             assert got is bufs.grad and got.tobytes() == want.tobytes()
             assert out.uplift.tobytes() == fresh.uplift.tobytes()
+
+    def test_fresh_backprop_allocates_gradient_and_deltas_only(self):
+        # Without a set, backprop_factual allocates the one gradient
+        # vector and each net's deltas (one column wider than each layer
+        # input, for the batch's rows), plus the transient rectifier mask
+        # and numpy's 64 KiB buffer for casting it; nothing of the
+        # activations' size.
+        m = build("tarnet", 10, (1024, 512, 256), seed=0)
+        n = 1024
+        rng = np.random.default_rng(41)
+        out = models.forward_full(m, rng.random((n, 10)))
+        gz_t, gz_c = rng.normal(size=n), rng.normal(size=n)
+        deltas = sum(8 * n * (w + 1) for net in m.nets.values()
+                     for w in net.layer_sizes[:-1])
+        mask = n * (1024 + 1)  # the widest layer input's booleans
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            models.backprop_factual(m, out, gz_t, gz_c)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.params.nbytes + deltas + mask + 2 * 65536
 
     @pytest.mark.parametrize("tail", [0, 1, 7])
     def test_predict_bits_do_not_depend_on_the_set(self, tail, monkeypatch):
@@ -325,7 +382,7 @@ class TestBaseLoss:
         loss, grads, out = models.base_loss_and_grads(m, x, t, y)
         assert abs(loss - base_loss_ref(out.p_t, out.p_c, t, y)) < 1e-12
         # Control column of the output layer receives no gradient
-        g_w_last = nncore.layer_views(grads, m.nets["net"].layer_sizes)[0][-1]
+        g_w_last = nncore.layer_blocks(grads, m.nets["net"].layer_sizes)[-1][:-1]
         assert not g_w_last[:, 0].any()
 
 

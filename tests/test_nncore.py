@@ -61,7 +61,10 @@ class TestForward:
         net.biases[0][:] = 0.0
         x = np.array([[0.5, 1.0, 2.0]])
         _, cache = nncore.forward(net, x)
-        np.testing.assert_array_equal(cache.activations[0], x)
+        # The cache holds augmented activations: the layer's output, then
+        # its column of ones.
+        np.testing.assert_array_equal(cache.activations[0], np.append(x, [[1.0]], 1))
+        np.testing.assert_array_equal(cache.x, np.append(x, [[1.0]], 1))
 
     def test_batch_shape_contract(self):
         net = nncore.init_network((4, 8, 8, 2), seed=3)
@@ -132,12 +135,36 @@ class TestBuffers:
         assert np.shares_memory(b_dx, bufs.deltas[0])
 
     def test_hidden_deltas_are_the_upper_half_of_the_activations(self):
+        # Inputs, activations and deltas are one column wider than their
+        # layer: a ones column, or a delta's scratch column.
         net = nncore.init_network((3, 7, 5, 2), seed=6)
         bufs = nncore.net_buffers(net.layer_sizes, 9, np.empty_like(net.flat))
-        assert [d.shape for d in bufs.deltas] == [(4, 3), (4, 7), (4, 5)]
+        assert bufs.inputs.shape == (9, 4)
+        assert [a.shape for a in bufs.activations] == [(9, 8), (9, 6), (9, 3)]
+        assert [d.shape for d in bufs.deltas] == [(4, 4), (4, 8), (4, 6)]
         for delta, acts in zip(bufs.deltas[1:], bufs.activations):
             assert np.shares_memory(delta, acts[5:])
             assert not np.shares_memory(delta, acts[:5])
+        # The input gradient never overwrites the input buffer.
+        assert not np.shares_memory(bufs.deltas[0], bufs.inputs)
+
+    def test_forward_after_backward_gives_fresh_bits(self):
+        # A backward pass writes its deltas' scratch column over the ones
+        # column of the activations' upper half; a forward pass over more
+        # than half the set's rows reads those rows, so it must set the
+        # column again.
+        net = nncore.init_network((3, 7, 5, 2), seed=7)
+        rng = np.random.default_rng(7)
+        bufs = nncore.net_buffers(net.layer_sizes, 10, np.empty_like(net.flat))
+        _, cache = nncore.forward(net, rng.normal(size=(5, 3)), bufs)
+        nncore.backward(net, cache, rng.normal(size=(5, 2)), buffers=bufs)
+        assert any((a[5:, -1] != 1.0).any() for a in bufs.activations[:-1])
+        x = rng.normal(size=(9, 3))
+        out, cache = nncore.forward(net, x, bufs)
+        fresh_out, fresh = nncore.forward(net, x)
+        assert out.tobytes() == fresh_out.tobytes()
+        for got, want in zip(cache.activations, fresh.activations):
+            assert got.tobytes() == want.tobytes()
 
     def test_pass_wider_than_buffers_rejected(self):
         # Forward passes take up to the set's rows, backward passes half.
@@ -196,7 +223,7 @@ class TestBackward:
         net.weights[1][...] = [[1.0], [1.0]]
         _, cache = nncore.forward(net, np.zeros((1, 1)))
         grads, dx = nncore.backward(net, cache, np.ones((1, 1)))
-        (_, _), (grad_b0, _) = nncore.layer_views(grads, net.layer_sizes)
+        grad_b0 = nncore.layer_blocks(grads, net.layer_sizes)[0][-1]
         np.testing.assert_array_equal(grad_b0, [0.0, 1.0])
         np.testing.assert_array_equal(dx, [[-1.0]])
         trunk = nncore.init_network((1, 2), seed=0, output_activation="relu")
