@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and `enum_member`, the
-one lookup that reports an unknown enum value as a `ConfigError`."""
+"""Exception types shared across the package, `enum_member`, the one
+lookup that reports an unknown enum value as a `ConfigError`, and
+`is_int`, the one test of an integer setting."""
+
+import numpy as np
 
 
 class UpliftError(Exception):
@@ -38,3 +41,8 @@ def enum_member(enum, value, name: str):
     except ValueError:
         choices = ", ".join(m.value for m in enum)
         raise ConfigError(f"{name!r} must be one of {choices}, got {value!r}") from None
+
+
+def is_int(v, least: int = 1) -> bool:
+    """An integer >= least; bool, float and str values are not integers."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least

@@ -22,6 +22,11 @@ bag's label, prediction, residual and gradient comes from a few array
 operations over its rows; there are no per-bag objects. `batch_bag_stats`
 gives every bag's label and prediction at once, and a single bag is a
 one-row partition.
+
+A training step, `combined_loss_and_grads`, is one `models.forward_full`
+pass, the bag sums and one `models.backprop_factual` pass, both in one
+`models.BufferSet`: the backward pass differentiates the forward pass
+last run in that set (`nncore`'s pass contract).
 """
 
 from __future__ import annotations
@@ -186,9 +191,9 @@ def combined_loss_and_grads(
     A non-finite base loss (a diverged model) forms no bags either: the
     returned loss is then non-finite for the caller to report.
 
-    The pass runs in `buffers` (`models.buffer_set`; one fresh set when
-    none is given), and the returned gradient and outputs' caches are
-    views into it.
+    The pass runs in `buffers` (`models.buffer_set`; one fresh set of
+    2 * len(x) rows when none is given), and the returned gradient is a
+    view into it.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
@@ -219,7 +224,7 @@ def combined_loss_and_grads(
         gz_t = gz_t + alpha * dp_t * out.p_t * (1.0 - out.p_t)
         gz_c = gz_c + alpha * dp_c * out.p_c * (1.0 - out.p_c)
 
-    grads = models.backprop_factual(model, out, gz_t, gz_c, buffers)
+    grads = models.backprop_factual(model, gz_t, gz_c, buffers)
     breakdown = LossBreakdown(
         l_base=l_base,
         l_mil=l_mil,

@@ -31,27 +31,27 @@ input_dim, hidden_sizes, seed, has_scaler), the one vector `params` and,
 with a scaler, its mean and std; `params` must have the length of the
 layout the manifest gives.
 
-Buffers: `forward_full`, `backprop_factual` and `predict` run in the
-`BufferSet` their caller passes: one model-input buffer, each net's
-`nncore.NetBuffers` and, in a set made for training, one gradient
-vector laid out like `params`, whose per-net slices the nets' backward
-passes write. Every input and activation buffer has a last column held
-at 1.0, so that each layer is one matrix product against its [W; b]
-block; `nncore.forward` sets that column for the rows of each pass,
-since a backward pass uses it as scratch in the rows it writes. The
-model-input buffer, of rows x (input_dim + 1), is shared by every net
-that reads the scaled features (TM's net, TARNet's trunk, DDR's control
-net and all three SDR nets): `forward_full` scales `x` straight into
-it, once per pass. TARNet's heads read the trunk's output buffer, and
-DDR's treatment net has an input buffer of its own, for the features
-and the control probability. The caller owns the set and makes it with
-`buffer_set`; a set of r rows scores up to r rows and trains on up to
-r // 2. `trainer.train` keeps one for a whole run, steps and
-evaluations alike, and drops it on return. The caches of the returned
-`ModelOutputs` (augmented activations, see `nncore.ForwardCache`) and
-the returned gradient are views into the set, valid until its next
-pass. Without a set, `forward_full` makes a fresh one and
-`backprop_factual` fresh deltas and one gradient vector. A set is never
+Buffers: `forward_full`, `backprop_factual` and `predict` run in a
+`BufferSet`: one model-input buffer, each net's `nncore.NetBuffers` and,
+in a set made for training, one gradient vector laid out like `params`,
+whose per-net slices the nets' backward passes write. Every input and
+activation buffer has a last column held at 1.0, so that each layer is
+one matrix product against its [W; b] block; `nncore.forward` sets that
+column for the rows of each pass, since a backward pass uses it as
+scratch in the rows it writes. The model-input buffer, of rows x
+(input_dim + 1), is shared by every net that reads the scaled features
+(TM's net, TARNet's trunk, DDR's control net and all three SDR nets):
+`forward_full` scales `x` straight into it, once per pass. TARNet's
+heads read the trunk's output buffer, and DDR's treatment net has an
+input buffer of its own, for the features and the control probability.
+The caller owns the set and makes it with `buffer_set`; a set of r rows
+scores up to r rows and trains on up to r // 2: `backprop_factual`
+differentiates the `forward_full` pass last run in its set (`nncore`'s
+pass contract, net by net), so it takes the set that pass ran in.
+`trainer.train` keeps one for a whole run, steps and evaluations alike,
+and drops it on return. The returned gradient is a view into the set,
+valid until its next backward pass. Called without a set, `forward_full`
+and `predict` make an activation-only one for the call. A set is never
 an attribute of the model: a model outlives its run.
 """
 
@@ -64,8 +64,8 @@ from enum import Enum
 import numpy as np
 
 from . import nncore
-from .errors import ConfigError, ShapeError, enum_member
-from .nncore import ForwardCache, NetworkParams
+from .errors import ConfigError, ShapeError, enum_member, is_int
+from .nncore import NetworkParams
 
 CHECKPOINT_VERSION = 2
 
@@ -102,7 +102,7 @@ class UpliftModel:
     def __post_init__(self):
         self.kind = enum_member(ModelKind, self.kind, "kind")
         layout = _layout(self.kind, self.input_dim, self.hidden_sizes)
-        if not _is_int(self.seed, least=0):
+        if not is_int(self.seed, least=0):
             raise ConfigError(f"'seed' must be an integer >= 0, got {self.seed!r}")
         self.input_dim, self.seed = int(self.input_dim), int(self.seed)
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
@@ -130,23 +130,18 @@ class BufferSet:
     buffers and, for training, the one gradient vector `grad` whose
     slices are the nets' `grad`; None in an activation-only set."""
 
-    inputs: np.ndarray | None
+    inputs: np.ndarray
     nets: dict[str, nncore.NetBuffers]
     grad: np.ndarray | None
-
-
-def _gradient(model: UpliftModel) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One gradient vector laid out like `params`, and its per-net slices."""
-    counts = [net.flat.size for net in model.nets.values()]
-    grad = np.empty(sum(counts))
-    return grad, np.split(grad, np.cumsum(counts)[:-1])
 
 
 def buffer_set(model: UpliftModel, rows: int, backward: bool = True) -> BufferSet:
     """A buffer set for `model` over up to `rows` rows, which trains on
     batches of up to `rows // 2`; with `backward=False`, activations
     only. Each net's input buffer is the one its `_layout` entry names."""
-    grad, slices = _gradient(model) if backward else (None, [None] * len(model.nets))
+    counts = [net.flat.size for net in model.nets.values()]
+    grad = np.empty(sum(counts)) if backward else None
+    slices = np.split(grad, np.cumsum(counts)[:-1]) if backward else [None] * len(counts)
     inputs = np.empty((rows, model.input_dim + 1))
     nets: dict[str, nncore.NetBuffers] = {}
     layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
@@ -159,18 +154,11 @@ def buffer_set(model: UpliftModel, rows: int, backward: bool = True) -> BufferSe
 
 @dataclass
 class ModelOutputs:
-    """Per-row probabilities, the uplift vector, and each net's backward
-    cache (its input and activations) for `backprop_factual`."""
+    """Per-row probabilities and the uplift vector of a forward pass."""
 
     p_t: np.ndarray
     p_c: np.ndarray
     uplift: np.ndarray
-    caches: dict[str, ForwardCache]
-
-
-def _is_int(v, least: int = 1) -> bool:
-    """An integer >= least; bool, float and str values are not integers."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
 
 
 def _layout(
@@ -181,13 +169,13 @@ def _layout(
     shape. `input` is "x" for a net that reads the scaled features,
     another net's name for one that reads that net's output, and None
     for one whose input is its own."""
-    if not _is_int(input_dim):
+    if not is_int(input_dim):
         raise ConfigError(f"input_dim must be a positive integer, got {input_dim!r}")
     try:
         hidden = tuple(hidden_sizes)
     except TypeError:
         hidden = ()
-    if not hidden or not all(map(_is_int, hidden)):
+    if not hidden or not all(map(is_int, hidden)):
         raise ConfigError(
             f"hidden_sizes must be positive integers, got {hidden_sizes!r}"
         )
@@ -248,19 +236,18 @@ def _scale(model: UpliftModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def forward_full(
     model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None
 ) -> ModelOutputs:
-    """Forward pass keeping the caches needed for backpropagation, in
-    `buffers` (fresh ones when none are given); the (n, 2) arm logits
-    [z_c, z_t] go through the model's one logistic."""
+    """Forward pass of every net in `buffers` (a fresh activation-only
+    set when none is given), which keeps what `backprop_factual` needs;
+    the (n, 2) arm logits [z_c, z_t] go through the model's one
+    logistic."""
     x = _check_input(model, x)
     n = len(x)
     if buffers is None:
         buffers = buffer_set(model, n, backward=False)
     xs = _scale(model, x, nncore.first_rows(buffers.inputs, n)[:, :-1])
-    caches: dict[str, ForwardCache] = {}
 
     def run(name, inputs):
-        out, caches[name] = nncore.forward(model.nets[name], inputs, buffers.nets[name])
-        return out
+        return nncore.forward(model.nets[name], inputs, buffers.nets[name])
 
     if model.kind is ModelKind.TM:
         z = run("net", xs)
@@ -277,7 +264,7 @@ def forward_full(
         z = run("shared", xs) + np.hstack([run("private_c", xs), run("private_t", xs)])
     p = nncore.logistic(z)
     p_c, p_t = p[:, 0], p[:, 1]
-    return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c, caches=caches)
+    return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c)
 
 
 def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None):
@@ -306,33 +293,22 @@ def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None)
 
 
 def backprop_factual(
-    model: UpliftModel,
-    out: ModelOutputs,
-    gz_t: np.ndarray,
-    gz_c: np.ndarray,
-    buffers: BufferSet | None = None,
+    model: UpliftModel, gz_t: np.ndarray, gz_c: np.ndarray, buffers: BufferSet
 ) -> np.ndarray:
-    """Route per-row arm-logit gradients through the architecture.
+    """Route per-row arm-logit gradients through the architecture, for
+    the `forward_full` pass last run in `buffers`.
 
     gz_t[i] is the loss gradient at the treatment arm's logit for row i
     (zero on rows whose treatment arm takes no gradient), gz_c likewise
-    for the control arm. Returns `buffers.grad` (from a fresh set when
-    none is given), aligned with `model.params`: each net's backward pass
-    writes its own slice. Without a set, the call allocates that vector
-    and each net's deltas, and nothing of the activations' size.
+    for the control arm. Returns `buffers.grad`, aligned with
+    `model.params`: each net's backward pass writes its own slice.
     """
     gt = np.asarray(gz_t, dtype=np.float64).reshape(-1, 1)
     gc = np.asarray(gz_c, dtype=np.float64).reshape(-1, 1)
-    if buffers is None:
-        grad, slices = _gradient(model)
-        nets = {name: nncore.backward_buffers(net.layer_sizes, len(gt), g)
-                for (name, net), g in zip(model.nets.items(), slices)}
-        buffers = BufferSet(None, nets, grad)
 
     def back(name, output_grad, input_grad=False):
-        _, d_input = nncore.backward(model.nets[name], out.caches[name], output_grad,
-                                     input_grad=input_grad, buffers=buffers.nets[name])
-        return d_input
+        return nncore.backward(model.nets[name], buffers.nets[name], output_grad,
+                               input_grad=input_grad)[1]
 
     if model.kind is ModelKind.TM:
         back("net", np.hstack([gc, gt]))
@@ -340,8 +316,8 @@ def backprop_factual(
         # Both heads' input gradients summed in head_c's delta buffer.
         d_rep = back("head_c", gc, True)
         d_rep += back("head_t", gt, True)
-        trunk, cache = model.nets["trunk"], out.caches["trunk"]
-        back("trunk", nncore.output_grad_to_preact(trunk, cache, d_rep, out=d_rep))
+        trunk, bufs = model.nets["trunk"], buffers.nets["trunk"]
+        back("trunk", nncore.output_grad_to_preact(trunk, bufs, d_rep, out=d_rep))
     elif model.kind is ModelKind.DDR:
         # No input gradient for the treatment net: the appended control
         # probability is a constant input (stop-gradient).
@@ -375,7 +351,7 @@ def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
     buffers = buffer_set(model, 2 * len(x))
     out = forward_full(model, x, buffers)
     loss, gz_t, gz_c = factual_loss(out, treatment, outcome)
-    return loss, backprop_factual(model, out, gz_t, gz_c, buffers), out
+    return loss, backprop_factual(model, gz_t, gz_c, buffers), out
 
 
 def set_parameter_arrays(model: UpliftModel, values: np.ndarray) -> None:

@@ -1,7 +1,7 @@
 """Minimal dense feedforward network machinery.
 
 Everything needed to train the uplift models lives here: parameter
-vectors cut into per-layer views, a forward pass that caches each
+vectors cut into per-layer views, a forward pass that keeps each
 layer's activation (not its pre-activation), exact reverse-mode
 backpropagation into one gradient vector, bias-corrected Adam updates
 in place, and masked binary cross-entropy. All arithmetic is float64;
@@ -14,31 +14,34 @@ which makes a layer one matrix product against its block, forward and
 backward: the bias is the product's last term and its gradient the
 last row of the block's gradient.
 
-Buffers: `forward` and `backward` write into the `NetBuffers` their
-caller passes, using the first n rows of each array for a pass over n
-rows; of a batch's size they allocate only the rectifier mask, a
-transient boolean array. The input buffer and every activation buffer
-have one column more than their layer's width, held at 1.0: `forward`
-copies its input into the input buffer's other columns (numpy skips the
-copy when the input is that very view, as for an input a caller wrote
-there or the output of another net that shares the buffer) and sets the
-ones column of every buffer for the rows of its pass. A rectifier keeps
-that column, as max(1, 0) = 1. A set of r rows takes forward passes
-over up to r rows and backward passes over up to r // 2: a backward
-pass writes its hidden deltas, one column wider than the layer input
-with the last column scratch, into the upper half of the activation
-buffers, rows that a forward pass of its size leaves alone. That
-scratch overwrites the ones column in those rows, which is why every
-forward pass sets it again; the input gradient has an array of its own
-and never shares memory with the input buffer. The caller owns the
-set: the returned outputs, `ForwardCache`, gradient and input gradient
-are views into it, valid until the set's next pass of the same kind
+Buffers: `forward` and `backward` run in the `NetBuffers` their caller
+passes, using the first n rows of each array for a pass over n rows; of
+a batch's size they allocate only the rectifier mask, a transient
+boolean array. The input buffer and every activation buffer have one
+column more than their layer's width, held at 1.0: `forward` copies its
+input into the input buffer's other columns (numpy skips the copy when
+the input is that very view, as for an input a caller wrote there or the
+output of another net that shares the buffer) and sets the ones column
+of every buffer for the rows of its pass. A rectifier keeps that column,
+as max(1, 0) = 1.
+
+The pass contract: a set of r rows takes forward passes over up to r
+rows, and a backward pass differentiates the forward pass last run in
+its set, over rows <= r // 2. The set records that pass's row count, and
+`backward` raises ShapeError for an output gradient of other rows or
+width, or for a set laid out for another net. A backward pass writes its
+hidden deltas, one column wider than the layer input with the last
+column scratch, into the upper half of the activation buffers, rows that
+a forward pass of its size leaves alone, so the forward pass stays whole
+for another backward pass. That scratch overwrites the ones column in
+those rows, which is why every forward pass sets it again; the input
+gradient has an array of its own and never shares memory with the input
+buffer. The caller owns the set: the returned outputs (the final
+activations without their ones column), gradient and input gradient are
+views into it, valid until the set's next pass of the same kind
 overwrites them (a backward pass also overwrites activation rows past
-r // 2); the returned outputs are the final activations without their
-ones column. Without a set, `forward` makes a fresh one and `backward`
-fresh deltas and a fresh gradient (`backward_buffers`), so their results
-stay valid for good. `adam_step` works through the vector in blocks of
-`ADAM_BLOCK` values, with scratch kept in its `AdamState`.
+r // 2). `adam_step` works through the vector in blocks of `ADAM_BLOCK`
+values, with scratch kept in its `AdamState`.
 
 A net ends in "linear" (a logit) or "relu" (a representation for
 further nets), never in a sigmoid: `models.forward_full` alone applies
@@ -105,24 +108,6 @@ class NetworkParams:
 
 
 @dataclass
-class ForwardCache:
-    """The input and every layer's activation of one forward pass: all
-    that backward needs. Both are augmented, each with its trailing
-    column of ones, and are views into the pass's `NetBuffers`;
-    `outputs` is the final activation without that column.
-    Pre-activations are not kept, since a rectifier passes gradient
-    where `relu(z) > 0`, which equals `z > 0` (NaN and exact zero
-    included), and a linear output needs none."""
-
-    x: np.ndarray
-    activations: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.activations[-1][:, :-1]
-
-
-@dataclass
 class NetBuffers:
     """Reusable arrays for one net's passes: forward passes over up to
     the activations' length in rows, backward passes over up to the
@@ -134,14 +119,19 @@ class NetBuffers:
     layer k's input, one column wider than that input with the last
     column scratch (`deltas[0]` is the input gradient), and `grad` is the
     vector the parameter gradient is written to, laid out like the net's
-    `flat`. An activation-only set, for inference, has neither; a set
-    for a backward pass alone has no `inputs` and no activations.
+    `flat`. An activation-only set, for inference, has neither. `rows`
+    is the row count of the forward pass last run in the set, None
+    before the first: the pass that `backward` differentiates.
+    Activations hold no pre-activations, since a rectifier passes
+    gradient where `relu(z) > 0`, which equals `z > 0` (NaN and exact
+    zero included), and a linear output needs none.
     """
 
-    inputs: np.ndarray | None
+    inputs: np.ndarray
     activations: tuple[np.ndarray, ...]
     deltas: tuple[np.ndarray, ...]
     grad: np.ndarray | None
+    rows: int | None = None
 
 
 @dataclass
@@ -246,12 +236,6 @@ def net_buffers(
     return NetBuffers(inputs, activations, deltas, grad)
 
 
-def backward_buffers(layer_sizes, rows: int, grad: np.ndarray) -> NetBuffers:
-    """Buffers for backward passes alone over up to `rows` rows: deltas
-    of their own and the gradient vector `grad`, no activations."""
-    return NetBuffers(None, (), _rows(rows, tuple(layer_sizes)[:-1]), grad)
-
-
 def first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
     """The first n rows of a buffer, where a pass over n rows works."""
     if n > len(buffer):
@@ -259,12 +243,10 @@ def first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
     return buffer[:n]
 
 
-def forward(
-    params: NetworkParams, x: np.ndarray, buffers: NetBuffers | None = None
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the net on a batch; returns outputs and the backward cache,
-    both views into `buffers` (a fresh set when none is given). `x` is
-    copied into the input buffer unless it is already the view of it."""
+def forward(params: NetworkParams, x: np.ndarray, buffers: NetBuffers) -> np.ndarray:
+    """Run the net on a batch in `buffers` and return its outputs, a view
+    into them; the set records the pass for `backward`. `x` is copied
+    into the input buffer unless it is already the view of it."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected 2-D input, got shape {x.shape}")
@@ -274,12 +256,10 @@ def forward(
             f"{params.weights[0].shape[0]}"
         )
     n = x.shape[0]
-    if buffers is None:
-        buffers = net_buffers(params.layer_sizes, n)
     a = first_rows(buffers.inputs, n)
+    buffers.rows = None  # until the pass is whole
     np.copyto(a[:, :-1], x)
     a[:, -1] = 1.0
-    cache = ForwardCache(x=a)
     last = params.n_layers - 1
     for k, block in enumerate(params.blocks):
         out = first_rows(buffers.activations[k], n)
@@ -287,27 +267,27 @@ def forward(
         np.matmul(a, block, out=out[:, :-1])
         if k < last or params.output_activation == "relu":
             np.maximum(out, 0.0, out=out)
-        cache.activations.append(out)
         a = out
-    return cache.outputs, cache
+    buffers.rows = n
+    return a[:, :-1]
 
 
 def backward(
     params: NetworkParams,
-    cache: ForwardCache,
+    buffers: NetBuffers,
     output_grad: np.ndarray,
     *,
     input_grad: bool = True,
-    buffers: NetBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact reverse-mode gradients for a loss whose gradient with respect
-    to the final layer's pre-activations is `output_grad`.
+    """Exact reverse-mode gradients of the forward pass last run in
+    `buffers`, for a loss whose gradient with respect to the final
+    layer's pre-activations is `output_grad`, one row per row of that
+    pass.
 
     Returns (grad, input_grad) where grad is `buffers.grad`, laid out
     like `params.flat`, and input_grad is the gradient with respect to the
     batch input (a view into `buffers.deltas[0]`), or None when
-    `input_grad=False` asks not to form it. Without `buffers`, both come
-    from fresh arrays (`backward_buffers`). The rectifier mask is applied
+    `input_grad=False` asks not to form it. The rectifier mask is applied
     in place, to a delta no caller sees.
 
     Each layer's block gradient is one product, input.T @ delta, and the
@@ -317,46 +297,44 @@ def backward(
     that skip the input's ones column.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
-    if len(cache.activations) != params.n_layers:
-        raise ShapeError("cache does not match network depth")
-    if output_grad.shape != cache.outputs.shape:
+    widths = tuple(a.shape[1] - 1 for a in (buffers.inputs, *buffers.activations))
+    if widths != params.layer_sizes:
+        raise ShapeError(f"buffers of widths {widths} do not fit a net of sizes "
+                         f"{params.layer_sizes}")
+    n = buffers.rows
+    if output_grad.shape != (n, widths[-1]):
         raise ShapeError(
-            f"output_grad shape {output_grad.shape} does not match final "
-            f"layer shape {cache.outputs.shape}"
+            f"output_grad shape {output_grad.shape} does not match {(n, widths[-1])}, "
+            "the outputs of the set's last forward pass (None rows: no pass yet)"
         )
-    n = output_grad.shape[0]
-    if buffers is None:
-        buffers = backward_buffers(params.layer_sizes, n, np.empty_like(params.flat))
-    grad = buffers.grad
-    grad_blocks = layer_blocks(grad, params.layer_sizes)
+    grad_blocks = layer_blocks(buffers.grad, params.layer_sizes)
     delta = output_grad
     for k in range(params.n_layers - 1, -1, -1):
-        a_prev = cache.activations[k - 1] if k > 0 else cache.x
-        block = params.blocks[k]
-        if cache.activations[k].shape[1] != block.shape[1] + 1:
-            raise ShapeError("cache does not match network layer widths")
+        a_prev = (buffers.activations[k - 1] if k > 0 else buffers.inputs)[:n]
         np.matmul(a_prev.T, delta, out=grad_blocks[k])
         if k == 0 and not input_grad:
-            return grad, None
+            return buffers.grad, None
         d_prev = first_rows(buffers.deltas[k], n)
-        np.matmul(delta, block.T, out=d_prev)
+        np.matmul(delta, params.blocks[k].T, out=d_prev)
         if k > 0:
             d_prev *= a_prev > 0
         delta = d_prev[:, :-1]
-    return grad, delta
+    return buffers.grad, delta
 
 
 def output_grad_to_preact(
     params: NetworkParams,
-    cache: ForwardCache,
+    buffers: NetBuffers,
     grad_outputs: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Convert a gradient taken w.r.t. the net's outputs into the
-    pre-activation gradient `backward` expects; a rectifier output's
-    masked gradient goes to `out` (`grad_outputs` itself may be it)."""
+    """Convert a gradient taken w.r.t. the outputs of the forward pass
+    last run in `buffers` into the pre-activation gradient `backward`
+    expects; a rectifier output's masked gradient goes to `out`
+    (`grad_outputs` itself may be it)."""
     if params.output_activation == "relu":
-        return np.multiply(grad_outputs, cache.outputs > 0, out=out)
+        outputs = buffers.activations[-1][: buffers.rows, :-1]
+        return np.multiply(grad_outputs, outputs > 0, out=out)
     return grad_outputs
 
 
@@ -371,6 +349,8 @@ def init_adam(
         raise ConfigError(f"betas must lie in (0, 1), got {beta1}, {beta2}")
     if not (np.isfinite(learning_rate) and learning_rate > 0.0):
         raise ConfigError(f"learning_rate must be > 0 and finite, got {learning_rate}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ConfigError(f"eps must be > 0 and finite, got {eps}")
     m, v = np.zeros_like(params), np.zeros_like(params)
     return AdamState(m, v, 0, learning_rate, beta1, beta2, eps)
 

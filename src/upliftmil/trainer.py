@@ -26,10 +26,17 @@ import numpy as np
 
 from . import metrics, mil, models, nncore
 from .data import Dataset, fit_scaler, minibatches
-from .errors import ConfigError, TrainingError, enum_member
+from .errors import ConfigError, TrainingError, enum_member, is_int
 from .metrics import RunAggregate, UpliftCurve
 from .mil import BagMode
 from .models import ModelKind, UpliftModel
+
+
+# The integer fields of a `TrainConfig` and their least values;
+# warmup_steps may also be None.
+_INT_FIELDS = (("batch_size", 1), ("bag_size", 2), ("max_steps", 1),
+               ("warmup_steps", 0), ("eval_every", 1), ("patience", 1),
+               ("n_points", 2))
 
 
 @dataclass
@@ -72,27 +79,27 @@ class TrainConfig:
         return int(self.warmup_steps)
 
     def validate(self) -> None:
+        """ConfigError naming the first bad field. Adam's learning_rate,
+        betas and eps are checked by `nncore.init_adam`, before the first
+        step."""
         enum_member(ModelKind, self.model, "model")
         enum_member(BagMode, self.mode, "mode")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.bag_size < 2:
-            raise ConfigError(f"bag_size must be at least 2, got {self.bag_size}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"'alpha' must be finite and >= 0, got {self.alpha!r}")
+        for name, least in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (is_int(value, least) or (name == "warmup_steps" and value is None)):
+                raise ConfigError(
+                    f"{name!r} must be an integer >= {least}, got {value!r}")
         if self.bag_size > self.batch_size:
             raise ConfigError(
                 f"bag_size {self.bag_size} exceeds batch_size {self.batch_size}"
             )
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be positive, got {self.max_steps}")
         if self.resolved_warmup() > self.max_steps:
             raise ConfigError(
                 f"warmup_steps {self.resolved_warmup()} exceeds max_steps "
                 f"{self.max_steps}"
             )
-        if self.eval_every < 1 or self.patience < 1:
-            raise ConfigError("eval_every and patience must be positive")
-        if self.n_points < 2:
-            raise ConfigError(f"n_points must be at least 2, got {self.n_points}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -158,23 +158,23 @@ class TestBufferSet:
         assert not np.shares_memory(bufs.nets["treatment"].inputs, bufs.inputs)
 
     def test_features_are_scaled_once_into_the_set(self):
-        # forward_full scales x into the model-input buffer, and the SDR
-        # nets' caches are views of that one copy.
+        # forward_full scales x into the model-input buffer, and each SDR
+        # net's forward pass runs on that one copy.
         m = _tiny("sdr", seed=23)
         m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
         x = np.random.default_rng(23).random((5, 3))
         bufs = models.buffer_set(m, 8)
-        out = models.forward_full(m, x, bufs)
+        models.forward_full(m, x, bufs)
         scaled = (x - m.scaler[0]) / m.scaler[1]
         assert bufs.inputs[:5, :-1].tobytes() == scaled.tobytes()
         assert (bufs.inputs[:5, -1] == 1.0).all()
-        for cache in out.caches.values():
-            assert np.shares_memory(cache.x, bufs.inputs)
+        for net in bufs.nets.values():
+            assert net.inputs is bufs.inputs and net.rows == 5
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_step_in_buffers_gives_fresh_bits(self, kind):
-        # A batch shorter than the set, run twice in it, against fresh
-        # passes; the returned gradient is the set's vector.
+        # A batch shorter than the set, run twice in it, against passes
+        # in a fresh set; the returned gradient is the set's vector.
         m = _tiny(kind, seed=29)
         m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
         rng = np.random.default_rng(29)
@@ -183,35 +183,13 @@ class TestBufferSet:
             x = rng.random((9, 3))
             t = rng.integers(0, 2, 9).astype(float)
             gz_t, gz_c = rng.normal(size=9) * t, rng.normal(size=9) * (1.0 - t)
-            fresh = models.forward_full(m, x)
-            want = models.backprop_factual(m, fresh, gz_t, gz_c)
+            fresh_bufs = models.buffer_set(m, 18)
+            fresh = models.forward_full(m, x, fresh_bufs)
+            want = models.backprop_factual(m, gz_t, gz_c, fresh_bufs)
             out = models.forward_full(m, x, bufs)
-            got = models.backprop_factual(m, out, gz_t, gz_c, bufs)
+            got = models.backprop_factual(m, gz_t, gz_c, bufs)
             assert got is bufs.grad and got.tobytes() == want.tobytes()
             assert out.uplift.tobytes() == fresh.uplift.tobytes()
-
-    def test_fresh_backprop_allocates_gradient_and_deltas_only(self):
-        # Without a set, backprop_factual allocates the one gradient
-        # vector and each net's deltas (one column wider than each layer
-        # input, for the batch's rows), plus the transient rectifier mask
-        # and numpy's 64 KiB buffer for casting it; nothing of the
-        # activations' size.
-        m = build("tarnet", 10, (1024, 512, 256), seed=0)
-        n = 1024
-        rng = np.random.default_rng(41)
-        out = models.forward_full(m, rng.random((n, 10)))
-        gz_t, gz_c = rng.normal(size=n), rng.normal(size=n)
-        deltas = sum(8 * n * (w + 1) for net in m.nets.values()
-                     for w in net.layer_sizes[:-1])
-        mask = n * (1024 + 1)  # the widest layer input's booleans
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            models.backprop_factual(m, out, gz_t, gz_c)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= m.params.nbytes + deltas + mask + 2 * 65536
 
     @pytest.mark.parametrize("tail", [0, 1, 7])
     def test_predict_bits_do_not_depend_on_the_set(self, tail, monkeypatch):

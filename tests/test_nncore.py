@@ -11,9 +11,16 @@ from upliftmil.errors import ConfigError, ShapeError
 from oracles import adam_ref, fd_gradients, max_relative_error
 
 
+def _forward(net, x):
+    """A forward pass over x in a fresh set that also takes its backward
+    pass; returns the outputs and the set."""
+    bufs = nncore.net_buffers(net.layer_sizes, 2 * len(x), np.empty_like(net.flat))
+    return nncore.forward(net, x, bufs), bufs
+
+
 def _loss_through_net(net, x, y):
     """Scalar BCE of the net's logits through the logistic, for FD checks."""
-    out, _ = nncore.forward(net, x)
+    out, _ = _forward(net, x)
     loss, _ = nncore.bce_loss(nncore.logistic(out).ravel(), y, np.ones_like(y))
     return loss
 
@@ -52,7 +59,7 @@ class TestForward:
     def test_zero_net_outputs_half(self):
         net = nncore.init_network((3, 1), seed=0)
         net.weights[0][:] = 0.0
-        out, _ = nncore.forward(net, np.zeros((4, 3)))
+        out, _ = _forward(net, np.zeros((4, 3)))
         np.testing.assert_array_equal(nncore.logistic(out), np.full((4, 1), 0.5))
 
     def test_identity_hidden_layer_passes_nonnegative_input(self):
@@ -60,22 +67,22 @@ class TestForward:
         net.weights[0][...] = np.eye(3)
         net.biases[0][:] = 0.0
         x = np.array([[0.5, 1.0, 2.0]])
-        _, cache = nncore.forward(net, x)
-        # The cache holds augmented activations: the layer's output, then
+        _, bufs = _forward(net, x)
+        # The set holds augmented activations: the layer's output, then
         # its column of ones.
-        np.testing.assert_array_equal(cache.activations[0], np.append(x, [[1.0]], 1))
-        np.testing.assert_array_equal(cache.x, np.append(x, [[1.0]], 1))
+        np.testing.assert_array_equal(bufs.activations[0][:1], np.append(x, [[1.0]], 1))
+        np.testing.assert_array_equal(bufs.inputs[:1], np.append(x, [[1.0]], 1))
 
     def test_batch_shape_contract(self):
         net = nncore.init_network((4, 8, 8, 2), seed=3)
-        out, _ = nncore.forward(net, np.random.default_rng(0).normal(size=(5, 4)))
+        out, _ = _forward(net, np.random.default_rng(0).normal(size=(5, 4)))
         assert out.shape == (5, 2)
 
     def test_outputs_strictly_inside_unit_interval(self):
         net = nncore.init_network((2, 1), seed=0)
         net.weights[0][:] = 0.0
         net.biases[0][:] = 1e6  # saturate
-        out, _ = nncore.forward(net, np.ones((2, 2)))
+        out, _ = _forward(net, np.ones((2, 2)))
         p = nncore.logistic(out)
         assert np.all(p > 0) and np.all(p < 1)
         np.testing.assert_allclose(p, 1 - nncore.PROB_CLIP)
@@ -83,7 +90,7 @@ class TestForward:
     def test_dimension_mismatch_raises(self):
         net = nncore.init_network((3, 1), seed=0)
         with pytest.raises(ShapeError):
-            nncore.forward(net, np.zeros((2, 4)))
+            _forward(net, np.zeros((2, 4)))
 
 
 def _two_branch_logistic(z):
@@ -114,19 +121,20 @@ class TestLogistic:
 class TestBuffers:
     def test_buffers_give_fresh_bits(self):
         # A pass over fewer rows than the set holds works in its first
-        # rows and returns views into it, with the bits of a fresh pass.
+        # rows and returns views into it, with the bits of a pass in a
+        # set of just the rows it needs.
         net = nncore.init_network((3, 7, 5, 2), seed=6)
         rng = np.random.default_rng(6)
         x, gz = rng.normal(size=(9, 3)), rng.normal(size=(9, 2))
-        out, cache = nncore.forward(net, x)
-        grads, dx = nncore.backward(net, cache, gz)
+        out, fresh = _forward(net, x)
+        grads, dx = nncore.backward(net, fresh, gz)
         bufs = nncore.net_buffers(net.layer_sizes, 20, np.empty_like(net.flat))
-        b_out, b_cache = nncore.forward(net, x, bufs)
-        b_grads, b_dx = nncore.backward(net, b_cache, gz, buffers=bufs)
+        b_out = nncore.forward(net, x, bufs)
+        b_grads, b_dx = nncore.backward(net, bufs, gz)
         # The hidden deltas went to the activations' upper half, so the
-        # forward pass's cache is still whole.
-        for got, want in zip(b_cache.activations, cache.activations):
-            assert got.tobytes() == want.tobytes()
+        # forward pass's activations are still whole.
+        for got, want in zip(bufs.activations, fresh.activations):
+            assert got[:9].tobytes() == want[:9].tobytes()
         assert b_out.tobytes() == out.tobytes()
         assert b_grads.tobytes() == grads.tobytes()
         assert b_dx.tobytes() == dx.tobytes()
@@ -156,15 +164,15 @@ class TestBuffers:
         net = nncore.init_network((3, 7, 5, 2), seed=7)
         rng = np.random.default_rng(7)
         bufs = nncore.net_buffers(net.layer_sizes, 10, np.empty_like(net.flat))
-        _, cache = nncore.forward(net, rng.normal(size=(5, 3)), bufs)
-        nncore.backward(net, cache, rng.normal(size=(5, 2)), buffers=bufs)
+        nncore.forward(net, rng.normal(size=(5, 3)), bufs)
+        nncore.backward(net, bufs, rng.normal(size=(5, 2)))
         assert any((a[5:, -1] != 1.0).any() for a in bufs.activations[:-1])
         x = rng.normal(size=(9, 3))
-        out, cache = nncore.forward(net, x, bufs)
-        fresh_out, fresh = nncore.forward(net, x)
+        out = nncore.forward(net, x, bufs)
+        fresh_out, fresh = _forward(net, x)
         assert out.tobytes() == fresh_out.tobytes()
-        for got, want in zip(cache.activations, fresh.activations):
-            assert got.tobytes() == want.tobytes()
+        for got, want in zip(bufs.activations, fresh.activations):
+            assert got[:9].tobytes() == want[:9].tobytes()
 
     def test_pass_wider_than_buffers_rejected(self):
         # Forward passes take up to the set's rows, backward passes half.
@@ -172,17 +180,34 @@ class TestBuffers:
         bufs = nncore.net_buffers(net.layer_sizes, 4, np.empty_like(net.flat))
         with pytest.raises(ShapeError, match="5 rows"):
             nncore.forward(net, np.zeros((5, 3)), bufs)
-        _, cache = nncore.forward(net, np.zeros((3, 3)), bufs)
+        nncore.forward(net, np.zeros((3, 3)), bufs)
         with pytest.raises(ShapeError, match="3 rows"):
-            nncore.backward(net, cache, np.zeros((3, 1)), buffers=bufs)
+            nncore.backward(net, bufs, np.zeros((3, 1)))
+
+    def test_backward_of_another_pass_rejected(self):
+        # A backward pass differentiates the set's last forward pass: an
+        # output gradient of other rows or width, or a set in which no
+        # forward pass has run, is rejected before anything is written.
+        net = nncore.init_network((3, 4, 2), seed=0)
+        bufs = nncore.net_buffers(net.layer_sizes, 10, np.empty_like(net.flat))
+        bufs.grad[...] = 7.0
+        with pytest.raises(ShapeError, match="None"):
+            nncore.backward(net, bufs, np.zeros((3, 2)))
+        nncore.forward(net, np.zeros((4, 3)), bufs)
+        for rows, width in [(3, 2), (5, 2), (4, 1), (4, 3)]:
+            with pytest.raises(ShapeError, match=r"\(4, 2\)"):
+                nncore.backward(net, bufs, np.zeros((rows, width)))
+        assert (bufs.grad == 7.0).all()
+        nncore.backward(net, bufs, np.zeros((4, 2)))
+        assert not bufs.grad.any()
 
 
 class TestBackward:
     def test_zero_output_grad_gives_zero_grads(self):
         net = nncore.init_network((3, 4, 2), seed=1)
         x = np.random.default_rng(1).normal(size=(5, 3))
-        _, cache = nncore.forward(net, x)
-        grads, dx = nncore.backward(net, cache, np.zeros((5, 2)))
+        _, bufs = _forward(net, x)
+        grads, dx = nncore.backward(net, bufs, np.zeros((5, 2)))
         assert all(not g.any() for g in grads)
         assert not dx.any()
 
@@ -193,9 +218,9 @@ class TestBackward:
             net = nncore.init_network(sizes, seed=int(rng.integers(1 << 30)))
             x = rng.normal(size=(6, sizes[0]))
             y = rng.integers(0, 2, size=6 * sizes[-1]).astype(float)
-            out, cache = nncore.forward(net, x)
+            out, bufs = _forward(net, x)
             _, gz = nncore.bce_loss(nncore.logistic(out).ravel(), y, np.ones_like(y))
-            grads, _ = nncore.backward(net, cache, gz.reshape(out.shape))
+            grads, _ = nncore.backward(net, bufs, gz.reshape(out.shape))
 
             def loss_fn(_arrays):
                 return _loss_through_net(net, x, y)
@@ -207,10 +232,10 @@ class TestBackward:
         net = nncore.init_network((3, 4, 1), seed=5)
         rng = np.random.default_rng(5)
         xa, xb = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
-        ga = nncore.backward(net, nncore.forward(net, xa)[1], np.ones((4, 1)))[0]
-        gb = nncore.backward(net, nncore.forward(net, xb)[1], np.ones((3, 1)))[0]
-        _, cache = nncore.forward(net, np.vstack([xa, xb]))
-        gall = nncore.backward(net, cache, np.ones((7, 1)))[0]
+        ga = nncore.backward(net, _forward(net, xa)[1], np.ones((4, 1)))[0]
+        gb = nncore.backward(net, _forward(net, xb)[1], np.ones((3, 1)))[0]
+        gall = nncore.backward(net, _forward(net, np.vstack([xa, xb]))[1],
+                               np.ones((7, 1)))[0]
         for a, b, c in zip(ga, gb, gall):
             np.testing.assert_allclose(a + b, c, atol=1e-12)
 
@@ -221,37 +246,43 @@ class TestBackward:
         net.weights[0][...] = [[1.0, -1.0]]
         net.biases[0][...] = [0.0, 1.0]
         net.weights[1][...] = [[1.0], [1.0]]
-        _, cache = nncore.forward(net, np.zeros((1, 1)))
-        grads, dx = nncore.backward(net, cache, np.ones((1, 1)))
+        _, bufs = _forward(net, np.zeros((1, 1)))
+        grads, dx = nncore.backward(net, bufs, np.ones((1, 1)))
         grad_b0 = nncore.layer_blocks(grads, net.layer_sizes)[0][-1]
         np.testing.assert_array_equal(grad_b0, [0.0, 1.0])
         np.testing.assert_array_equal(dx, [[-1.0]])
         trunk = nncore.init_network((1, 2), seed=0, output_activation="relu")
         trunk.weights[0][...] = [[1.0, -1.0]]
         trunk.biases[0][...] = [0.0, 1.0]
-        _, cache = nncore.forward(trunk, np.zeros((1, 1)))
-        d_pre = nncore.output_grad_to_preact(trunk, cache, np.ones((1, 2)))
+        _, bufs = _forward(trunk, np.zeros((1, 1)))
+        d_pre = nncore.output_grad_to_preact(trunk, bufs, np.ones((1, 2)))
         np.testing.assert_array_equal(d_pre, [[0.0, 1.0]])
 
     def test_skipping_input_grad_leaves_gradients_unchanged(self):
+        # Two backward passes of one forward pass: the first leaves the
+        # activations whole for the second.
         net = nncore.init_network((3, 5, 4, 2), seed=4)
         x = np.random.default_rng(4).normal(size=(6, 3))
-        _, cache = nncore.forward(net, x)
+        _, bufs = _forward(net, x)
         gz = np.random.default_rng(5).normal(size=(6, 2))
         before = gz.copy()
-        grads, dx = nncore.backward(net, cache, gz)
-        got, no_dx = nncore.backward(net, cache, gz, input_grad=False)
+        got, no_dx = nncore.backward(net, bufs, gz, input_grad=False)
+        got = got.copy()
+        bufs.grad[...] = np.nan
+        grads, dx = nncore.backward(net, bufs, gz)
         assert no_dx is None and dx.shape == x.shape
         assert got.tobytes() == grads.tobytes()
         # The mask is applied in place, but never to the caller's array.
         assert gz.tobytes() == before.tobytes()
 
-    def test_mismatched_cache_raises(self):
+    def test_buffers_of_another_net_raise(self):
+        # Another depth, or the same depth with another hidden width.
         net = nncore.init_network((3, 4, 1), seed=5)
-        other = nncore.init_network((3, 1), seed=5)
-        _, cache = nncore.forward(other, np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            nncore.backward(net, cache, np.zeros((2, 1)))
+        for sizes in [(3, 1), (3, 5, 1)]:
+            other = nncore.init_network(sizes, seed=5)
+            _, bufs = _forward(other, np.zeros((2, 3)))
+            with pytest.raises(ShapeError, match="do not fit"):
+                nncore.backward(net, bufs, np.zeros((2, 1)))
 
 
 class TestAdam:

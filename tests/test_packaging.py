@@ -34,6 +34,10 @@ def test_benchmark_harness_names_resolve():
         module = importlib.import_module(f"upliftmil.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    # The calls perfbench makes without a buffer set, by argument count.
+    for fn, n_args in [(models.forward_full, 2), (models.predict, 2),
+                       (mil.combined_loss_and_grads, 7), (trainer.evaluate, 3)]:
+        inspect.signature(fn).bind(*[None] * n_args)
     assert callable(models.UpliftModel.parameter_arrays)
     assert callable(models.set_parameter_arrays)
     assert "jobs" in inspect.signature(trainer.repeat_runs).parameters

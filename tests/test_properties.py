@@ -1,6 +1,8 @@
-"""Property-based tests: `nncore.forward` and `backward`, run in a reused
-set of buffers, against the clean-room evaluator and central finite
-differences, for drawn layer sizes, row counts and output activations."""
+"""Property-based tests of passes run in a reused set of buffers:
+`nncore.forward` and `backward` against the clean-room evaluator and
+central finite differences, for drawn layer sizes, row counts and output
+activations; and a model's training step against the same step in a
+fresh set, whatever passes the reused set ran before it."""
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
-from upliftmil import nncore  # noqa: E402
+from upliftmil import models, nncore  # noqa: E402
 
 from oracles import dense_eval, fd_gradients, net_layers  # noqa: E402
 
@@ -54,13 +56,13 @@ def test_forward_and_backward_in_a_set_match_oracles(case):
     assume(all((np.abs(z) > KINK).all() for z in _hidden_preacts(net, x_back)))
     bufs = nncore.net_buffers(net.layer_sizes, rows, np.empty_like(net.flat))
 
-    out, cache = nncore.forward(net, x_back, bufs)
+    out = nncore.forward(net, x_back, bufs)
     np.testing.assert_allclose(out, _oracle(net, x_back, net.output_activation),
                                rtol=1e-12, atol=1e-12)
 
     # g_out is the gradient at the final pre-activations: it is the
     # gradient of sum(g_out * z) with z the net's last layer taken linear.
-    grad, d_x = nncore.backward(net, cache, g_out, buffers=bufs)
+    grad, d_x = nncore.backward(net, bufs, g_out)
 
     def loss(_arrays):
         return float(np.sum(g_out * _oracle(net, x_back, "linear")))
@@ -73,6 +75,55 @@ def test_forward_and_backward_in_a_set_match_oracles(case):
     # The backward pass used the ones column of the activations' upper
     # half as scratch; a forward pass over any rows of the set still
     # matches the evaluator.
-    out, _ = nncore.forward(net, x_fwd, bufs)
+    out = nncore.forward(net, x_fwd, bufs)
     np.testing.assert_allclose(out, _oracle(net, x_fwd, net.output_activation),
                                rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def step_cases(draw):
+    """A model of a drawn kind and sizes, with a scaler; a set of r rows;
+    a batch of n <= r // 2 rows; and what the set ran before the step:
+    a step over up to r // 2 rows and a forward pass over up to r rows,
+    which stands in for an in-run evaluation chunk, in either order."""
+    kind = draw(st.sampled_from(list(models.ModelKind)))
+    d = draw(st.integers(1, 4))
+    hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    rows = draw(st.integers(2, 24))
+    n = draw(st.integers(1, rows // 2))
+    n_step = draw(st.integers(1, rows // 2))
+    n_eval = draw(st.integers(1, rows))
+    eval_first = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = models.build(kind, d, hidden, seed=0)
+    model.params[...] = rng.normal(0.0, 0.7, size=model.params.size)
+    model.scaler = (rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+
+    def batch(k):
+        return rng.normal(size=(k, d)), rng.integers(0, 2, k), rng.integers(0, 2, k)
+
+    x_eval = rng.normal(size=(n_eval, d))
+    return model, rows, batch(n), batch(n_step), x_eval, eval_first
+
+
+def _step(model, buffers, x, t, y):
+    """One base-loss step in `buffers`: forward_full, factual_loss,
+    backprop_factual; the bytes of its outputs, loss and gradient."""
+    out = models.forward_full(model, x, buffers)
+    loss, gz_t, gz_c = models.factual_loss(out, t, y)
+    grad = models.backprop_factual(model, gz_t, gz_c, buffers)
+    assert grad is buffers.grad
+    return [a.tobytes() for a in (out.p_t, out.p_c, out.uplift, np.float64(loss), grad)]
+
+
+@given(step_cases())
+def test_step_in_a_reused_set_gives_fresh_bits(case):
+    model, rows, (x, t, y), before, x_eval, eval_first = case
+    bufs = models.buffer_set(model, rows)
+    for run_eval in (eval_first, not eval_first):
+        if run_eval:
+            models.forward_full(model, x_eval, bufs)
+        else:
+            _step(model, bufs, *before)
+    want = _step(model, models.buffer_set(model, 2 * len(x)), x, t, y)
+    assert _step(model, bufs, x, t, y) == want

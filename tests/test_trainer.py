@@ -66,6 +66,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="learning_rate"):
             train(tr, va, te, _cfg(learning_rate=-1e-3))
 
+    @pytest.mark.parametrize("bad", [
+        {"warmup_steps": -5}, {"eps": 0.0}, {"eps": -1.0}, {"alpha": float("nan")},
+        {"alpha": float("inf")}, {"n_points": 2.5},
+        {"max_steps": 20.5, "warmup_steps": None}],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_bad_value_rejected_before_training(self, splits, monkeypatch, bad):
+        # Each of these once trained: some finished "ok", others failed
+        # later with an error that did not name the field (the first key).
+        monkeypatch.setattr(mil, "combined_loss_and_grads", None)  # a step raises
+        cfg = _cfg(model="sdr", hidden_sizes=(8,), batch_size=128, **bad)
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            train(*splits, cfg)
+
     def test_warmup_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(warmup_steps=201, max_steps=200).validate()
