@@ -25,8 +25,7 @@ one-row partition.
 
 A training step, `combined_loss_and_grads`, is one `models.forward_full`
 pass, the bag sums and one `models.backprop_factual` pass, both in one
-`models.BufferSet`: the backward pass differentiates the forward pass
-last run in that set (`nncore`'s pass contract).
+`models.BufferSet` (`nncore`'s pass contract).
 """
 
 from __future__ import annotations
@@ -192,13 +191,13 @@ def combined_loss_and_grads(
     returned loss is then non-finite for the caller to report.
 
     The pass runs in `buffers` (`models.buffer_set`; one fresh set of
-    2 * len(x) rows when none is given), and the returned gradient is a
-    view into it.
+    len(x) rows when none is given), and the returned gradient is a view
+    into it. A non-finite or negative alpha raises ConfigError.
     """
-    if alpha < 0:
-        raise ConfigError(f"alpha must be nonnegative, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")
     if buffers is None:
-        buffers = models.buffer_set(model, 2 * len(x))
+        buffers = models.buffer_set(model, len(x))
     out = models.forward_full(model, x, buffers)
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)

@@ -32,27 +32,21 @@ with a scaler, its mean and std; `params` must have the length of the
 layout the manifest gives.
 
 Buffers: `forward_full`, `backprop_factual` and `predict` run in a
-`BufferSet`: one model-input buffer, each net's `nncore.NetBuffers` and,
-in a set made for training, one gradient vector laid out like `params`,
-whose per-net slices the nets' backward passes write. Every input and
-activation buffer has a last column held at 1.0, so that each layer is
-one matrix product against its [W; b] block; `nncore.forward` sets that
-column for the rows of each pass, since a backward pass uses it as
-scratch in the rows it writes. The model-input buffer, of rows x
+`BufferSet`: one model-input buffer, each net's `nncore.NetBuffers` and
+one gradient vector laid out like `params`, whose per-net slices the
+nets' backward passes write; the passes follow `nncore`'s pass
+contract, net by net, so `backprop_factual` consumes the `forward_full`
+pass last run in its set. The model-input buffer, of rows x
 (input_dim + 1), is shared by every net that reads the scaled features
 (TM's net, TARNet's trunk, DDR's control net and all three SDR nets):
 `forward_full` scales `x` straight into it, once per pass. TARNet's
 heads read the trunk's output buffer, and DDR's treatment net has an
 input buffer of its own, for the features and the control probability.
-The caller owns the set and makes it with `buffer_set`; a set of r rows
-scores up to r rows and trains on up to r // 2: `backprop_factual`
-differentiates the `forward_full` pass last run in its set (`nncore`'s
-pass contract, net by net), so it takes the set that pass ran in.
-`trainer.train` keeps one for a whole run, steps and evaluations alike,
-and drops it on return. The returned gradient is a view into the set,
-valid until its next backward pass. Called without a set, `forward_full`
-and `predict` make an activation-only one for the call. A set is never
-an attribute of the model: a model outlives its run.
+The caller owns the set and makes it with `buffer_set`; `trainer.train`
+keeps one for a whole run, steps and evaluations alike, and drops it on
+return. Called without a set, `forward_full` and `predict` make one for
+the call. A set is never an attribute of the model: a model outlives
+its run.
 """
 
 from __future__ import annotations
@@ -127,21 +121,20 @@ class UpliftModel:
 class BufferSet:
     """A model's reusable arrays, from `buffer_set`: the model-input
     buffer `inputs` (scaled features and a ones column), each net's
-    buffers and, for training, the one gradient vector `grad` whose
-    slices are the nets' `grad`; None in an activation-only set."""
+    buffers and the one gradient vector `grad` whose slices are the
+    nets' `grad`."""
 
     inputs: np.ndarray
     nets: dict[str, nncore.NetBuffers]
-    grad: np.ndarray | None
+    grad: np.ndarray
 
 
-def buffer_set(model: UpliftModel, rows: int, backward: bool = True) -> BufferSet:
-    """A buffer set for `model` over up to `rows` rows, which trains on
-    batches of up to `rows // 2`; with `backward=False`, activations
-    only. Each net's input buffer is the one its `_layout` entry names."""
+def buffer_set(model: UpliftModel, rows: int) -> BufferSet:
+    """A buffer set for `model`'s passes over up to `rows` rows. Each
+    net's input buffer is the one its `_layout` entry names."""
     counts = [net.flat.size for net in model.nets.values()]
-    grad = np.empty(sum(counts)) if backward else None
-    slices = np.split(grad, np.cumsum(counts)[:-1]) if backward else [None] * len(counts)
+    grad = np.empty(sum(counts))
+    slices = np.split(grad, np.cumsum(counts)[:-1])
     inputs = np.empty((rows, model.input_dim + 1))
     nets: dict[str, nncore.NetBuffers] = {}
     layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
@@ -236,14 +229,13 @@ def _scale(model: UpliftModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def forward_full(
     model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None
 ) -> ModelOutputs:
-    """Forward pass of every net in `buffers` (a fresh activation-only
-    set when none is given), which keeps what `backprop_factual` needs;
-    the (n, 2) arm logits [z_c, z_t] go through the model's one
-    logistic."""
+    """Forward pass of every net in `buffers` (a fresh set when none is
+    given), which keeps what `backprop_factual` needs; the (n, 2) arm
+    logits [z_c, z_t] go through the model's one logistic."""
     x = _check_input(model, x)
     n = len(x)
     if buffers is None:
-        buffers = buffer_set(model, n, backward=False)
+        buffers = buffer_set(model, n)
     xs = _scale(model, x, nncore.first_rows(buffers.inputs, n)[:, :-1])
 
     def run(name, inputs):
@@ -274,16 +266,17 @@ def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None)
     depend on the caller. The chunks run in `buffers`, which must hold
     `CHUNK` rows (or all of a smaller `x`); the caller owns them, and
     they hold no result once this returns. Called alone, it makes one
-    activation-only set for the whole call. Each chunk is scaled into
-    the set's model-input buffer, next to its column of ones, and every
-    net reading the features runs on that one copy. Beyond the three
-    output vectors, its memory is that set, inputs and activations one
-    column wider than their layers, whatever the number of rows.
+    set for the whole call. Each chunk is scaled into the set's
+    model-input buffer, next to its column of ones, and every net reading
+    the features runs on that one copy. Beyond the three output vectors,
+    its memory is that set, whatever the number of rows: inputs and
+    activations one column wider than their layers, and a gradient
+    vector that no pass of `predict` writes.
     """
     x = _check_input(model, x)
     n = x.shape[0]
     if buffers is None:
-        buffers = buffer_set(model, min(CHUNK, max(n, 1)), backward=False)
+        buffers = buffer_set(model, min(CHUNK, max(n, 1)))
     p_t, p_c, uplift = np.empty(n), np.empty(n), np.empty(n)
     for s in range(0, n, CHUNK):
         out = forward_full(model, x[s : s + CHUNK], buffers)
@@ -295,8 +288,8 @@ def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None)
 def backprop_factual(
     model: UpliftModel, gz_t: np.ndarray, gz_c: np.ndarray, buffers: BufferSet
 ) -> np.ndarray:
-    """Route per-row arm-logit gradients through the architecture, for
-    the `forward_full` pass last run in `buffers`.
+    """Route per-row arm-logit gradients through the architecture,
+    consuming the `forward_full` pass last run in `buffers`.
 
     gz_t[i] is the loss gradient at the treatment arm's logit for row i
     (zero on rows whose treatment arm takes no gradient), gz_c likewise
@@ -348,7 +341,7 @@ def factual_loss(out: ModelOutputs, treatment, outcome):
 def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
     """The base loss and its parameter gradients; returns (loss, grads,
     outputs)."""
-    buffers = buffer_set(model, 2 * len(x))
+    buffers = buffer_set(model, len(x))
     out = forward_full(model, x, buffers)
     loss, gz_t, gz_c = factual_loss(out, treatment, outcome)
     return loss, backprop_factual(model, gz_t, gz_c, buffers), out

@@ -17,7 +17,8 @@ last row of the block's gradient.
 Buffers: `forward` and `backward` run in the `NetBuffers` their caller
 passes, using the first n rows of each array for a pass over n rows; of
 a batch's size they allocate only the rectifier mask, a transient
-boolean array. The input buffer and every activation buffer have one
+boolean array, and the input gradient's array for a backward pass wider
+than any before it. The input buffer and every activation buffer have one
 column more than their layer's width, held at 1.0: `forward` copies its
 input into the input buffer's other columns (numpy skips the copy when
 the input is that very view, as for an input a caller wrote there or the
@@ -25,23 +26,20 @@ output of another net that shares the buffer) and sets the ones column
 of every buffer for the rows of its pass. A rectifier keeps that column,
 as max(1, 0) = 1.
 
-The pass contract: a set of r rows takes forward passes over up to r
-rows, and a backward pass differentiates the forward pass last run in
-its set, over rows <= r // 2. The set records that pass's row count, and
-`backward` raises ShapeError for an output gradient of other rows or
-width, or for a set laid out for another net. A backward pass writes its
-hidden deltas, one column wider than the layer input with the last
-column scratch, into the upper half of the activation buffers, rows that
-a forward pass of its size leaves alone, so the forward pass stays whole
-for another backward pass. That scratch overwrites the ones column in
-those rows, which is why every forward pass sets it again; the input
-gradient has an array of its own and never shares memory with the input
-buffer. The caller owns the set: the returned outputs (the final
-activations without their ones column), gradient and input gradient are
-views into it, valid until the set's next pass of the same kind
-overwrites them (a backward pass also overwrites activation rows past
-r // 2). `adam_step` works through the vector in blocks of `ADAM_BLOCK`
-values, with scratch kept in its `AdamState`.
+The pass contract: a set of r rows takes forward and backward passes
+over up to r rows. A backward pass consumes the forward pass last run
+in its set: it writes each hidden delta, whose last column is scratch,
+over the activation it differentiates, ones column included, which is
+why every forward pass sets that column again. The set records the
+row count of the pass it may differentiate, and `backward` raises
+ShapeError for an output gradient of other rows or width, for a set
+whose pass is consumed or never ran, or for a set laid out for another
+net. The input gradient has an array of its own, since other nets may
+read the input buffer. The caller owns the set: the returned outputs
+(the final activations without their ones column), gradient and input
+gradient are views into it, valid until its next pass of the same kind.
+`adam_step` works through the vector in blocks of `ADAM_BLOCK` values,
+with scratch kept in its `AdamState`.
 
 A net ends in "linear" (a logit) or "relu" (a representation for
 further nets), never in a sigmoid: `models.forward_full` alone applies
@@ -109,28 +107,27 @@ class NetworkParams:
 
 @dataclass
 class NetBuffers:
-    """Reusable arrays for one net's passes: forward passes over up to
-    the activations' length in rows, backward passes over up to the
-    deltas' length.
+    """Reusable arrays for one net's passes over up to the activations'
+    length in rows.
 
     `inputs` holds the net's input and `activations[k]` layer k's output,
     each with a last column of ones (rows x width + 1); other nets may
-    share `inputs`. For backward, `deltas[k]` holds the loss gradient at
-    layer k's input, one column wider than that input with the last
-    column scratch (`deltas[0]` is the input gradient), and `grad` is the
-    vector the parameter gradient is written to, laid out like the net's
-    `flat`. An activation-only set, for inference, has neither. `rows`
-    is the row count of the forward pass last run in the set, None
-    before the first: the pass that `backward` differentiates.
-    Activations hold no pre-activations, since a rectifier passes
-    gradient where `relu(z) > 0`, which equals `z > 0` (NaN and exact
-    zero included), and a linear output needs none.
+    share `inputs`. `grad` is the vector the parameter gradient is
+    written to, laid out like the net's `flat`, and `input_grad` holds
+    the input gradient, one column wider than the input with the last
+    column scratch, in as many rows as the widest backward pass that
+    formed one. `rows` is the row count of the forward pass that
+    `backward` may differentiate, None before the first and once a
+    backward pass consumed it. Activations hold no pre-activations,
+    since a rectifier passes gradient where `relu(z) > 0`, which equals
+    `z > 0` (NaN and exact zero included), and a linear output needs
+    none.
     """
 
     inputs: np.ndarray
     activations: tuple[np.ndarray, ...]
-    deltas: tuple[np.ndarray, ...]
-    grad: np.ndarray | None
+    grad: np.ndarray
+    input_grad: np.ndarray
     rows: int | None = None
 
 
@@ -206,34 +203,19 @@ def _rows(n: int, widths) -> tuple[np.ndarray, ...]:
 
 
 def net_buffers(
-    layer_sizes,
-    rows: int,
-    grad: np.ndarray | None = None,
-    inputs: np.ndarray | None = None,
+    layer_sizes, rows: int, grad: np.ndarray, inputs: np.ndarray | None = None
 ) -> NetBuffers:
-    """Buffers for forward passes of a net with these sizes over up to
-    `rows` rows, and with `grad` (where backward writes the gradient)
-    backward passes over up to `rows // 2`. `inputs` is an input buffer
-    of `rows` x (input width + 1) that other nets share; a fresh one
-    when None.
-
-    A backward pass needs the activations of the forward pass it follows
-    only in their first rows, so `deltas[k]` for k >= 1 is the upper half
-    of `activations[k - 1]`, whose width is layer k's input width plus
-    one; only the input gradient `deltas[0]` has an array of its own.
-    """
+    """Buffers for passes of a net with these sizes over up to `rows`
+    rows, whose backward passes write the parameter gradient to `grad`.
+    `inputs` is an input buffer of `rows` x (input width + 1) that other
+    nets share; a fresh one when None."""
     sizes = tuple(layer_sizes)
     if inputs is None:
         (inputs,) = _rows(rows, sizes[:1])
     elif inputs.shape != (rows, sizes[0] + 1):
         raise ShapeError(f"input buffer of shape {inputs.shape} does not take "
                          f"{rows} rows of {sizes[0]} inputs and a ones column")
-    activations = _rows(rows, sizes[1:])
-    if grad is None:
-        return NetBuffers(inputs, activations, (), None)
-    half = rows // 2
-    deltas = (*_rows(half, sizes[:1]), *(a[rows - half :] for a in activations[:-1]))
-    return NetBuffers(inputs, activations, deltas, grad)
+    return NetBuffers(inputs, _rows(rows, sizes[1:]), grad, *_rows(0, sizes[:1]))
 
 
 def first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
@@ -280,21 +262,21 @@ def backward(
     input_grad: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact reverse-mode gradients of the forward pass last run in
-    `buffers`, for a loss whose gradient with respect to the final
-    layer's pre-activations is `output_grad`, one row per row of that
-    pass.
+    `buffers`, which this pass consumes, for a loss whose gradient with
+    respect to the final layer's pre-activations is `output_grad`, one
+    row per row of that pass.
 
     Returns (grad, input_grad) where grad is `buffers.grad`, laid out
     like `params.flat`, and input_grad is the gradient with respect to the
-    batch input (a view into `buffers.deltas[0]`), or None when
-    `input_grad=False` asks not to form it. The rectifier mask is applied
-    in place, to a delta no caller sees.
+    batch input (a view into `buffers.input_grad`), or None when
+    `input_grad=False` asks not to form it.
 
     Each layer's block gradient is one product, input.T @ delta, and the
     gradient at its input one more, delta @ block.T over the augmented
     width, whose last column is scratch: the rectifier mask then runs
     over whole contiguous rows, two to three times faster than over rows
-    that skip the input's ones column.
+    that skip the input's ones column. The mask is taken from the
+    activation before that product overwrites it.
     """
     output_grad = np.asarray(output_grad, dtype=np.float64)
     widths = tuple(a.shape[1] - 1 for a in (buffers.inputs, *buffers.activations))
@@ -305,21 +287,27 @@ def backward(
     if output_grad.shape != (n, widths[-1]):
         raise ShapeError(
             f"output_grad shape {output_grad.shape} does not match {(n, widths[-1])}, "
-            "the outputs of the set's last forward pass (None rows: no pass yet)"
+            "the outputs of the set's last forward pass (None rows: none to consume)"
         )
     grad_blocks = layer_blocks(buffers.grad, params.layer_sizes)
+    buffers.rows = None
     delta = output_grad
-    for k in range(params.n_layers - 1, -1, -1):
-        a_prev = (buffers.activations[k - 1] if k > 0 else buffers.inputs)[:n]
+    for k in range(params.n_layers - 1, 0, -1):
+        a_prev = buffers.activations[k - 1][:n]
         np.matmul(a_prev.T, delta, out=grad_blocks[k])
-        if k == 0 and not input_grad:
-            return buffers.grad, None
-        d_prev = first_rows(buffers.deltas[k], n)
-        np.matmul(delta, params.blocks[k].T, out=d_prev)
-        if k > 0:
-            d_prev *= a_prev > 0
-        delta = d_prev[:, :-1]
-    return buffers.grad, delta
+        mask = a_prev > 0
+        np.matmul(delta, params.blocks[k].T, out=a_prev)
+        a_prev *= mask
+        del mask  # freed before the next layer makes its own
+        delta = a_prev[:, :-1]
+    np.matmul(buffers.inputs[:n].T, delta, out=grad_blocks[0])
+    if not input_grad:
+        return buffers.grad, None
+    if len(buffers.input_grad) < n:
+        (buffers.input_grad,) = _rows(n, widths[:1])
+    d_in = buffers.input_grad[:n]
+    np.matmul(delta, params.blocks[0].T, out=d_in)
+    return buffers.grad, d_in[:, :-1]
 
 
 def output_grad_to_preact(

@@ -10,10 +10,10 @@ after `patience` evaluations without improvement, and the returned model
 is the best-validation checkpoint.
 
 `train` makes one `models.BufferSet` for the whole run, of
-max(2 * `batch_size`, `models.CHUNK`) rows: every step's forward and
-backward pass and every evaluation within the run (`models.CHUNK` rows
-at a time, as outside a run) reuse it, so a step allocates nothing of
-the model's size. The set is dropped on return.
+max(`batch_size`, `models.CHUNK`) rows: every step and every evaluation
+within the run (`models.CHUNK` rows at a time, as outside a run) reuse
+it (`nncore`'s pass contract), so a step allocates nothing of the
+model's size. The set is dropped on return.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def train(
     model.scaler = fit_scaler(train_ds.features)
     state = nncore.init_adam(model.params, cfg.learning_rate,
                              cfg.beta1, cfg.beta2, cfg.eps)
-    buffers = models.buffer_set(model, max(2 * cfg.batch_size, models.CHUNK))
+    buffers = models.buffer_set(model, max(cfg.batch_size, models.CHUNK))
     # Dedicated stream for the random-bag ablation; consumed only when
     # that mode is active, so clustered runs stay bitwise comparable.
     bag_rng = np.random.default_rng([cfg.seed, 104729])
@@ -271,10 +271,9 @@ def repeat_runs(
     is None when every run failed. Runs are state-isolated, so parallel
     execution (jobs > 1) gives results identical to sequential.
     """
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be at least 1, got {n_runs}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    for name, value in (("n_runs", n_runs), ("jobs", jobs)):
+        if not is_int(value):
+            raise ConfigError(f"{name} must be at least 1, got {value!r}")
     tasks = [
         (train_ds, valid_ds, test_ds, replace(cfg, seed=cfg.seed + i))
         for i in range(n_runs)

@@ -302,8 +302,9 @@ class TestCombinedLoss:
     def test_negative_alpha_rejected(self):
         m = models.build("tm", 3, (4,), 0)
         x, t, y, u_t = _batch(1)
-        with pytest.raises(ConfigError):
-            combined_loss_and_grads(m, x, t, y, u_t, alpha=-1.0, bag_size=4)
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="'alpha' must be finite and >= 0"):
+                combined_loss_and_grads(m, x, t, y, u_t, alpha=alpha, bag_size=4)
 
 
 class TestVarianceIdentity:

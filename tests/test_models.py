@@ -133,9 +133,10 @@ class TestBufferSet:
             grad = bufs.nets[name].grad
             assert np.shares_memory(grad, bufs.grad) and grad.size == net.flat.size
         assert sum(b.grad.size for b in bufs.nets.values()) == bufs.grad.size
-        inference = models.buffer_set(m, 8, backward=False)
-        assert inference.grad is None
-        assert all(b.grad is None and not b.deltas for b in inference.nets.values())
+        # Every set has a gradient, a set that predict makes alone too.
+        for bufs in (models.buffer_set(m, 1), models.buffer_set(m, models.CHUNK)):
+            assert bufs.grad.shape == m.params.shape
+            assert all(np.shares_memory(b.grad, bufs.grad) for b in bufs.nets.values())
 
     def test_nets_share_input_buffers(self):
         # Every net that reads the scaled features reads the set's one
@@ -183,13 +184,34 @@ class TestBufferSet:
             x = rng.random((9, 3))
             t = rng.integers(0, 2, 9).astype(float)
             gz_t, gz_c = rng.normal(size=9) * t, rng.normal(size=9) * (1.0 - t)
-            fresh_bufs = models.buffer_set(m, 18)
+            fresh_bufs = models.buffer_set(m, 9)
             fresh = models.forward_full(m, x, fresh_bufs)
             want = models.backprop_factual(m, gz_t, gz_c, fresh_bufs)
             out = models.forward_full(m, x, bufs)
             got = models.backprop_factual(m, gz_t, gz_c, bufs)
             assert got is bufs.grad and got.tobytes() == want.tobytes()
             assert out.uplift.tobytes() == fresh.uplift.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_step_over_all_rows_of_the_set_gives_fresh_bits(self, kind):
+        # A set of r rows trains on batches of r rows: a step over all of
+        # them, after a shorter step in the same set, gives the bytes of
+        # the same step in a fresh set twice as wide.
+        m = _tiny(kind, seed=31)
+        m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
+        rng = np.random.default_rng(31)
+        bufs = models.buffer_set(m, 12)
+        for n in (5, 12):
+            x = rng.random((n, 3))
+            t = rng.integers(0, 2, n).astype(float)
+            gz_t, gz_c = rng.normal(size=n) * t, rng.normal(size=n) * (1.0 - t)
+            wide = models.buffer_set(m, 2 * n)
+            fresh = models.forward_full(m, x, wide)
+            want = models.backprop_factual(m, gz_t, gz_c, wide)
+            out = models.forward_full(m, x, bufs)
+            got = models.backprop_factual(m, gz_t, gz_c, bufs)
+            assert out.uplift.tobytes() == fresh.uplift.tobytes()
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("tail", [0, 1, 7])
     def test_predict_bits_do_not_depend_on_the_set(self, tail, monkeypatch):
@@ -202,7 +224,7 @@ class TestBufferSet:
         passes, forward_full = [], models.forward_full
         monkeypatch.setattr(models, "forward_full", lambda model, rows, bufs=None: (
             passes.append(len(rows)) or forward_full(model, rows, bufs)))
-        for bufs in (models.buffer_set(m, models.CHUNK, backward=False),
+        for bufs in (models.buffer_set(m, models.CHUNK),
                      models.buffer_set(m, 2 * models.CHUNK + 300)):
             passes.clear()
             assert b"".join(v.tobytes() for v in predict(m, x, bufs)) == want
@@ -210,7 +232,7 @@ class TestBufferSet:
 
     def test_predict_in_a_set_narrower_than_a_chunk_rejected(self):
         m = _tiny("tarnet", seed=37)
-        bufs = models.buffer_set(m, 64, backward=False)
+        bufs = models.buffer_set(m, 64)
         with pytest.raises(ShapeError, match="65 rows"):
             predict(m, np.zeros((65, 3)), bufs)
 

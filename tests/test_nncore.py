@@ -12,9 +12,9 @@ from oracles import adam_ref, fd_gradients, max_relative_error
 
 
 def _forward(net, x):
-    """A forward pass over x in a fresh set that also takes its backward
-    pass; returns the outputs and the set."""
-    bufs = nncore.net_buffers(net.layer_sizes, 2 * len(x), np.empty_like(net.flat))
+    """A forward pass over x in a fresh set of just its rows; returns the
+    outputs and the set."""
+    bufs = nncore.net_buffers(net.layer_sizes, len(x), np.empty_like(net.flat))
     return nncore.forward(net, x, bufs), bufs
 
 
@@ -131,8 +131,7 @@ class TestBuffers:
         bufs = nncore.net_buffers(net.layer_sizes, 20, np.empty_like(net.flat))
         b_out = nncore.forward(net, x, bufs)
         b_grads, b_dx = nncore.backward(net, bufs, gz)
-        # The hidden deltas went to the activations' upper half, so the
-        # forward pass's activations are still whole.
+        # Both backward passes wrote their deltas over their activations.
         for got, want in zip(bufs.activations, fresh.activations):
             assert got[:9].tobytes() == want[:9].tobytes()
         assert b_out.tobytes() == out.tobytes()
@@ -140,33 +139,55 @@ class TestBuffers:
         assert b_dx.tobytes() == dx.tobytes()
         assert b_grads is bufs.grad
         assert np.shares_memory(b_out, bufs.activations[-1])
-        assert np.shares_memory(b_dx, bufs.deltas[0])
+        assert np.shares_memory(b_dx, bufs.input_grad)
 
-    def test_hidden_deltas_are_the_upper_half_of_the_activations(self):
-        # Inputs, activations and deltas are one column wider than their
-        # layer: a ones column, or a delta's scratch column.
+    def test_hidden_deltas_overwrite_the_activations(self):
+        # Inputs, activations and the input gradient are one column wider
+        # than their layer: a ones column, or a delta's scratch column. A
+        # backward pass over n rows writes each hidden delta over the first
+        # n rows of the activation it differentiates and leaves the other
+        # rows alone. The input gradient has an array of its own, made at
+        # the rows of the first pass that forms one and made again only
+        # for a wider pass, and never shares memory with the input buffer.
         net = nncore.init_network((3, 7, 5, 2), seed=6)
         bufs = nncore.net_buffers(net.layer_sizes, 9, np.empty_like(net.flat))
         assert bufs.inputs.shape == (9, 4)
         assert [a.shape for a in bufs.activations] == [(9, 8), (9, 6), (9, 3)]
-        assert [d.shape for d in bufs.deltas] == [(4, 4), (4, 8), (4, 6)]
-        for delta, acts in zip(bufs.deltas[1:], bufs.activations):
-            assert np.shares_memory(delta, acts[5:])
-            assert not np.shares_memory(delta, acts[:5])
-        # The input gradient never overwrites the input buffer.
-        assert not np.shares_memory(bufs.deltas[0], bufs.inputs)
+        assert bufs.input_grad.shape == (0, 4)
+        rng = np.random.default_rng(6)
+        kept = None
+        for n, rows in [(5, 5), (3, 5), (9, 9)]:
+            x, gz = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+            nncore.forward(net, rng.normal(size=(9, 3)), bufs)
+            rest = [a[n:].copy() for a in bufs.activations]
+            nncore.forward(net, x, bufs)
+            acts = [a[:n, :-1].copy() for a in bufs.activations]
+            _, dx = nncore.backward(net, bufs, gz)
+            delta = gz
+            for k in (2, 1):
+                delta = (delta @ net.weights[k].T) * (acts[k - 1] > 0)
+                np.testing.assert_allclose(bufs.activations[k - 1][:n, :-1], delta,
+                                           rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(dx, delta @ net.weights[0].T,
+                                       rtol=1e-12, atol=1e-14)
+            for got, want in zip(bufs.activations, rest):
+                assert got[n:].tobytes() == want.tobytes()
+            assert bufs.input_grad.shape == (rows, 4)
+            assert (bufs.input_grad is kept) == (n == 3)
+            kept = bufs.input_grad
+            assert np.shares_memory(dx, bufs.input_grad)
+            assert not np.shares_memory(bufs.input_grad, bufs.inputs)
 
     def test_forward_after_backward_gives_fresh_bits(self):
         # A backward pass writes its deltas' scratch column over the ones
-        # column of the activations' upper half; a forward pass over more
-        # than half the set's rows reads those rows, so it must set the
-        # column again.
+        # column of the activations' rows it differentiates; a forward pass
+        # reads those rows, so it must set the column again.
         net = nncore.init_network((3, 7, 5, 2), seed=7)
         rng = np.random.default_rng(7)
         bufs = nncore.net_buffers(net.layer_sizes, 10, np.empty_like(net.flat))
         nncore.forward(net, rng.normal(size=(5, 3)), bufs)
         nncore.backward(net, bufs, rng.normal(size=(5, 2)))
-        assert any((a[5:, -1] != 1.0).any() for a in bufs.activations[:-1])
+        assert any((a[:5, -1] != 1.0).any() for a in bufs.activations[:-1])
         x = rng.normal(size=(9, 3))
         out = nncore.forward(net, x, bufs)
         fresh_out, fresh = _forward(net, x)
@@ -175,14 +196,16 @@ class TestBuffers:
             assert got[:9].tobytes() == want[:9].tobytes()
 
     def test_pass_wider_than_buffers_rejected(self):
-        # Forward passes take up to the set's rows, backward passes half.
+        # Forward and backward passes take up to the set's rows.
         net = nncore.init_network((3, 4, 1), seed=0)
         bufs = nncore.net_buffers(net.layer_sizes, 4, np.empty_like(net.flat))
         with pytest.raises(ShapeError, match="5 rows"):
             nncore.forward(net, np.zeros((5, 3)), bufs)
-        nncore.forward(net, np.zeros((3, 3)), bufs)
-        with pytest.raises(ShapeError, match="3 rows"):
-            nncore.backward(net, bufs, np.zeros((3, 1)))
+        nncore.forward(net, np.ones((4, 3)), bufs)
+        with pytest.raises(ShapeError, match=r"\(5, 1\)"):
+            nncore.backward(net, bufs, np.zeros((5, 1)))
+        grads, dx = nncore.backward(net, bufs, np.ones((4, 1)))
+        assert dx.shape == (4, 3) and np.isfinite(grads).all()
 
     def test_backward_of_another_pass_rejected(self):
         # A backward pass differentiates the set's last forward pass: an
@@ -200,6 +223,13 @@ class TestBuffers:
         assert (bufs.grad == 7.0).all()
         nncore.backward(net, bufs, np.zeros((4, 2)))
         assert not bufs.grad.any()
+        # The backward pass consumed the forward pass: differentiating it
+        # again is rejected, and writes neither gradient.
+        bufs.grad[...] = 7.0
+        bufs.input_grad[...] = 7.0
+        with pytest.raises(ShapeError, match="None"):
+            nncore.backward(net, bufs, np.zeros((4, 2)))
+        assert (bufs.grad == 7.0).all() and (bufs.input_grad == 7.0).all()
 
 
 class TestBackward:
@@ -259,8 +289,8 @@ class TestBackward:
         np.testing.assert_array_equal(d_pre, [[0.0, 1.0]])
 
     def test_skipping_input_grad_leaves_gradients_unchanged(self):
-        # Two backward passes of one forward pass: the first leaves the
-        # activations whole for the second.
+        # A backward pass consumes its forward pass, so each of the two
+        # backward passes follows a forward pass of its own.
         net = nncore.init_network((3, 5, 4, 2), seed=4)
         x = np.random.default_rng(4).normal(size=(6, 3))
         _, bufs = _forward(net, x)
@@ -269,6 +299,7 @@ class TestBackward:
         got, no_dx = nncore.backward(net, bufs, gz, input_grad=False)
         got = got.copy()
         bufs.grad[...] = np.nan
+        nncore.forward(net, x, bufs)
         grads, dx = nncore.backward(net, bufs, gz)
         assert no_dx is None and dx.shape == x.shape
         assert got.tobytes() == grads.tobytes()

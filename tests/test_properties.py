@@ -22,11 +22,11 @@ KINK = 1e-3
 @st.composite
 def net_cases(draw):
     """A net (one-unit and one-wide layers included), a set of r rows,
-    a backward batch of 1..r // 2 rows and a forward batch of 1..r."""
+    a backward batch of 1..r rows and a forward batch of 1..r."""
     sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
     activation = draw(st.sampled_from(["linear", "relu"]))
     rows = draw(st.integers(2, 12))
-    n_back = draw(st.integers(1, rows // 2))
+    n_back = draw(st.integers(1, rows))
     n_fwd = draw(st.integers(1, rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = nncore.init_network(sizes, 0, activation)
@@ -72,9 +72,9 @@ def test_forward_and_backward_in_a_set_match_oracles(case):
     (numeric_x,) = fd_gradients(loss, [x_back])
     np.testing.assert_allclose(d_x, numeric_x, rtol=1e-6, atol=1e-7)
 
-    # The backward pass used the ones column of the activations' upper
-    # half as scratch; a forward pass over any rows of the set still
-    # matches the evaluator.
+    # The backward pass wrote its deltas over the activations, using their
+    # ones column as scratch; a forward pass over any rows of the set
+    # still matches the evaluator.
     out = nncore.forward(net, x_fwd, bufs)
     np.testing.assert_allclose(out, _oracle(net, x_fwd, net.output_activation),
                                rtol=1e-12, atol=1e-12)
@@ -83,15 +83,15 @@ def test_forward_and_backward_in_a_set_match_oracles(case):
 @st.composite
 def step_cases(draw):
     """A model of a drawn kind and sizes, with a scaler; a set of r rows;
-    a batch of n <= r // 2 rows; and what the set ran before the step:
-    a step over up to r // 2 rows and a forward pass over up to r rows,
-    which stands in for an in-run evaluation chunk, in either order."""
+    a batch of n <= r rows; and what the set ran before the step: a step
+    over up to r rows and a forward pass over up to r rows, which stands
+    in for an in-run evaluation chunk, in either order."""
     kind = draw(st.sampled_from(list(models.ModelKind)))
     d = draw(st.integers(1, 4))
     hidden = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    rows = draw(st.integers(2, 24))
-    n = draw(st.integers(1, rows // 2))
-    n_step = draw(st.integers(1, rows // 2))
+    rows = draw(st.integers(1, 24))
+    n = draw(st.integers(1, rows))
+    n_step = draw(st.integers(1, rows))
     n_eval = draw(st.integers(1, rows))
     eval_first = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -125,5 +125,5 @@ def test_step_in_a_reused_set_gives_fresh_bits(case):
             models.forward_full(model, x_eval, bufs)
         else:
             _step(model, bufs, *before)
-    want = _step(model, models.buffer_set(model, 2 * len(x)), x, t, y)
+    want = _step(model, models.buffer_set(model, len(x)), x, t, y)
     assert _step(model, bufs, x, t, y) == want

@@ -179,7 +179,7 @@ class TestStepMemory:
         y = (rng.random(n) < 0.3).astype(float)
         model = models.build("tarnet", d, (1024, 512, 256), seed=0)
         state = nncore.init_adam(model.params, 1e-3)
-        buffers = models.buffer_set(model, max(2 * n, models.CHUNK))  # as train sizes it
+        buffers = models.buffer_set(model, max(n, models.CHUNK))  # as train sizes it
 
         def step():
             _, grads, _ = mil.combined_loss_and_grads(
@@ -258,10 +258,15 @@ class TestRepeatRuns:
         for a, b in zip(seq_results, par_results):
             assert _report_key(a.report) == _report_key(b.report)
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
     def test_nonpositive_jobs_rejected(self, splits, jobs):
         with pytest.raises(ConfigError, match="jobs must be at least 1"):
             repeat_runs(*splits, _cfg(), n_runs=1, jobs=jobs)
+
+    @pytest.mark.parametrize("n_runs", [0, -3, 1.5, True, "2"])
+    def test_nonpositive_n_runs_rejected(self, splits, n_runs):
+        with pytest.raises(ConfigError, match="n_runs must be at least 1"):
+            repeat_runs(*splits, _cfg(), n_runs=n_runs)
 
     def test_failed_runs_counted_not_fatal(self, splits):
         tr, va, te = splits
