@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, ParseError, SchemaError
+from .errors import ConfigError, MetricError, ParseError, SchemaError, is_int
 
 log = logging.getLogger(__name__)
 
@@ -105,10 +105,11 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n <= 0:
-            raise ConfigError(f"n must be positive, got {self.n}")
-        if self.d < 3:
-            raise ConfigError(f"d must be at least 3, got {self.d}")
+        for name, least in (("n", 1), ("d", 3), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_int(value, least):
+                raise ConfigError(
+                    f"{name!r} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.treated_fraction < 1.0:
             raise ConfigError(
                 f"treated_fraction must lie in (0, 1), got {self.treated_fraction}"
@@ -323,6 +324,8 @@ def split(ds: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
     four (t, y) cells has fewer rows than there are splits the partition
     falls back to an unstratified shuffle with a warning.
     """
+    if not is_int(seed, 0):
+        raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ConfigError(f"need three positive fractions, got {fractions}")
@@ -380,8 +383,10 @@ def minibatches(ds: Dataset, batch_size: int, seed, epoch: int) -> list[MiniBatc
     A fresh uniform shuffle is drawn per (seed, epoch); the final short
     batch is dropped so batch and bag arithmetic stay exact.
     """
-    if batch_size < 2:
-        raise ConfigError(f"batch_size must be at least 2, got {batch_size}")
+    for name, value, least in (("batch_size", batch_size, 2), ("seed", seed, 0),
+                               ("epoch", epoch, 0)):
+        if not is_int(value, least):
+            raise ConfigError(f"{name!r} must be an integer >= {least}, got {value!r}")
     if batch_size > ds.n:
         warnings.warn(
             f"batch_size {batch_size} exceeds dataset size {ds.n}; "

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, MetricError, is_int
 
 DEFAULT_GRID = 100
 
@@ -123,8 +123,8 @@ def uplift_curve(
     n_nan = int(np.isnan(scores).sum())
     if n_nan:
         raise MetricError(f"uplift curve undefined: {n_nan} of {len(scores)} scores are NaN")
-    if n_points < 2:
-        raise ConfigError(f"n_points must be at least 2, got {n_points}")
+    if not is_int(n_points, 2):
+        raise ConfigError(f"'n_points' must be an integer >= 2, got {n_points!r}")
     n_t = int(t.sum())
     n_c = len(t) - n_t
     if n_t == 0 or n_c == 0:

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .errors import ConfigError, enum_member
+from .errors import ConfigError, enum_member, is_int
 from .models import ModelOutputs, UpliftModel
 
 
@@ -94,8 +94,8 @@ def cluster_bags(
     """
     preds = np.asarray(uplift_predictions, dtype=np.float64)
     mode = enum_member(BagMode, mode, "mode")
-    if bag_size < 2:
-        raise ConfigError(f"bag_size must be at least 2, got {bag_size}")
+    if not is_int(bag_size, 2):
+        raise ConfigError(f"'bag_size' must be an integer >= 2, got {bag_size!r}")
     if mode is BagMode.RANDOM and rng is None:
         raise ConfigError("random bags need an rng, so the shuffle is reproducible")
     if not np.all(np.isfinite(preds)):

@@ -3,13 +3,11 @@
 Every model maps a feature batch to per-row arm logits (z_c, z_t), and
 `forward_full` alone applies the sigmoid, giving the control and
 treatment response probabilities (p_c, p_t) = logistic([z_c, z_t]) and
-the uplift prediction p_t - p_c. Every net ends in a logit ("linear")
-or, for TARNet's trunk, a rectifier representation ("relu"). The
-factual-arm base loss is binary cross-entropy of p_t on treated rows
-plus binary cross-entropy of p_c on control rows, each averaged within
-its own arm; gradients reach a row's counterfactual arm nowhere.
-`factual_loss` is its one implementation: the bag-regularized loss of
-`mil` adds to it rather than restating it.
+the uplift prediction p_t - p_c. The factual-arm base loss is binary
+cross-entropy of p_t on treated rows plus binary cross-entropy of p_c on
+control rows, each averaged within its own arm; gradients reach a row's
+counterfactual arm nowhere. `factual_loss` is its one implementation:
+the bag-regularized loss of `mil` adds to it rather than restating it.
 
 Architectures:
 
@@ -25,11 +23,17 @@ Architectures:
   one-hidden-layer logit heads, with z_arm = shared + private logit.
 
 `_layout` is the one definition of each architecture: its nets' names,
-parameter order, layer sizes, output activations and inputs. A checkpoint
-(format 2) is a .npz archive of a JSON manifest (format_version, kind,
-input_dim, hidden_sizes, seed, has_scaler), the one vector `params` and,
-with a scaler, its mean and std; `params` must have the length of the
-layout the manifest gives.
+parameter order, layer sizes, inputs, and the arm logits each net's
+output adds to. A net that feeds no arm is a rectifier representation
+for other nets ("relu"); every other net ends in a logit ("linear").
+`forward_full` and `backprop_factual` walk that table, forward and in
+reverse, and know no architecture by name.
+
+A checkpoint (format 2) is a .npz archive of a JSON manifest
+(format_version, kind, input_dim, hidden_sizes, seed, has_scaler), the
+one vector `params` and, with a scaler, its mean and std; `params` must
+have the length of the layout the manifest gives, and every stored value
+must be finite, the std positive.
 
 Buffers: `forward_full`, `backprop_factual` and `predict` run in a
 `BufferSet`: one model-input buffer, each net's `nncore.NetBuffers` and
@@ -62,6 +66,9 @@ from .errors import ConfigError, ShapeError, enum_member, is_int
 from .nncore import NetworkParams
 
 CHECKPOINT_VERSION = 2
+
+# The columns of the arm logits [z_c, z_t] that a net's output adds to.
+_CONTROL, _TREATED, _BOTH = slice(0, 1), slice(1, 2), slice(0, 2)
 
 # Rows per forward pass of `predict`: it holds one chunk's activations
 # at a time, not the whole set's.
@@ -107,7 +114,8 @@ class UpliftModel:
             raise ConfigError(f"'params' has shape {shape}, expected ({sum(counts)},)")
         self.params = params
         flats = np.split(params, np.cumsum(counts)[:-1])
-        self.nets = {n: NetworkParams(f, s, a) for (n, s, a, _), f in zip(layout, flats)}
+        self.nets = {n: NetworkParams(f, s, "relu" if arms is None else "linear")
+                     for (n, s, arms, _), f in zip(layout, flats)}
 
     def __reduce__(self):
         return UpliftModel, (self.kind, self.input_dim, self.hidden_sizes,
@@ -156,12 +164,18 @@ class ModelOutputs:
 
 def _layout(
     kind: ModelKind, input_dim, hidden_sizes
-) -> list[tuple[str, tuple, str, str | None]]:
-    """The nets of an architecture as (name, layer_sizes, output_activation,
-    input), in parameter order: the one place that knows each kind's
-    shape. `input` is "x" for a net that reads the scaled features,
-    another net's name for one that reads that net's output, and None
-    for one whose input is its own."""
+) -> list[tuple[str, tuple, slice | None, str | None]]:
+    """The nets of an architecture as (name, layer_sizes, arms, input), in
+    parameter order: the one place that knows each kind's shape and wiring.
+
+    `arms` are the columns of the arm logits [z_c, z_t] that the net's
+    output adds to (a one-unit net feeding both adds its logit to each),
+    or None for a rectifier representation ("relu") that other nets
+    read; every other net ends in a logit ("linear"). `input` is "x" for
+    a net that reads the scaled features, another net's name for one
+    that reads that net's output, and None for one whose input is its
+    own: the features and the logistic of the control logit of the nets
+    before it, a constant (stop-gradient)."""
     if not is_int(input_dim):
         raise ConfigError(f"input_dim must be a positive integer, got {input_dim!r}")
     try:
@@ -174,22 +188,22 @@ def _layout(
         )
     last = hidden[-1]
     if kind is ModelKind.TM:
-        return [("net", (input_dim, *hidden, 2), "linear", "x")]
+        return [("net", (input_dim, *hidden, 2), _BOTH, "x")]
     if kind is ModelKind.TARNET:
         return [
-            ("trunk", (input_dim, *hidden), "relu", "x"),
-            ("head_c", (last, last, 1), "linear", "trunk"),
-            ("head_t", (last, last, 1), "linear", "trunk"),
+            ("trunk", (input_dim, *hidden), None, "x"),
+            ("head_c", (last, last, 1), _CONTROL, "trunk"),
+            ("head_t", (last, last, 1), _TREATED, "trunk"),
         ]
     if kind is ModelKind.DDR:
         return [
-            ("control", (input_dim, *hidden, 1), "linear", "x"),
-            ("treatment", (input_dim + 1, *hidden, 1), "linear", None),
+            ("control", (input_dim, *hidden, 1), _CONTROL, "x"),
+            ("treatment", (input_dim + 1, *hidden, 1), _TREATED, None),
         ]
-    return [  # SDR
-        ("shared", (input_dim, *hidden, 1), "linear", "x"),
-        ("private_c", (input_dim, last, 1), "linear", "x"),
-        ("private_t", (input_dim, last, 1), "linear", "x"),
+    return [  # SDR: each arm's logit is the shared one plus its private one.
+        ("shared", (input_dim, *hidden, 1), _BOTH, "x"),
+        ("private_c", (input_dim, last, 1), _CONTROL, "x"),
+        ("private_t", (input_dim, last, 1), _TREATED, "x"),
     ]
 
 
@@ -236,24 +250,18 @@ def forward_full(
     n = len(x)
     if buffers is None:
         buffers = buffer_set(model, n)
-    xs = _scale(model, x, nncore.first_rows(buffers.inputs, n)[:, :-1])
-
-    def run(name, inputs):
-        return nncore.forward(model.nets[name], inputs, buffers.nets[name])
-
-    if model.kind is ModelKind.TM:
-        z = run("net", xs)
-    elif model.kind is ModelKind.TARNET:
-        rep = run("trunk", xs)
-        z = np.hstack([run("head_c", rep), run("head_t", rep)])
-    elif model.kind is ModelKind.DDR:
-        z_c = run("control", xs)
-        fed = nncore.first_rows(buffers.nets["treatment"].inputs, n)[:, :-1]
-        fed[:, :-1] = xs
-        fed[:, -1:] = nncore.logistic(z_c)
-        z = np.hstack([z_c, run("treatment", fed)])
-    else:  # SDR: both arms add their private logit to the shared one.
-        z = run("shared", xs) + np.hstack([run("private_c", xs), run("private_t", xs)])
+    outputs = {"x": _scale(model, x, nncore.first_rows(buffers.inputs, n)[:, :-1])}
+    z = np.zeros((n, 2))
+    layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
+    for name, _, arms, source in layout:
+        inputs = outputs.get(source)
+        if inputs is None:  # its own input: the features and p_c
+            inputs = nncore.first_rows(buffers.nets[name].inputs, n)[:, :-1]
+            inputs[:, :-1] = outputs["x"]
+            inputs[:, -1:] = nncore.logistic(z[:, :1])
+        outputs[name] = nncore.forward(model.nets[name], inputs, buffers.nets[name])
+        if arms is not None:
+            z[:, arms] += outputs[name]
     p = nncore.logistic(z)
     p_c, p_t = p[:, 0], p[:, 1]
     return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c)
@@ -296,30 +304,23 @@ def backprop_factual(
     for the control arm. Returns `buffers.grad`, aligned with
     `model.params`: each net's backward pass writes its own slice.
     """
-    gt = np.asarray(gz_t, dtype=np.float64).reshape(-1, 1)
-    gc = np.asarray(gz_c, dtype=np.float64).reshape(-1, 1)
-
-    def back(name, output_grad, input_grad=False):
-        return nncore.backward(model.nets[name], buffers.nets[name], output_grad,
-                               input_grad=input_grad)[1]
-
-    if model.kind is ModelKind.TM:
-        back("net", np.hstack([gc, gt]))
-    elif model.kind is ModelKind.TARNET:
-        # Both heads' input gradients summed in head_c's delta buffer.
-        d_rep = back("head_c", gc, True)
-        d_rep += back("head_t", gt, True)
-        trunk, bufs = model.nets["trunk"], buffers.nets["trunk"]
-        back("trunk", nncore.output_grad_to_preact(trunk, bufs, d_rep, out=d_rep))
-    elif model.kind is ModelKind.DDR:
-        # No input gradient for the treatment net: the appended control
-        # probability is a constant input (stop-gradient).
-        back("control", gc)
-        back("treatment", gt)
-    else:  # SDR: the shared net collects each row's factual-arm gradient.
-        back("shared", gt + gc)
-        back("private_c", gc)
-        back("private_t", gt)
+    g = np.column_stack((gz_c, gz_t)).astype(np.float64, copy=False)
+    d_reads: dict[str, np.ndarray] = {}
+    layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
+    for name, _, arms, source in reversed(layout):
+        net, bufs = model.nets[name], buffers.nets[name]
+        if arms is None:  # a representation: its readers' summed input gradients
+            d_out = nncore.output_grad_to_preact(net, bufs, d_reads[name],
+                                                 out=d_reads[name])
+        else:
+            d_out = g[:, arms]
+            if d_out.shape[1] > net.layer_sizes[-1]:  # one logit for both arms
+                d_out = d_out[:, :1] + d_out[:, 1:]
+        # No input gradient for the features or an input of its own; a
+        # reader adds the sum of the readers after it into its own.
+        d_in = nncore.backward(net, bufs, d_out, input_grad=source in model.nets)[1]
+        if d_in is not None:
+            d_reads[source] = np.add(d_in, d_reads.get(source, 0.0), out=d_in)
     return buffers.grad
 
 
@@ -377,7 +378,8 @@ def save_checkpoint(model: UpliftModel, path) -> None:
 
 def _read(archive, key: str, shape=None) -> np.ndarray:
     """Checkpoint member `key` as float64, read once; ConfigError naming
-    it if it is missing or, given a `shape`, has another shape."""
+    it if it is missing, holds a value that is not finite or, given a
+    `shape`, has another shape."""
     if key not in archive:
         raise ConfigError(f"checkpoint member {key!r} is missing")
     value = archive[key].astype(np.float64, copy=False)
@@ -385,6 +387,8 @@ def _read(archive, key: str, shape=None) -> np.ndarray:
         raise ConfigError(
             f"checkpoint member {key!r} has shape {value.shape}, expected {shape}"
         )
+    if not np.isfinite(value).all():
+        raise ConfigError(f"checkpoint member {key!r} holds a value that is not finite")
     return value
 
 
@@ -397,7 +401,8 @@ def _entry(manifest: dict, key: str):
 
 def load_checkpoint(path) -> UpliftModel:
     """Read a format-2 checkpoint. The model is laid out from the
-    manifest over the stored `params`; no weights are drawn."""
+    manifest over the stored `params`; no weights are drawn. Every
+    stored value must be finite, and the scaler's std positive."""
     with np.load(path) as archive:
         if "manifest" not in archive:
             raise ConfigError("checkpoint member 'manifest' is missing")
@@ -410,4 +415,6 @@ def load_checkpoint(path) -> UpliftModel:
         if _entry(manifest, "has_scaler"):
             model.scaler = tuple(_read(archive, k, (model.input_dim,))
                                  for k in ("scaler.mean", "scaler.std"))
+            if not (model.scaler[1] > 0).all():
+                raise ConfigError("checkpoint member 'scaler.std' must be > 0")
     return model

@@ -251,6 +251,13 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split(ds, (0.5, 0.2, 0.2), seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        ds = generate_synthetic(SynthConfig(n=50, d=3, seed=0))
+        want = f"'seed' must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            split(ds, (0.6, 0.2, 0.2), seed)
+
 
 class TestMinibatches:
     def test_short_final_batch_dropped(self):
@@ -279,8 +286,17 @@ class TestMinibatches:
 
     def test_tiny_batch_size_rejected(self):
         ds = generate_synthetic(SynthConfig(n=10, d=3, seed=0))
-        with pytest.raises(ConfigError):
-            minibatches(ds, 1, seed=0, epoch=0)
+        for batch_size in (1, 4.5, 4.0, True):
+            with pytest.raises(ConfigError, match="'batch_size' must be an integer >= 2"):
+                minibatches(ds, batch_size, seed=0, epoch=0)
+
+    @pytest.mark.parametrize("seed, epoch, name", [
+        (-1, 0, "seed"), (2.5, 0, "seed"), (0, -1, "epoch"), (0, 1.0, "epoch"),
+    ])
+    def test_bad_seed_or_epoch_rejected(self, seed, epoch, name):
+        ds = generate_synthetic(SynthConfig(n=10, d=3, seed=0))
+        with pytest.raises(ConfigError, match=f"'{name}' must be an integer >= 0"):
+            minibatches(ds, 4, seed, epoch)
 
 
 class TestGenerateSynthetic:
@@ -304,6 +320,17 @@ class TestGenerateSynthetic:
     def test_probability_overflow_rejected_before_sampling(self):
         with pytest.raises(ConfigError):
             generate_synthetic(SynthConfig(base_rate=0.97, slope=0.02, tau_max=0.06))
+
+    @pytest.mark.parametrize("field, value, least", [
+        ("n", 0, 1), ("n", 100.5, 1), ("n", True, 1), ("d", 2, 3), ("d", 4.0, 3),
+        ("seed", -3, 0), ("seed", "1", 0),
+    ])
+    def test_bad_integer_setting_rejected(self, field, value, least):
+        # n=True once drew a one-row set; floats and negative seeds failed
+        # inside numpy.
+        want = f"'{field}' must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            generate_synthetic(SynthConfig(**{field: value}))
 
     def test_half_population_has_zero_uplift(self):
         ds = generate_synthetic(SynthConfig(n=20_000, seed=2))

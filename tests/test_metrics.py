@@ -150,8 +150,11 @@ class TestUpliftCurve:
             uplift_curve(np.zeros(4), np.zeros(4), np.ones(4))
 
     def test_tiny_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            uplift_curve(np.zeros(4), np.zeros(4), np.array([1, 0, 1, 0]), n_points=1)
+        # A float grid size, even a whole one, used to fail in numpy's indexing.
+        for n_points in (1, 2.5, np.float64(10), True):
+            with pytest.raises(ConfigError, match="'n_points' must be an integer >= 2"):
+                uplift_curve(np.zeros(4), np.zeros(4), np.array([1, 0, 1, 0]),
+                             n_points=n_points)
 
     @pytest.mark.parametrize("column, bad", [
         ("treatment", 2), ("outcome", 0.7), ("outcome", np.nan), ("treatment", -1),

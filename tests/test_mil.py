@@ -1,6 +1,8 @@
 """Bag formation, bag-wise ATE arithmetic, the combined loss, and the
 noise-cancellation identity behind the regularizer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ class TestClusterBags:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="'mode'.*'nearest'"):
             cluster_bags(np.arange(8.0), 2, "nearest")
+
+    @pytest.mark.parametrize("bag_size", [1, 2.5, 3.0, 2.0, True])
+    def test_bad_bag_size_rejected(self, bag_size):
+        # A float size, even a whole one, used to fail in numpy's reshape.
+        want = f"'bag_size' must be an integer >= 2, got {bag_size!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            cluster_bags(np.arange(8.0), bag_size)
+        m = models.build("tm", 3, (4,), 0)
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            combined_loss_and_grads(m, *_batch(30), alpha=0.01, bag_size=bag_size)
 
     def test_random_mode_without_rng_rejected(self):
         # A seedless shuffle would draw OS entropy and break reproducibility.

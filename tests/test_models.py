@@ -484,6 +484,27 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=re.escape("'params'")):
             models.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, values, match", [
+        ("params", {0: np.nan}, "not finite"),
+        ("params", {-1: np.inf}, "not finite"),
+        ("scaler.std", {1: 0.0, 2: np.nan}, "not finite"),
+        ("scaler.std", {1: np.inf}, "not finite"),
+        ("scaler.std", {1: 0.0}, "must be > 0"),
+        ("scaler.std", {0: -1.0}, "must be > 0"),
+        ("scaler.mean", {2: -np.inf}, "not finite"),
+        ("scaler.mean", {0: np.nan}, "not finite"),
+    ])
+    def test_non_finite_member_rejected(self, tmp_path, key, values, match):
+        # A zero or NaN std once loaded and made every score NaN at the
+        # first evaluation; an infinite weight scored silently, clipped.
+        def edit(members):
+            for i, v in values.items():
+                members[key][i] = v
+
+        path = self._saved(tmp_path, edit=edit)
+        with pytest.raises(ConfigError, match=f"'{re.escape(key)}'.*{match}"):
+            models.load_checkpoint(path)
+
     def test_missing_member_names_it(self, tmp_path):
         path = self._saved(tmp_path, edit=lambda m: m.pop("params"), kind="tarnet")
         with pytest.raises(ConfigError, match=re.escape("'params'")):

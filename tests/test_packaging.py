@@ -1,9 +1,12 @@
-"""Package metadata: every declared console script resolves, and every
-package name the benchmark harness reaches exists."""
+"""Package metadata: every declared console script resolves, the package
+imports nothing beyond NumPy and the standard library, and every package
+name the benchmark harness reaches exists."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,6 +24,22 @@ def test_console_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy as the one dependency.
+    for path in sorted((ROOT / "src" / "upliftmil").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name}")
 
 
 def test_benchmark_harness_names_resolve():

@@ -1,8 +1,10 @@
 """Property-based tests of passes run in a reused set of buffers:
 `nncore.forward` and `backward` against the clean-room evaluator and
 central finite differences, for drawn layer sizes, row counts and output
-activations; and a model's training step against the same step in a
-fresh set, whatever passes the reused set ran before it."""
+activations; each architecture's wiring, its probabilities and base-loss
+gradient against the per-kind clean-room oracle; and a model's training
+step against the same step in a fresh set, whatever passes the reused
+set ran before it."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,22 @@ from hypothesis import assume, given, strategies as st  # noqa: E402
 
 from upliftmil import models, nncore  # noqa: E402
 
-from oracles import dense_eval, fd_gradients, net_layers  # noqa: E402
+from oracles import (  # noqa: E402
+    combined_loss_ref,
+    dense_eval,
+    fd_gradients,
+    model_probs,
+    net_layers,
+)
 
 # A hidden pre-activation this close to zero puts a rectifier kink inside
 # the finite-difference step; such draws are skipped.
 KINK = 1e-3
+
+# A probability this close to 0 or 1 may be clamped (nncore.PROB_CLIP)
+# within the step, where the loss is flat but its logit gradient is not;
+# such draws are skipped too.
+CLAMP = 1e-6
 
 
 @st.composite
@@ -41,9 +54,10 @@ def _oracle(net, x, activation):
     return np.array([dense_eval(layers, activation, row) for row in x])
 
 
-def _hidden_preacts(net, x):
+def _preacts(net, x):
+    """Every layer's pre-activations over x, rectifiers between them."""
     a, out = x, []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+    for w, b in zip(net.weights, net.biases):
         z = a @ w + b
         out.append(z)
         a = np.maximum(z, 0.0)
@@ -53,7 +67,7 @@ def _hidden_preacts(net, x):
 @given(net_cases())
 def test_forward_and_backward_in_a_set_match_oracles(case):
     net, rows, x_back, g_out, x_fwd = case
-    assume(all((np.abs(z) > KINK).all() for z in _hidden_preacts(net, x_back)))
+    assume(all((np.abs(z) > KINK).all() for z in _preacts(net, x_back)[:-1]))
     bufs = nncore.net_buffers(net.layer_sizes, rows, np.empty_like(net.flat))
 
     out = nncore.forward(net, x_back, bufs)
@@ -78,6 +92,53 @@ def test_forward_and_backward_in_a_set_match_oracles(case):
     out = nncore.forward(net, x_fwd, bufs)
     np.testing.assert_allclose(out, _oracle(net, x_fwd, net.output_activation),
                                rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def model_cases(draw):
+    """A model of a drawn kind, feature count and hidden sizes (one-layer
+    nets and one-unit layers included), with drawn parameters and a
+    scaler, and a batch of two to six rows."""
+    kind = draw(st.sampled_from(list(models.ModelKind)))
+    d = draw(st.integers(1, 3))
+    hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = models.build(kind, d, hidden, seed=0)
+    model.params[...] = rng.normal(0.0, 0.7, size=model.params.size)
+    model.scaler = (rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    x = rng.normal(size=(n, d))
+    return model, x, rng.integers(0, 2, n), rng.integers(0, 2, n)
+
+
+@given(model_cases())
+def test_wiring_matches_the_per_kind_oracle(case):
+    model, x, t, y = case
+    bufs = models.buffer_set(model, len(x))
+    out = models.forward_full(model, x, bufs)
+    ref_t, ref_c = model_probs(model, x)
+    np.testing.assert_allclose(out.p_t, ref_t, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.p_c, ref_c, rtol=1e-12, atol=1e-12)
+
+    # Skip a draw with a rectifier kink inside the finite-difference step
+    # (or a logit that close to zero), or a clamped probability; each
+    # net's input is read from its buffer after the pass.
+    preacts = [z for name, net in model.nets.items()
+               for z in _preacts(net, bufs.nets[name].inputs[: len(x), :-1])]
+    assume(all((np.abs(z) > KINK).all() for z in preacts))
+    p = np.concatenate([out.p_t, out.p_c])
+    assume(((p > CLAMP) & (p < 1.0 - CLAMP)).all())
+    _, gz_t, gz_c = models.factual_loss(out, t, y)
+    grad = models.backprop_factual(model, gz_t, gz_c, bufs)
+    # DDR's treatment net reads p_c as a constant: the oracle is given the
+    # pass's p_c frozen (the other kinds ignore it).
+    frozen_pc = out.p_c.copy()
+
+    def loss(_arrays):
+        return combined_loss_ref(model, x, t, y, 0.5, 0.0, [], frozen_pc=frozen_pc)
+
+    (numeric,) = fd_gradients(loss, [model.params])
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-7)
 
 
 @st.composite
