@@ -185,8 +185,10 @@ def combined_loss_and_grads(
     call's own forward pass (the returned outputs); RANDOM bags draw from
     `rng`, which they need. The assignment is fixed during the gradient;
     MIL gradient reaches each row only through its factual arm's
-    probability. With alpha = 0 the bag machinery is skipped entirely and
-    the gradients are bit-for-bit those of `models.base_loss_and_grads`.
+    probability, and adds into that arm's column of the base loss's
+    (n, 2) arm-logit gradient. With alpha = 0 the bag machinery is
+    skipped entirely and the gradients are bit-for-bit those of
+    `models.base_loss_and_grads`.
     A non-finite base loss (a diverged model) forms no bags either: the
     returned loss is then non-finite for the caller to report.
 
@@ -201,7 +203,7 @@ def combined_loss_and_grads(
     out = models.forward_full(model, x, buffers)
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
-    l_base, gz_t, gz_c = models.factual_loss(out, t, y)
+    l_base, g = models.factual_loss(out, t, y)
 
     l_mil, usable = 0.0, 0
     if alpha != 0.0 and np.isfinite(l_base):
@@ -210,20 +212,19 @@ def combined_loss_and_grads(
         l_mil, residuals = mil_loss(stats)
         usable = int(stats.usable.sum())
     if usable:
-        # d l_mil / d p: -2 r / u_t on treated members, +2 r / (1 - u_t) on
-        # control members of usable bags; then through the logistic. Bags
-        # are disjoint, so one scatter per arm writes every member once.
-        bags = partition.bags
-        treated = t[bags] == 1.0
+        # d l_mil / d p: -2 r / u_t at the treated arm of treated members,
+        # +2 r / (1 - u_t) at the control arm of control members of usable
+        # bags; then through the logistic. Bags are disjoint, so one
+        # scatter writes every member's factual column once.
+        treated = t[partition.bags] == 1.0
         r = residuals[:, None]
-        dp_t = np.zeros_like(out.p_t)
-        dp_c = np.zeros_like(out.p_c)
-        dp_t[bags] = np.where(treated, -2.0 * r / u_t, 0.0)
-        dp_c[bags] = np.where(treated, 0.0, 2.0 * r / (1.0 - u_t))
-        gz_t = gz_t + alpha * dp_t * out.p_t * (1.0 - out.p_t)
-        gz_c = gz_c + alpha * dp_c * out.p_c * (1.0 - out.p_c)
+        dp = np.zeros_like(g)
+        dp[partition.bags, treated.astype(np.intp)] = np.where(
+            treated, -2.0 * r / u_t, 2.0 * r / (1.0 - u_t))
+        p = np.column_stack((out.p_c, out.p_t))
+        g += alpha * dp * p * (1.0 - p)
 
-    grads = models.backprop_factual(model, gz_t, gz_c, buffers)
+    grads = models.backprop_factual(model, g, buffers)
     breakdown = LossBreakdown(
         l_base=l_base,
         l_mil=l_mil,

@@ -4,10 +4,12 @@ Every model maps a feature batch to per-row arm logits (z_c, z_t), and
 `forward_full` alone applies the sigmoid, giving the control and
 treatment response probabilities (p_c, p_t) = logistic([z_c, z_t]) and
 the uplift prediction p_t - p_c. The factual-arm base loss is binary
-cross-entropy of p_t on treated rows plus binary cross-entropy of p_c on
-control rows, each averaged within its own arm; gradients reach a row's
-counterfactual arm nowhere. `factual_loss` is its one implementation:
-the bag-regularized loss of `mil` adds to it rather than restating it.
+cross-entropy of z_t on treated rows plus binary cross-entropy of z_c on
+control rows, each taken on the logit itself and averaged within its own
+arm; gradients reach a row's counterfactual arm nowhere. `factual_loss`
+is its one implementation: the bag-regularized loss of `mil` adds to its
+(n, 2) arm-logit gradient rather than restating it, and
+`backprop_factual` routes that one array through the nets.
 
 Architectures:
 
@@ -155,11 +157,13 @@ def buffer_set(model: UpliftModel, rows: int) -> BufferSet:
 
 @dataclass
 class ModelOutputs:
-    """Per-row probabilities and the uplift vector of a forward pass."""
+    """Per-row probabilities and the uplift vector of a forward pass, and
+    the (n, 2) arm logits [z_c, z_t] they come from."""
 
     p_t: np.ndarray
     p_c: np.ndarray
     uplift: np.ndarray
+    logits: np.ndarray
 
 
 def _layout(
@@ -262,9 +266,8 @@ def forward_full(
         outputs[name] = nncore.forward(model.nets[name], inputs, buffers.nets[name])
         if arms is not None:
             z[:, arms] += outputs[name]
-    p = nncore.logistic(z)
-    p_c, p_t = p[:, 0], p[:, 1]
-    return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c)
+    p_c, p_t = nncore.logistic(z).T
+    return ModelOutputs(p_t=p_t, p_c=p_c, uplift=p_t - p_c, logits=z)
 
 
 def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None):
@@ -293,18 +296,16 @@ def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None)
     return p_t, p_c, uplift
 
 
-def backprop_factual(
-    model: UpliftModel, gz_t: np.ndarray, gz_c: np.ndarray, buffers: BufferSet
-) -> np.ndarray:
-    """Route per-row arm-logit gradients through the architecture,
+def backprop_factual(model: UpliftModel, g: np.ndarray,
+                     buffers: BufferSet) -> np.ndarray:
+    """Route the (n, 2) arm-logit gradient `g` through the architecture,
     consuming the `forward_full` pass last run in `buffers`.
 
-    gz_t[i] is the loss gradient at the treatment arm's logit for row i
-    (zero on rows whose treatment arm takes no gradient), gz_c likewise
-    for the control arm. Returns `buffers.grad`, aligned with
-    `model.params`: each net's backward pass writes its own slice.
+    g[i] is the loss gradient at row i's arm logits [z_c, z_t], laid out
+    like `ModelOutputs.logits` (zero where an arm takes no gradient).
+    Returns `buffers.grad`, aligned with `model.params`: each net's
+    backward pass writes its own slice.
     """
-    g = np.column_stack((gz_c, gz_t)).astype(np.float64, copy=False)
     d_reads: dict[str, np.ndarray] = {}
     layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
     for name, _, arms, source in reversed(layout):
@@ -325,18 +326,19 @@ def backprop_factual(
 
 
 def factual_loss(out: ModelOutputs, treatment, outcome):
-    """The base loss: factual-arm cross-entropy of a forward pass.
+    """The base loss: factual-arm cross-entropy of a forward pass's logits.
 
-    Returns (l_base, gz_t, gz_c), with gz_t and gz_c the per-row
-    arm-logit gradients `backprop_factual` takes. Each arm's
-    cross-entropy is averaged over that arm's rows and the two arm losses
-    are summed; a batch with an empty arm contributes zero for that arm.
+    Returns (l_base, g), with g the (n, 2) arm-logit gradient
+    `backprop_factual` takes: column 0 for the control arm, nonzero on
+    control rows only, column 1 for the treatment arm on treated rows.
+    Each arm's cross-entropy is averaged over that arm's rows and the two
+    arm losses are summed; a batch with an empty arm contributes zero for
+    that arm.
     """
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
-    loss_t, gz_t = nncore.bce_loss(out.p_t, y, t)
-    loss_c, gz_c = nncore.bce_loss(out.p_c, y, 1.0 - t)
-    return loss_t + loss_c, gz_t, gz_c
+    return nncore.bce_loss(out.logits, np.column_stack((y, y)),
+                           np.column_stack((1.0 - t, t)))
 
 
 def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
@@ -344,8 +346,8 @@ def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):
     outputs)."""
     buffers = buffer_set(model, len(x))
     out = forward_full(model, x, buffers)
-    loss, gz_t, gz_c = factual_loss(out, treatment, outcome)
-    return loss, backprop_factual(model, gz_t, gz_c, buffers), out
+    loss, g = factual_loss(out, treatment, outcome)
+    return loss, backprop_factual(model, g, buffers), out
 
 
 def set_parameter_arrays(model: UpliftModel, values: np.ndarray) -> None:
@@ -402,17 +404,25 @@ def _entry(manifest: dict, key: str):
 def load_checkpoint(path) -> UpliftModel:
     """Read a format-2 checkpoint. The model is laid out from the
     manifest over the stored `params`; no weights are drawn. Every
-    stored value must be finite, and the scaler's std positive."""
+    stored value must be finite, and the scaler's std positive. A
+    manifest that is not JSON, or whose entries are missing or of the
+    wrong type, raises ConfigError."""
     with np.load(path) as archive:
         if "manifest" not in archive:
             raise ConfigError("checkpoint member 'manifest' is missing")
-        manifest = json.loads(str(archive["manifest"]))
+        try:
+            manifest = json.loads(str(archive["manifest"]))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"checkpoint manifest is not JSON: {exc}") from None
         version = _entry(manifest, "format_version")
-        if version != CHECKPOINT_VERSION:
+        if version != CHECKPOINT_VERSION or not is_int(version):
             raise ConfigError(f"checkpoint format {version} not supported")
         args = [_entry(manifest, k) for k in ("kind", "input_dim", "hidden_sizes")]
         model = UpliftModel(*args, _entry(manifest, "seed"), _read(archive, "params"))
-        if _entry(manifest, "has_scaler"):
+        has_scaler = _entry(manifest, "has_scaler")
+        if not isinstance(has_scaler, bool):
+            raise ConfigError(f"'has_scaler' must be true or false, got {has_scaler!r}")
+        if has_scaler:
             model.scaler = tuple(_read(archive, k, (model.input_dim,))
                                  for k in ("scaler.mean", "scaler.std"))
             if not (model.scaler[1] > 0).all():

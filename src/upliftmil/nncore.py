@@ -45,9 +45,10 @@ A net ends in "linear" (a logit) or "relu" (a representation for
 further nets), never in a sigmoid: `models.forward_full` alone applies
 `logistic`, to the arm logits. Gradient convention: `backward` consumes
 the gradient of the scalar loss with respect to the final layer's
-PRE-activation values. Cross-entropy hands that gradient out directly
-(`bce_loss` returns (p - y) / n at the logit, which is the numerically
-stable form); gradients with respect to post-activation outputs can be
+PRE-activation values. Cross-entropy is taken on the logits themselves:
+`bce_loss` reports softplus(z) - y * z and returns its exact derivative
+(logistic(z) - y) / n, with no probability in between to round off or
+clamp; gradients with respect to post-activation outputs can be
 converted with `output_grad_to_preact`.
 """
 
@@ -58,11 +59,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-
-# Probabilities are kept strictly inside (0, 1): logistic outputs are
-# clamped to [PROB_CLIP, 1 - PROB_CLIP] and the same bound protects every
-# log of a probability.
-PROB_CLIP = 1e-7
 
 _ACTIVATIONS = ("linear", "relu")
 
@@ -150,13 +146,12 @@ class AdamState:
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid, clamped to [PROB_CLIP, 1 - PROB_CLIP]:
-    1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|),
-    formed as exp(min(z, -z)) so a NaN keeps its sign."""
+    """Numerically stable sigmoid: 1 / (1 + e) for z >= 0 and e / (1 + e)
+    below, with e = exp(-|z|), formed as exp(min(z, -z)) so a NaN keeps
+    its sign. It reaches 0 and 1 exactly where the logit saturates."""
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(np.minimum(z, -z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP, out=out)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def param_count(layer_sizes) -> int:
@@ -379,27 +374,24 @@ def adam_step(
 
 
 def bce_loss(
-    probabilities: np.ndarray, labels: np.ndarray, mask: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood over mask=1 entries.
+    """Mean binary cross-entropy of logits over mask=1 entries, taken per
+    column: softplus(z) - y * z, with softplus(z) = max(z, 0) +
+    log1p(exp(-|z|)), averaged over each column's own selected entries
+    and summed over columns (a 1-D input is one column).
 
-    Returns (loss, grad) with grad taken at the pre-logistic level:
-    (p - y) / n_selected on selected entries, zero elsewhere. An empty
-    mask contributes zero loss and zero gradient; callers flag that case
-    themselves.
+    Returns (loss, grad) with grad its exact derivative at the logits:
+    (logistic(z) - y) / n_selected on selected entries, zero elsewhere.
+    A column with an empty mask contributes zero loss and zero gradient;
+    callers flag that case themselves.
     """
-    p = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    m = np.asarray(mask, dtype=np.float64)
-    if not (p.shape == y.shape == m.shape):
-        raise ShapeError(
-            f"length mismatch: p {p.shape}, labels {y.shape}, mask {m.shape}"
-        )
-    n_sel = float(m.sum())
-    if n_sel == 0.0:
-        return 0.0, np.zeros_like(p)
-    pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    nll = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
-    loss = float((nll * m).sum() / n_sel)
-    grad = m * (p - y) / n_sel
+    z, y, m = (np.asarray(a, dtype=np.float64) for a in (logits, labels, mask))
+    if not (z.shape == y.shape == m.shape):
+        raise ShapeError(f"length mismatch: logits {z.shape}, labels {y.shape}, "
+                         f"mask {m.shape}")
+    n_sel = np.maximum(m.sum(axis=0), 1.0)  # an empty column's terms are all 0
+    nll = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
+    loss = float(np.sum((nll * m).sum(axis=0) / n_sel))
+    grad = m * (logistic(z) - y) / n_sel
     return loss, grad

@@ -7,7 +7,11 @@ regularizer weight held at zero), then switches to the combined loss
 with bags re-formed from fresh predictions every step. Validation AUUC
 is computed every `eval_every` steps; training stops at `max_steps` or
 after `patience` evaluations without improvement, and the returned model
-is the best-validation checkpoint.
+is the best-validation checkpoint. Evaluations within warm-up are
+recorded in the history but neither compete for the best checkpoint nor
+count toward `patience`, so the returned model has trained with the
+regularizer; only a run that is all warm-up (`warmup_steps ==
+max_steps`) keeps its best warm-up checkpoint.
 
 `train` makes one `models.BufferSet` for the whole run, of
 max(`batch_size`, `models.CHUNK`) rows: every step and every evaluation
@@ -153,7 +157,8 @@ def evaluate(
 def train(
     train_ds: Dataset, valid_ds: Dataset, test_ds: Dataset, cfg: TrainConfig
 ) -> tuple[UpliftModel, TrainReport]:
-    """Run one training job and return the best-validation model."""
+    """Run one training job and return the best-validation model of the
+    evaluations after warm-up."""
     cfg.validate()
     started = time.perf_counter()
     model = models.build(cfg.model, train_ds.d, cfg.hidden_sizes, cfg.seed)
@@ -213,6 +218,8 @@ def train(
                 EvalPoint(step, breakdown.l_base, breakdown.l_mil, val_auuc,
                           breakdown.usable_bags)
             )
+            if step <= warmup < cfg.max_steps:
+                continue  # a warm-up eval: neither a best checkpoint nor patience
             if val_auuc > report.best_val_auuc:
                 report.best_val_auuc = val_auuc
                 report.best_step = step

@@ -2,11 +2,12 @@
 
 Everything here is written straight from the defining formulas with
 plain loops, deliberately sharing no code with the package: a clean-room
-dense-net evaluator per architecture, the factual-arm and bag-level
-losses, the bag-noise identity, central finite differences, a
-functional per-array Adam step, a brute-force uplift-curve evaluator
-that materializes every selection explicitly, and the two-sample
-standard error of an empirical ATE.
+dense-net evaluator per architecture (arm logits, and their sigmoid),
+the factual-arm loss on the logits and the bag-level loss, the
+bag-noise identity, central finite differences, a functional per-array
+Adam step, a brute-force uplift-curve evaluator that materializes every
+selection explicitly, and the two-sample standard error of an empirical
+ATE.
 """
 
 import math
@@ -14,31 +15,28 @@ from fractions import Fraction
 
 import numpy as np
 
-CLIP = 1e-7
-
-
 def sigmoid(z):
     if z >= 0:
-        p = 1.0 / (1.0 + math.exp(-z))
-    else:
-        p = math.exp(z) / (1.0 + math.exp(z))
-    return min(max(p, CLIP), 1.0 - CLIP)
+        return 1.0 / (1.0 + math.exp(-z))
+    return math.exp(z) / (1.0 + math.exp(z))
+
+
+def softplus(z):
+    """log(1 + e^z), without overflow for large z."""
+    return max(z, 0.0) + math.log1p(math.exp(-abs(z)))
 
 
 def dense_eval(layers, out_act, x_row):
-    """One row through a dense net given [(W, b), ...]; hidden relu."""
+    """One row through a dense net given [(W, b), ...]; hidden relu, and
+    a "relu" or "linear" output."""
     a = list(x_row)
     for k, (w, b) in enumerate(layers):
         z = [
             sum(a[i] * w[i][j] for i in range(len(a))) + b[j]
             for j in range(len(b))
         ]
-        if k < len(layers) - 1:
+        if k < len(layers) - 1 or out_act == "relu":
             a = [max(0.0, v) for v in z]
-        elif out_act == "relu":
-            a = [max(0.0, v) for v in z]
-        elif out_act == "logistic":
-            a = [sigmoid(v) for v in z]
         else:
             a = z
     return a
@@ -51,8 +49,8 @@ def net_layers(net):
     ]
 
 
-def model_probs(model, x, frozen_pc=None):
-    """Clean-room (p_t, p_c) per row for any architecture.
+def model_logits(model, x, frozen_pc=None):
+    """Clean-room arm logits (z_t, z_c) per row for any architecture.
 
     frozen_pc, when given for DDR, is the control prediction vector fed
     to the treatment net in place of the freshly computed one; this
@@ -64,41 +62,44 @@ def model_probs(model, x, frozen_pc=None):
     if model.scaler is not None:
         mean, std = model.scaler
         x = [(np.asarray(row) - mean) / std for row in x]
-    p_t, p_c = [], []
+    z_t, z_c = [], []
     for r, row in enumerate(x):
         row = list(np.asarray(row, dtype=float))
         if kind == "tm":
-            out = dense_eval(nets["net"], "logistic", row)
-            p_c.append(out[0])
-            p_t.append(out[1])
+            zc, zt = dense_eval(nets["net"], "linear", row)
         elif kind == "tarnet":
             rep = dense_eval(nets["trunk"], "relu", row)
-            p_c.append(dense_eval(nets["head_c"], "logistic", rep)[0])
-            p_t.append(dense_eval(nets["head_t"], "logistic", rep)[0])
+            zc = dense_eval(nets["head_c"], "linear", rep)[0]
+            zt = dense_eval(nets["head_t"], "linear", rep)[0]
         elif kind == "ddr":
-            pc = dense_eval(nets["control"], "logistic", row)[0]
-            fed = pc if frozen_pc is None else float(frozen_pc[r])
-            pt = dense_eval(nets["treatment"], "logistic", row + [fed])[0]
-            p_c.append(pc)
-            p_t.append(pt)
+            zc = dense_eval(nets["control"], "linear", row)[0]
+            fed = sigmoid(zc) if frozen_pc is None else float(frozen_pc[r])
+            zt = dense_eval(nets["treatment"], "linear", row + [fed])[0]
         else:  # sdr
             zs = dense_eval(nets["shared"], "linear", row)[0]
-            zc = dense_eval(nets["private_c"], "linear", row)[0]
-            zt = dense_eval(nets["private_t"], "linear", row)[0]
-            p_c.append(sigmoid(zs + zc))
-            p_t.append(sigmoid(zs + zt))
-    return p_t, p_c
+            zc = zs + dense_eval(nets["private_c"], "linear", row)[0]
+            zt = zs + dense_eval(nets["private_t"], "linear", row)[0]
+        z_t.append(zt)
+        z_c.append(zc)
+    return z_t, z_c
 
 
-def base_loss_ref(p_t, p_c, t, y):
-    """Arm-wise mean negative log-likelihood of the factual arm, summed."""
+def model_probs(model, x, frozen_pc=None):
+    """Clean-room (p_t, p_c) per row: the sigmoid of `model_logits`."""
+    z_t, z_c = model_logits(model, x, frozen_pc=frozen_pc)
+    return [sigmoid(z) for z in z_t], [sigmoid(z) for z in z_c]
 
-    def nll(p, label):
-        p = min(max(p, CLIP), 1.0 - CLIP)
-        return -(label * math.log(p) + (1 - label) * math.log(1.0 - p))
 
-    t_terms = [nll(p_t[i], y[i]) for i in range(len(t)) if t[i] == 1]
-    c_terms = [nll(p_c[i], y[i]) for i in range(len(t)) if t[i] == 0]
+def base_loss_ref(z_t, z_c, t, y):
+    """Arm-wise mean negative log-likelihood of the factual arm's logit,
+    summed. A positive costs -log sigmoid(z) = softplus(-z), a negative
+    -log(1 - sigmoid(z)) = softplus(z)."""
+
+    def nll(z, label):
+        return softplus(-z) if label == 1 else softplus(z)
+
+    t_terms = [nll(z_t[i], y[i]) for i in range(len(t)) if t[i] == 1]
+    c_terms = [nll(z_c[i], y[i]) for i in range(len(t)) if t[i] == 0]
     loss = 0.0
     if t_terms:
         loss += math.fsum(t_terms) / len(t_terms)
@@ -151,9 +152,10 @@ def variance_identity_check(labels, noise, bags):
 
 
 def combined_loss_ref(model, x, t, y, u_t, alpha, bags, frozen_pc=None):
-    p_t, p_c = model_probs(model, x, frozen_pc=frozen_pc)
-    loss = base_loss_ref(p_t, p_c, t, y)
+    z_t, z_c = model_logits(model, x, frozen_pc=frozen_pc)
+    loss = base_loss_ref(z_t, z_c, t, y)
     if alpha != 0.0:
+        p_t, p_c = [sigmoid(z) for z in z_t], [sigmoid(z) for z in z_c]
         loss += alpha * mil_loss_ref(p_t, p_c, t, y, bags, u_t)
     return loss
 

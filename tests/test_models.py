@@ -33,6 +33,11 @@ def _zero_output_layers(model):
             net.biases[-1][...] = np.zeros_like(net.biases[-1])
 
 
+def _base_ref(out, t, y):
+    """The oracle's base loss of a forward pass's arm logits."""
+    return base_loss_ref(out.logits[:, 1], out.logits[:, 0], t, y)
+
+
 def _tiny(kind, seed=0, d=3):
     return build(kind, d, (5, 4), seed)
 
@@ -184,11 +189,12 @@ class TestBufferSet:
             x = rng.random((9, 3))
             t = rng.integers(0, 2, 9).astype(float)
             gz_t, gz_c = rng.normal(size=9) * t, rng.normal(size=9) * (1.0 - t)
+            g = np.column_stack((gz_c, gz_t))
             fresh_bufs = models.buffer_set(m, 9)
             fresh = models.forward_full(m, x, fresh_bufs)
-            want = models.backprop_factual(m, gz_t, gz_c, fresh_bufs)
+            want = models.backprop_factual(m, g, fresh_bufs)
             out = models.forward_full(m, x, bufs)
-            got = models.backprop_factual(m, gz_t, gz_c, bufs)
+            got = models.backprop_factual(m, g, bufs)
             assert got is bufs.grad and got.tobytes() == want.tobytes()
             assert out.uplift.tobytes() == fresh.uplift.tobytes()
 
@@ -205,11 +211,12 @@ class TestBufferSet:
             x = rng.random((n, 3))
             t = rng.integers(0, 2, n).astype(float)
             gz_t, gz_c = rng.normal(size=n) * t, rng.normal(size=n) * (1.0 - t)
+            g = np.column_stack((gz_c, gz_t))
             wide = models.buffer_set(m, 2 * n)
             fresh = models.forward_full(m, x, wide)
-            want = models.backprop_factual(m, gz_t, gz_c, wide)
+            want = models.backprop_factual(m, g, wide)
             out = models.forward_full(m, x, bufs)
-            got = models.backprop_factual(m, gz_t, gz_c, bufs)
+            got = models.backprop_factual(m, g, bufs)
             assert out.uplift.tobytes() == fresh.uplift.tobytes()
             assert got.tobytes() == want.tobytes()
 
@@ -322,8 +329,8 @@ class TestPredict:
 
 class TestBaseLoss:
     def test_near_perfect_predictions_near_zero_loss(self):
-        # One treated positive predicted at the upper clamp, one control
-        # negative at the lower clamp: each arm costs -ln(1 - 1e-7).
+        # One treated positive at logit 40, one control negative at -40:
+        # each arm costs softplus(-40) = log1p(exp(-40)).
         m = build("tm", 2, (4,), seed=0)
         net = m.nets["net"]
         net.weights[-1][...] = np.zeros_like(net.weights[-1])
@@ -332,7 +339,7 @@ class TestBaseLoss:
         t = np.array([1.0, 0.0])
         y = np.array([1.0, 0.0])
         loss, _, _ = models.base_loss_and_grads(m, x, t, y)
-        assert abs(loss - 2e-7) < 1e-9
+        assert abs(loss - 2 * math.log1p(math.exp(-40.0))) < 1e-9
 
     def test_uninformative_balanced_batch_costs_two_ln2(self):
         m = _tiny("tarnet")
@@ -352,7 +359,7 @@ class TestBaseLoss:
             t[0], t[1] = 1.0, 0.0  # both arms present
             y = rng.integers(0, 2, 10).astype(float)
             loss, _, out = models.base_loss_and_grads(m, x, t, y)
-            assert abs(loss - base_loss_ref(out.p_t, out.p_c, t, y)) < 1e-12
+            assert abs(loss - _base_ref(out, t, y)) < 1e-12
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_gradients_match_finite_differences(self, kind):
@@ -374,13 +381,45 @@ class TestBaseLoss:
         numeric = fd_gradients(loss_fn, [m.params])
         assert max_relative_error([grads], numeric) < 1e-4
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("logit", [20.0, 40.0, -20.0, -40.0])
+    def test_saturated_logits_keep_exact_loss_and_gradient(self, kind, logit):
+        # z_t near `logit` and z_c near -`logit` on every row, each factual
+        # label opposite its arm's saturation: the loss grows linearly in
+        # the logit there, and its gradient is the exact derivative.
+        m = _tiny(kind, seed=33)
+        _jitter(m, seed=133)
+        arm_sign = {"net": [-1.0, 1.0], "head_c": -1.0, "head_t": 1.0,
+                    "control": -1.0, "treatment": 1.0,
+                    "shared": 0.0, "private_c": -1.0, "private_t": 1.0}
+        for name, net in m.nets.items():
+            if name != "trunk":
+                net.weights[-1][...] *= 0.01
+                net.biases[-1][...] = logit * np.asarray(arm_sign[name])
+        rng = np.random.default_rng(33)
+        x = rng.random((6, 3))
+        t = np.array([1, 0, 1, 0, 1, 0], dtype=float)
+        y = np.where(t == 1, logit < 0, logit > 0).astype(float)
+        loss, grads, out = models.base_loss_and_grads(m, x, t, y)
+        assert (np.abs(out.logits) > abs(logit) - 1).all()
+        assert abs(loss - _base_ref(out, t, y)) < 1e-12
+        frozen_pc = out.p_c.copy()
+
+        def loss_fn(_arrays):
+            return combined_loss_ref(m, x, t, y, 0.5, 0.0, [], frozen_pc=frozen_pc)
+
+        # The loss is near 2 |logit| here, so its rounding sets an
+        # absolute floor on the differences, as in the property tests.
+        (numeric,) = fd_gradients(loss_fn, [m.params])
+        np.testing.assert_allclose(grads, numeric, rtol=1e-6, atol=1e-7)
+
     def test_single_arm_batch_contributes_one_arm(self):
         m = _tiny("tm", seed=5)
         x = np.random.default_rng(5).random((4, 3))
         t = np.ones(4)
         y = np.array([1.0, 0.0, 1.0, 1.0])
         loss, grads, out = models.base_loss_and_grads(m, x, t, y)
-        assert abs(loss - base_loss_ref(out.p_t, out.p_c, t, y)) < 1e-12
+        assert abs(loss - _base_ref(out, t, y)) < 1e-12
         # Control column of the output layer receives no gradient
         g_w_last = nncore.layer_blocks(grads, m.nets["net"].layer_sizes)[-1][:-1]
         assert not g_w_last[:, 0].any()
@@ -505,6 +544,12 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"'{re.escape(key)}'.*{match}"):
             models.load_checkpoint(path)
 
+    @pytest.mark.parametrize("text", ["{not json", "", '{"kind": "sdr"'])
+    def test_manifest_that_is_not_json_rejected(self, tmp_path, text):
+        path = self._saved(tmp_path, edit=lambda m: m.update(manifest=np.array(text)))
+        with pytest.raises(ConfigError, match="manifest is not JSON"):
+            models.load_checkpoint(path)
+
     def test_missing_member_names_it(self, tmp_path):
         path = self._saved(tmp_path, edit=lambda m: m.pop("params"), kind="tarnet")
         with pytest.raises(ConfigError, match=re.escape("'params'")):
@@ -523,6 +568,7 @@ class TestCheckpoint:
             *[({"input_dim": v}, "input_dim must be")
               for v in (0, "3", 2.5, [3], True)],
             ({"format_version": 1}, "checkpoint format 1 not supported"),
+            ({"format_version": 2.0}, "checkpoint format 2.0 not supported"),
         ],
     )
     def test_manifest_at_odds_with_params_rejected(self, tmp_path, entries, match):
@@ -541,6 +587,8 @@ class TestCheckpoint:
             ("kind", "xyz"),
             ("manifest", None),
             *[("seed", v) for v in ("a", [1], 1.5, True, -1)],
+            # A flag of another type: 1 once loaded the scaler, 0 dropped it.
+            *[("has_scaler", v) for v in (1, 0, "true", [True])],
         ],
     )
     def test_bad_manifest_names_the_key(self, tmp_path, key, value):

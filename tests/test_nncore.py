@@ -19,9 +19,9 @@ def _forward(net, x):
 
 
 def _loss_through_net(net, x, y):
-    """Scalar BCE of the net's logits through the logistic, for FD checks."""
+    """Scalar BCE of the net's logits, for FD checks."""
     out, _ = _forward(net, x)
-    loss, _ = nncore.bce_loss(nncore.logistic(out).ravel(), y, np.ones_like(y))
+    loss, _ = nncore.bce_loss(out.ravel(), y, np.ones_like(y))
     return loss
 
 
@@ -78,14 +78,13 @@ class TestForward:
         out, _ = _forward(net, np.random.default_rng(0).normal(size=(5, 4)))
         assert out.shape == (5, 2)
 
-    def test_outputs_strictly_inside_unit_interval(self):
+    def test_saturated_logits_give_exact_probabilities(self):
         net = nncore.init_network((2, 1), seed=0)
         net.weights[0][:] = 0.0
-        net.biases[0][:] = 1e6  # saturate
-        out, _ = _forward(net, np.ones((2, 2)))
-        p = nncore.logistic(out)
-        assert np.all(p > 0) and np.all(p < 1)
-        np.testing.assert_allclose(p, 1 - nncore.PROB_CLIP)
+        for bias, p in ((1e6, 1.0), (-1e6, 0.0)):
+            net.biases[0][:] = bias  # saturate
+            out, _ = _forward(net, np.ones((2, 2)))
+            np.testing.assert_array_equal(nncore.logistic(out), np.full((2, 1), p))
 
     def test_dimension_mismatch_raises(self):
         net = nncore.init_network((3, 1), seed=0)
@@ -95,14 +94,14 @@ class TestForward:
 
 def _two_branch_logistic(z):
     """The sigmoid as two masked branches, 1 / (1 + exp(-z)) for z >= 0
-    and exp(z) / (1 + exp(z)) below, then clamped: the reference whose
-    bits `nncore.logistic` keeps."""
+    and exp(z) / (1 + exp(z)) below: the reference whose bits
+    `nncore.logistic` keeps."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, nncore.PROB_CLIP, 1.0 - nncore.PROB_CLIP)
+    return out
 
 
 class TestLogistic:
@@ -249,7 +248,7 @@ class TestBackward:
             x = rng.normal(size=(6, sizes[0]))
             y = rng.integers(0, 2, size=6 * sizes[-1]).astype(float)
             out, bufs = _forward(net, x)
-            _, gz = nncore.bce_loss(nncore.logistic(out).ravel(), y, np.ones_like(y))
+            _, gz = nncore.bce_loss(out.ravel(), y, np.ones_like(y))
             grads, _ = nncore.backward(net, bufs, gz.reshape(out.shape))
 
             def loss_fn(_arrays):
@@ -417,29 +416,56 @@ class TestAdam:
 
 class TestBceLoss:
     def test_half_probability_gives_ln2(self):
-        loss, _ = nncore.bce_loss(np.array([0.5]), np.array([1.0]), np.array([1.0]))
+        loss, _ = nncore.bce_loss(np.array([0.0]), np.array([1.0]), np.array([1.0]))
         assert abs(loss - math.log(2)) < 1e-12
 
     def test_two_row_analytic_case(self):
-        p = np.array([0.9, 0.1])
+        z = np.array([math.log(9.0), -math.log(9.0)])  # p = 0.9, 0.1
         y = np.array([1.0, 0.0])
-        loss, _ = nncore.bce_loss(p, y, np.ones(2))
+        loss, _ = nncore.bce_loss(z, y, np.ones(2))
         assert abs(loss - (-math.log(0.9))) < 1e-12
 
     def test_empty_mask_contributes_nothing(self):
-        p = np.array([0.3, 0.7])
-        loss, grad = nncore.bce_loss(p, np.array([1.0, 0.0]), np.zeros(2))
+        z = np.array([-0.8, 0.8])
+        loss, grad = nncore.bce_loss(z, np.array([1.0, 0.0]), np.zeros(2))
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros(2))
 
     def test_grad_is_prelogistic_residual(self):
-        p = np.array([0.8, 0.2, 0.6])
+        z = np.array([1.4, -1.4, 0.4])
         y = np.array([1.0, 0.0, 0.0])
         mask = np.array([1.0, 0.0, 1.0])
-        _, grad = nncore.bce_loss(p, y, mask)
-        np.testing.assert_allclose(grad, [(0.8 - 1) / 2, 0.0, 0.6 / 2])
+        _, grad = nncore.bce_loss(z, y, mask)
+        p = nncore.logistic(z)
+        np.testing.assert_allclose(grad, [(p[0] - 1) / 2, 0.0, p[2] / 2])
 
     def test_masked_entries_get_zero_gradient(self):
-        p = np.array([0.8, 0.2])
-        _, grad = nncore.bce_loss(p, np.ones(2), np.array([0.0, 1.0]))
+        z = np.array([1.4, -1.4])
+        _, grad = nncore.bce_loss(z, np.ones(2), np.array([0.0, 1.0]))
         assert grad[0] == 0.0
+
+    def test_columns_average_over_their_own_rows(self):
+        # Two columns, each the mean over its own selected rows, summed;
+        # a column with an empty mask adds nothing.
+        z = np.array([[0.3, -1.2], [2.0, 0.7], [-0.5, 1.1]])
+        y = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        mask = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        loss, grad = nncore.bce_loss(z, y, mask)
+        cols = [nncore.bce_loss(z[:, j], y[:, j], mask[:, j]) for j in range(2)]
+        assert abs(loss - (cols[0][0] + cols[1][0])) < 1e-15
+        np.testing.assert_array_equal(grad, np.column_stack([g for _, g in cols]))
+        loss, grad = nncore.bce_loss(z, y, mask * [1.0, 0.0])
+        assert loss == cols[0][0] and not grad[:, 1].any()
+
+    def test_saturated_logits_keep_their_exact_loss_and_gradient(self):
+        # Far past where a probability rounds to 0 or 1, the loss still
+        # grows with the logit and its gradient is the exact derivative.
+        z = np.array([40.0, -40.0, 800.0, -800.0])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        loss, grad = nncore.bce_loss(z, y, np.ones(4))
+        assert abs(loss - (80.0 + 2 * math.log1p(math.exp(-40.0))) / 4) < 1e-12
+        np.testing.assert_array_equal(grad, [0.25, -0.25, 0.0, 0.0])
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ShapeError, match="mismatch"):
+            nncore.bce_loss(np.zeros((3, 2)), np.zeros(3), np.ones((3, 2)))

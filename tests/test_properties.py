@@ -2,9 +2,13 @@
 `nncore.forward` and `backward` against the clean-room evaluator and
 central finite differences, for drawn layer sizes, row counts and output
 activations; each architecture's wiring, its probabilities and base-loss
-gradient against the per-kind clean-room oracle; and a model's training
+gradient against the per-kind clean-room oracle; a model's training
 step against the same step in a fresh set, whatever passes the reused
-set ran before it."""
+set ran before it; the bag-regularized loss and gradient against the
+oracle with its bags held fixed; the uplift curve against the
+brute-force evaluator; and checkpoint loading of corrupted manifests."""
+
+import json
 
 import numpy as np
 import pytest
@@ -12,9 +16,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
-from upliftmil import models, nncore  # noqa: E402
+from upliftmil import metrics, mil, models, nncore  # noqa: E402
+from upliftmil.errors import ConfigError, is_int  # noqa: E402
 
 from oracles import (  # noqa: E402
+    brute_force_curve,
     combined_loss_ref,
     dense_eval,
     fd_gradients,
@@ -25,11 +31,6 @@ from oracles import (  # noqa: E402
 # A hidden pre-activation this close to zero puts a rectifier kink inside
 # the finite-difference step; such draws are skipped.
 KINK = 1e-3
-
-# A probability this close to 0 or 1 may be clamped (nncore.PROB_CLIP)
-# within the step, where the loss is flat but its logit gradient is not;
-# such draws are skipped too.
-CLAMP = 1e-6
 
 
 @st.composite
@@ -111,6 +112,15 @@ def model_cases(draw):
     return model, x, rng.integers(0, 2, n), rng.integers(0, 2, n)
 
 
+def _off_kinks(model, bufs, n):
+    """False for a pass with a rectifier kink inside the finite-difference
+    step (or a logit that close to zero); each net's input is read from
+    its buffer after the pass."""
+    preacts = [z for name, net in model.nets.items()
+               for z in _preacts(net, bufs.nets[name].inputs[:n, :-1])]
+    return all((np.abs(z) > KINK).all() for z in preacts)
+
+
 @given(model_cases())
 def test_wiring_matches_the_per_kind_oracle(case):
     model, x, t, y = case
@@ -120,16 +130,9 @@ def test_wiring_matches_the_per_kind_oracle(case):
     np.testing.assert_allclose(out.p_t, ref_t, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out.p_c, ref_c, rtol=1e-12, atol=1e-12)
 
-    # Skip a draw with a rectifier kink inside the finite-difference step
-    # (or a logit that close to zero), or a clamped probability; each
-    # net's input is read from its buffer after the pass.
-    preacts = [z for name, net in model.nets.items()
-               for z in _preacts(net, bufs.nets[name].inputs[: len(x), :-1])]
-    assume(all((np.abs(z) > KINK).all() for z in preacts))
-    p = np.concatenate([out.p_t, out.p_c])
-    assume(((p > CLAMP) & (p < 1.0 - CLAMP)).all())
-    _, gz_t, gz_c = models.factual_loss(out, t, y)
-    grad = models.backprop_factual(model, gz_t, gz_c, bufs)
+    assume(_off_kinks(model, bufs, len(x)))
+    _, g = models.factual_loss(out, t, y)
+    grad = models.backprop_factual(model, g, bufs)
     # DDR's treatment net reads p_c as a constant: the oracle is given the
     # pass's p_c frozen (the other kinds ignore it).
     frozen_pc = out.p_c.copy()
@@ -171,10 +174,11 @@ def _step(model, buffers, x, t, y):
     """One base-loss step in `buffers`: forward_full, factual_loss,
     backprop_factual; the bytes of its outputs, loss and gradient."""
     out = models.forward_full(model, x, buffers)
-    loss, gz_t, gz_c = models.factual_loss(out, t, y)
-    grad = models.backprop_factual(model, gz_t, gz_c, buffers)
+    loss, g = models.factual_loss(out, t, y)
+    grad = models.backprop_factual(model, g, buffers)
     assert grad is buffers.grad
-    return [a.tobytes() for a in (out.p_t, out.p_c, out.uplift, np.float64(loss), grad)]
+    return [a.tobytes() for a in (out.p_t, out.p_c, out.uplift, out.logits,
+                                  np.float64(loss), grad)]
 
 
 @given(step_cases())
@@ -188,3 +192,148 @@ def test_step_in_a_reused_set_gives_fresh_bits(case):
             _step(model, bufs, *before)
     want = _step(model, models.buffer_set(model, len(x)), x, t, y)
     assert _step(model, bufs, x, t, y) == want
+
+
+@st.composite
+def bag_cases(draw):
+    """A model of a drawn kind and sizes with a scaler, a batch of 2..16
+    rows holding both arms, a bag size from 2 to the batch size (so
+    remainder rows occur), either bag mode, an alpha > 0 and the seed of
+    the RANDOM shuffle. Treatment is drawn per bag position from a drawn
+    treated share, so single-arm bags are common."""
+    kind = draw(st.sampled_from(list(models.ModelKind)))
+    d = draw(st.integers(1, 3))
+    hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    n = draw(st.integers(2, 16))
+    bag_size = draw(st.integers(2, n))
+    mode = draw(st.sampled_from(list(mil.BagMode)))
+    alpha = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    share = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = models.build(kind, d, hidden, seed=0)
+    model.params[...] = rng.normal(0.0, 0.7, size=model.params.size)
+    model.scaler = (rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    t = (rng.random(n) < share).astype(float)
+    t[:2] = [1.0, 0.0]
+    y = rng.integers(0, 2, n).astype(float)
+    return (model, rng.normal(size=(n, d)), t, y, bag_size, mode, alpha,
+            int(rng.integers(2**32)))
+
+
+@given(bag_cases())
+def test_combined_loss_and_gradient_match_the_oracle(case):
+    model, x, t, y, bag_size, mode, alpha, shuffle = case
+    u_t = t.mean()
+    bufs = models.buffer_set(model, len(x))
+    breakdown, grad, out = mil.combined_loss_and_grads(
+        model, x, t, y, u_t, alpha, bag_size, mode,
+        rng=np.random.default_rng(shuffle), buffers=bufs)
+    # The bags the call formed, from its own forward pass and the same
+    # shuffle, held fixed for the oracle and its perturbed losses.
+    bags = mil.cluster_bags(out.uplift, bag_size, mode,
+                            np.random.default_rng(shuffle)).bags
+    usable = [0 < t[b].sum() < bag_size for b in bags]
+    assert breakdown.usable_bags == sum(usable)
+    frozen_pc = out.p_c.copy()
+
+    def loss(_arrays):
+        return combined_loss_ref(model, x, t, y, u_t, alpha, bags.tolist(),
+                                 frozen_pc=frozen_pc)
+
+    np.testing.assert_allclose(breakdown.loss, loss(None), rtol=1e-12, atol=1e-12)
+    assume(_off_kinks(model, bufs, len(x)))
+    (numeric,) = fd_gradients(loss, [model.params])
+    np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-7)
+
+
+@st.composite
+def curve_cases(draw):
+    """Scores drawn from `levels` distinct values (one level: a constant
+    scorer; few: tie-heavy), 1..n-1 treated rows at random positions,
+    each arm's response rate 0, 1 or drawn (one-sided arms included), a
+    grid of 2..60 points and a permutation of the rows."""
+    n = draw(st.integers(2, 40))
+    n_t = draw(st.integers(1, n - 1))
+    levels = draw(st.integers(1, n))
+    rate_t, rate_c = (draw(st.sampled_from([0.0, 1.0, None])) for _ in range(2))
+    n_points = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.normal(size=levels)[rng.integers(0, levels, n)]
+    t = rng.permutation(np.arange(n) < n_t).astype(np.int64)
+    rate = np.where(t == 1, rng.random() if rate_t is None else rate_t,
+                    rng.random() if rate_c is None else rate_c)
+    y = (rng.random(n) < rate).astype(np.int64)
+    return scores, y, t, n_points, rng.permutation(n)
+
+
+@given(curve_cases())
+def test_uplift_curve_matches_brute_force(case):
+    scores, y, t, n_points, perm = case
+    g_ref, auuc_ref = brute_force_curve(scores, y, t, n_points)
+    for rows in (slice(None), perm):
+        curve = metrics.uplift_curve(scores[rows], y[rows], t[rows], n_points)
+        np.testing.assert_array_equal(curve.g, g_ref)
+        assert curve.auuc == auuc_ref
+
+
+_MANIFEST_KEYS = ("format_version", "kind", "input_dim", "hidden_sizes", "seed",
+                  "has_scaler")
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(allow_nan=True), st.text(max_size=4),
+                     st.lists(st.integers(-1, 9), max_size=3))
+_JUNK = st.one_of(_SCALARS,
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def corrupted_manifests(draw):
+    """The text of a corrupted checkpoint manifest: a valid one with
+    entries dropped or given values of any type, or a cut or mangled
+    copy of its text, or a JSON value that is not an object."""
+    valid = {"format_version": models.CHECKPOINT_VERSION, "kind": "sdr",
+             "input_dim": 3, "hidden_sizes": [5, 4], "seed": 18, "has_scaler": True}
+    how = draw(st.sampled_from(["entries", "text", "value"]))
+    if how == "entries":
+        keys = draw(st.lists(st.sampled_from(_MANIFEST_KEYS), min_size=1, unique=True))
+        manifest = dict(valid)
+        for key in keys:
+            if draw(st.booleans()):
+                del manifest[key]
+            else:
+                manifest[key] = draw(_JUNK)
+        assume(manifest != valid)
+        return json.dumps(manifest)
+    if how == "value":
+        return json.dumps(draw(_SCALARS))
+    text = json.dumps(valid)
+    cut = draw(st.integers(0, len(text) - 1))
+    return text[:cut] + draw(st.text(alphabet="{}[]\",:xa1", max_size=3))
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """The members of a saved SDR checkpoint with a scaler, and a path for
+    a copy to be written to."""
+    model = models.build("sdr", 3, (5, 4), seed=18)
+    model.scaler = (np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
+    path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+    models.save_checkpoint(model, path)
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}, path
+
+
+@given(text=corrupted_manifests())
+def test_corrupted_manifest_is_a_config_error(text, saved_checkpoint):
+    members, path = saved_checkpoint
+    np.savez(path, **{**members, "manifest": np.array(text)})
+    try:
+        models.load_checkpoint(path)
+    except ConfigError:
+        return
+    # A corruption can leave a manifest that still describes the stored
+    # members: the same layout, a seed >= 0 and a flag for the scaler.
+    manifest, valid = json.loads(text), json.loads(str(members["manifest"]))
+    assert manifest.keys() == valid.keys()
+    for key in ("format_version", "kind", "input_dim", "hidden_sizes"):
+        assert manifest[key] == valid[key] and type(manifest[key]) is type(valid[key])
+    assert is_int(manifest["seed"], 0) and isinstance(manifest["has_scaler"], bool)

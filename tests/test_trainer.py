@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from upliftmil import mil, models, nncore
+from upliftmil import mil, models, nncore, trainer
 from upliftmil.data import SynthConfig, empirical_ate, generate_synthetic, split
 from upliftmil.errors import ConfigError, TrainingError
 from upliftmil.metrics import auuc
@@ -112,12 +112,47 @@ class TestTrain:
         assert _report_key(rep_a) == _report_key(rep_b)
 
     def test_returned_model_is_best_checkpoint(self, splits):
+        # The best of the evaluations after warm-up (step 50).
         tr, va, te = splits
         model, report = train(tr, va, te, _cfg(max_steps=400, eval_every=40))
-        assert report.best_val_auuc == max(h.val_auuc for h in report.history)
-        assert report.best_step in [h.step for h in report.history]
+        after = [h for h in report.history if h.step > 50]
+        assert report.best_val_auuc == max(h.val_auuc for h in after)
+        assert report.best_step in [h.step for h in after]
         got, _ = evaluate(model, va, 100)
         assert got == report.best_val_auuc
+
+    def test_warmup_peak_is_not_returned(self, splits, monkeypatch):
+        # The warm-up eval at step 50 reads higher than any later one, yet
+        # the returned model is the best checkpoint after warm-up.
+        calls = []
+
+        def peak_in_warmup(model, ds, n_points, buffers=None):
+            auuc, curve = evaluate(model, ds, n_points, buffers)
+            calls.append(auuc)
+            return auuc + (len(calls) == 1), curve
+
+        monkeypatch.setattr(trainer, "evaluate", peak_in_warmup)
+        model, report = train(*splits, _cfg())
+        monkeypatch.undo()
+        first, *after = report.history
+        assert first.step == 50 and first.val_auuc > max(h.val_auuc for h in after)
+        assert report.best_step > 50
+        assert report.best_val_auuc == max(h.val_auuc for h in after)
+        assert evaluate(model, splits[1], 100)[0] == report.best_val_auuc
+
+    def test_patience_does_not_stop_a_run_in_warmup(self, splits, monkeypatch):
+        # Every eval reads worse than the one before: patience 1 stops the
+        # run at the second eval after warm-up, never inside it.
+        calls = []
+
+        def falling(model, ds, n_points, buffers=None):
+            calls.append(None)
+            return -float(len(calls)), evaluate(model, ds, n_points, buffers)[1]
+
+        monkeypatch.setattr(trainer, "evaluate", falling)
+        _, report = train(*splits, _cfg(warmup_steps=150, eval_every=10, patience=1))
+        assert [h.step for h in report.history] == list(range(10, 171, 10))
+        assert report.best_step == 160
 
     def test_warmup_steps_report_zero_mil_loss(self, splits):
         tr, va, te = splits
