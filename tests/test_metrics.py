@@ -44,6 +44,26 @@ class TestUpliftCurve:
         np.testing.assert_allclose(curve.g, curve.phi * 1.0, atol=1e-12)
         assert abs(curve.auuc - 1.0 * 11 / 20) < 1e-12
 
+    def test_matches_brute_force_on_hand_built_set(self):
+        rng = np.random.default_rng(8)
+        scores = rng.normal(size=8)
+        y = np.array([1, 0, 1, 1, 0, 0, 1, 0])
+        t = np.array([1, 1, 1, 1, 0, 0, 0, 0])
+        curve = uplift_curve(scores, y, t, n_points=25)
+        g_ref, auuc_ref = brute_force_curve(scores, y, t, 25)
+        np.testing.assert_array_equal(curve.g, g_ref)
+        assert curve.auuc == auuc_ref
+
+    def test_oracle_equivalence_on_many_small_sets(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            scores, y, t = _random_set(rng)
+            n_points = int(rng.integers(2, 40))
+            curve = uplift_curve(scores, y, t, n_points=n_points)
+            g_ref, auuc_ref = brute_force_curve(scores, y, t, n_points)
+            np.testing.assert_array_equal(curve.g, g_ref)
+            assert curve.auuc == auuc_ref
+
     def test_perfect_separation_approaches_ate_from_below(self):
         # All the uplift sits in the top-scored treated rows.
         y_t = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
