@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, ParseError, SchemaError, is_int
+from .errors import ConfigError, MetricError, ParseError, SchemaError, is_int, is_real
 
 log = logging.getLogger(__name__)
 
@@ -110,6 +110,10 @@ class SynthConfig:
             if not is_int(value, least):
                 raise ConfigError(
                     f"{name!r} must be an integer >= {least}, got {value!r}")
+        for name in ("base_rate", "slope", "tau_max", "treated_fraction"):
+            value = getattr(self, name)
+            if not is_real(value):
+                raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
         if not 0.0 < self.treated_fraction < 1.0:
             raise ConfigError(
                 f"treated_fraction must lie in (0, 1), got {self.treated_fraction}"

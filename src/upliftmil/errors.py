@@ -1,6 +1,9 @@
 """Exception types shared across the package, `enum_member`, the one
 lookup that reports an unknown enum value as a `ConfigError`, and
-`is_int`, the one test of an integer setting."""
+`is_int` and `is_real`, the one tests of an integer and of a real-valued
+setting."""
+
+import math
 
 import numpy as np
 
@@ -46,3 +49,14 @@ def enum_member(enum, value, name: str):
 def is_int(v, least: int = 1) -> bool:
     """An integer >= least; bool, float and str values are not integers."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
+def is_real(v) -> bool:
+    """A finite int or float (an int beyond float range is not); bool,
+    str and None are not real values."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False

@@ -25,7 +25,14 @@ one-row partition.
 
 A training step, `combined_loss_and_grads`, is one `models.forward_full`
 pass, the bag sums and one `models.backprop_factual` pass, both in one
-`models.BufferSet` (`nncore`'s pass contract).
+`models.BufferSet` (`nncore`'s pass contract). The regularizer reaches a
+bag member only through its factual probability p_f, so its gradient is
+one (n_bags, bag_size) array, d l_mil / d p_f times p_f (1 - p_f), added
+by one fancy-index scatter into the factual column of the base loss's
+(n, 2) arm-logit gradient. Bags are disjoint, so the scatter writes each
+member's element once, by the operations of a dense (n, 2) form in the
+same order; elsewhere that form adds only zeros, so the two agree
+exactly (tests/oracles.py keeps the dense form).
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .errors import ConfigError, enum_member, is_int
+from .errors import ConfigError, enum_member, is_int, is_real
 from .models import ModelOutputs, UpliftModel
 
 
@@ -115,29 +122,14 @@ def cluster_bags(
     return BagPartition(bags)
 
 
-def _bag_sums(
-    a_t: np.ndarray,
-    a_c: np.ndarray,
-    treatment: np.ndarray,
-    bags: np.ndarray,
-    u_t: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _bag_sums(a_t, a_c, treated, usable, bags, u_t: float) -> np.ndarray:
     """Weighted arm sums of every row of `bags`: the treated members' a_t
-    over u_t minus the control members' a_c over (1 - u_t).
-
-    Returns (values, usable). A single-arm bag is unusable and its value
-    is NaN.
-    """
-    treated = np.asarray(treatment)[bags] == 1
-    n_t = treated.sum(axis=1)
-    usable = (n_t > 0) & (n_t < bags.shape[1])
-    if not 0.0 < u_t < 1.0:
-        if usable.any():
-            raise ConfigError(f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")
-        return np.full(len(bags), np.nan), usable
+    over u_t minus the control members' a_c over (1 - u_t), where
+    `treated` flags the members of `bags` that are treated. A bag that is
+    not `usable` gets NaN."""
     s_t = np.where(treated, np.asarray(a_t, dtype=np.float64)[bags], 0.0).sum(axis=1)
     s_c = np.where(treated, 0.0, np.asarray(a_c, dtype=np.float64)[bags]).sum(axis=1)
-    return np.where(usable, s_t / u_t - s_c / (1.0 - u_t), np.nan), usable
+    return np.where(usable, s_t / u_t - s_c / (1.0 - u_t), np.nan)
 
 
 def batch_bag_stats(
@@ -149,10 +141,19 @@ def batch_bag_stats(
     control members' outcomes over (1 - u_t); the prediction h_bag is the
     same weighted sum of each member's factual-arm probability (p_t if
     treated, p_c if control). A single-arm bag is unusable: its label and
-    prediction are NaN and it takes no part in the regularizer.
+    prediction are NaN and it takes no part in the regularizer. A u_t
+    outside (0, 1) raises ConfigError when some bag holds both arms.
     """
-    y_bag, usable = _bag_sums(outcome, outcome, treatment, partition.bags, u_t)
-    h_bag, _ = _bag_sums(p_t, p_c, treatment, partition.bags, u_t)
+    bags = partition.bags
+    treated = np.asarray(treatment)[bags] == 1
+    n_t = treated.sum(axis=1)
+    usable = (n_t > 0) & (n_t < bags.shape[1])
+    if not 0.0 < u_t < 1.0:
+        if usable.any():
+            raise ConfigError(f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")
+        return BagStats(np.full(len(bags), np.nan), np.full(len(bags), np.nan), usable)
+    y_bag = _bag_sums(outcome, outcome, treated, usable, bags, u_t)
+    h_bag = _bag_sums(p_t, p_c, treated, usable, bags, u_t)
     return BagStats(y_bag, h_bag, usable)
 
 
@@ -183,12 +184,14 @@ def combined_loss_and_grads(
 
     Bags are formed by `cluster_bags` from the uplift predictions of this
     call's own forward pass (the returned outputs); RANDOM bags draw from
-    `rng`, which they need. The assignment is fixed during the gradient;
-    MIL gradient reaches each row only through its factual arm's
-    probability, and adds into that arm's column of the base loss's
-    (n, 2) arm-logit gradient. With alpha = 0 the bag machinery is
-    skipped entirely and the gradients are bit-for-bit those of
-    `models.base_loss_and_grads`.
+    `rng`, which they need. The assignment is fixed during the gradient.
+    The MIL gradient reaches each bag member only through its factual
+    arm's probability p_f: alpha * d l_mil / d p_f * p_f * (1 - p_f),
+    gathered per member and scattered once into that arm's column of the
+    base loss's (n, 2) arm-logit gradient; the bags are disjoint, so no
+    element is written twice and the scatter is exact. With alpha = 0 the
+    bag machinery is skipped entirely and the gradients are bit-for-bit
+    those of `models.base_loss_and_grads`.
     A non-finite base loss (a diverged model) forms no bags either: the
     returned loss is then non-finite for the caller to report.
 
@@ -196,7 +199,7 @@ def combined_loss_and_grads(
     len(x) rows when none is given), and the returned gradient is a view
     into it. A non-finite or negative alpha raises ConfigError.
     """
-    if not (np.isfinite(alpha) and alpha >= 0):
+    if not (is_real(alpha) and alpha >= 0):
         raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")
     if buffers is None:
         buffers = models.buffer_set(model, len(x))
@@ -212,17 +215,17 @@ def combined_loss_and_grads(
         l_mil, residuals = mil_loss(stats)
         usable = int(stats.usable.sum())
     if usable:
-        # d l_mil / d p: -2 r / u_t at the treated arm of treated members,
-        # +2 r / (1 - u_t) at the control arm of control members of usable
-        # bags; then through the logistic. Bags are disjoint, so one
-        # scatter writes every member's factual column once.
-        treated = t[partition.bags] == 1.0
+        # d l_mil / d p_f at each member's factual probability p_f: -2 r / u_t
+        # for a treated member, +2 r / (1 - u_t) for a control one (zero in
+        # an unusable bag); then through the logistic, into the factual
+        # column of g. Bags are disjoint, so the scatter adds into each
+        # member's element once, in the order a dense (n, 2) form would.
+        bags = partition.bags
+        treated = t[bags] == 1.0
         r = residuals[:, None]
-        dp = np.zeros_like(g)
-        dp[partition.bags, treated.astype(np.intp)] = np.where(
-            treated, -2.0 * r / u_t, 2.0 * r / (1.0 - u_t))
-        p = np.column_stack((out.p_c, out.p_t))
-        g += alpha * dp * p * (1.0 - p)
+        dp = np.where(treated, -2.0 * r / u_t, 2.0 * r / (1.0 - u_t))
+        pf = np.where(treated, out.p_t[bags], out.p_c[bags])
+        g[bags, treated.astype(np.intp)] += alpha * dp * pf * (1.0 - pf)
 
     grads = models.backprop_factual(model, g, buffers)
     breakdown = LossBreakdown(

@@ -28,8 +28,10 @@ Architectures:
 parameter order, layer sizes, inputs, and the arm logits each net's
 output adds to. A net that feeds no arm is a rectifier representation
 for other nets ("relu"); every other net ends in a logit ("linear").
-`forward_full` and `backprop_factual` walk that table, forward and in
-reverse, and know no architecture by name.
+A model holds the table its constructor built and checked, so
+`buffer_set`, `forward_full` and `backprop_factual` read it without
+deriving it again; the passes walk it, forward and in reverse, and know
+no architecture by name.
 
 A checkpoint (format 2) is a .npz archive of a JSON manifest
 (format_version, kind, input_dim, hidden_sizes, seed, has_scaler), the
@@ -92,7 +94,8 @@ class UpliftModel:
     it) checks the architecture, that `seed` is an integer >= 0 and that
     `params` has the layout's length (`ConfigError` naming the field),
     then lays `nets` out as views into `params`, copying no contiguous
-    float64 vector. A pickle holds its arguments, so `params` once."""
+    float64 vector. It keeps the `_layout` it built, which the passes
+    walk. A pickle holds its arguments, so `params` once."""
 
     kind: ModelKind
     input_dim: int
@@ -101,6 +104,7 @@ class UpliftModel:
     params: np.ndarray = field(repr=False)
     scaler: tuple[np.ndarray, np.ndarray] | None = None
     nets: dict[str, NetworkParams] = field(init=False, repr=False)
+    _layout: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.kind = enum_member(ModelKind, self.kind, "kind")
@@ -118,6 +122,7 @@ class UpliftModel:
         flats = np.split(params, np.cumsum(counts)[:-1])
         self.nets = {n: NetworkParams(f, s, "relu" if arms is None else "linear")
                      for (n, s, arms, _), f in zip(layout, flats)}
+        self._layout = layout
 
     def __reduce__(self):
         return UpliftModel, (self.kind, self.input_dim, self.hidden_sizes,
@@ -147,8 +152,7 @@ def buffer_set(model: UpliftModel, rows: int) -> BufferSet:
     slices = np.split(grad, np.cumsum(counts)[:-1])
     inputs = np.empty((rows, model.input_dim + 1))
     nets: dict[str, nncore.NetBuffers] = {}
-    layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
-    for (name, sizes, _, source), g in zip(layout, slices):
+    for (name, sizes, _, source), g in zip(model._layout, slices):
         shared = None if source is None else (
             inputs if source == "x" else nets[source].activations[-1])
         nets[name] = nncore.net_buffers(sizes, rows, g, shared)
@@ -256,8 +260,7 @@ def forward_full(
         buffers = buffer_set(model, n)
     outputs = {"x": _scale(model, x, nncore.first_rows(buffers.inputs, n)[:, :-1])}
     z = np.zeros((n, 2))
-    layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
-    for name, _, arms, source in layout:
+    for name, _, arms, source in model._layout:
         inputs = outputs.get(source)
         if inputs is None:  # its own input: the features and p_c
             inputs = nncore.first_rows(buffers.nets[name].inputs, n)[:, :-1]
@@ -307,8 +310,7 @@ def backprop_factual(model: UpliftModel, g: np.ndarray,
     backward pass writes its own slice.
     """
     d_reads: dict[str, np.ndarray] = {}
-    layout = _layout(model.kind, model.input_dim, model.hidden_sizes)
-    for name, _, arms, source in reversed(layout):
+    for name, _, arms, source in reversed(model._layout):
         net, bufs = model.nets[name], buffers.nets[name]
         if arms is None:  # a representation: its readers' summed input gradients
             d_out = nncore.output_grad_to_preact(net, bufs, d_reads[name],

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import metrics, mil, models, nncore
 from .data import Dataset, fit_scaler, minibatches
-from .errors import ConfigError, TrainingError, enum_member, is_int
+from .errors import ConfigError, TrainingError, enum_member, is_int, is_real
 from .metrics import RunAggregate, UpliftCurve
 from .mil import BagMode
 from .models import ModelKind, UpliftModel
@@ -88,7 +88,7 @@ class TrainConfig:
         step."""
         enum_member(ModelKind, self.model, "model")
         enum_member(BagMode, self.mode, "mode")
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+        if not (is_real(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"'alpha' must be finite and >= 0, got {self.alpha!r}")
         for name, least in _INT_FIELDS:
             value = getattr(self, name)

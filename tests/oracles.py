@@ -7,7 +7,9 @@ the factual-arm loss on the logits and the bag-level loss, the
 bag-noise identity, central finite differences, a functional per-array
 Adam step, a brute-force uplift-curve evaluator that materializes every
 selection explicitly, and the two-sample standard error of an empirical
-ATE.
+ATE. One oracle is a bit-exact reference instead: the dense (n, 2) form
+of the bag term's arm-logit gradient, which the package's scatter must
+reproduce bit for bit.
 """
 
 import math
@@ -158,6 +160,24 @@ def combined_loss_ref(model, x, t, y, u_t, alpha, bags, frozen_pc=None):
         p_t, p_c = [sigmoid(z) for z in z_t], [sigmoid(z) for z in z_c]
         loss += alpha * mil_loss_ref(p_t, p_c, t, y, bags, u_t)
     return loss
+
+
+def dense_mil_logit_grad(g, p_t, p_c, t, bags, residuals, u_t, alpha):
+    """g plus alpha times the bag term's gradient at the arm logits, in the
+    dense (n, 2) form: d l_mil / d p scattered into a zero (n, 2) array
+    (-2 r / u_t at the treated arm of treated members, +2 r / (1 - u_t) at
+    the control arm of control members), then through the logistic of
+    every arm, column_stack((p_c, p_t)), as one elementwise product.
+
+    `bags` is the (n_bags, bag_size) partition and `residuals` its
+    per-bag residuals, zero for unusable bags."""
+    treated = t[bags] == 1.0
+    r = residuals[:, None]
+    dp = np.zeros_like(g)
+    dp[bags, treated.astype(np.intp)] = np.where(
+        treated, -2.0 * r / u_t, 2.0 * r / (1.0 - u_t))
+    p = np.column_stack((p_c, p_t))
+    return g + alpha * dp * p * (1.0 - p)
 
 
 def fd_gradients(loss_of_arrays, arrays, h=1e-5):

@@ -332,6 +332,16 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError, match=re.escape(want)):
             generate_synthetic(SynthConfig(**{field: value}))
 
+    @pytest.mark.parametrize("value", ["0.1", None, True, np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["base_rate", "slope", "tau_max",
+                                       "treated_fraction"])
+    def test_real_setting_that_is_no_finite_number_rejected(self, field, value):
+        # treated_fraction="0.5" once raised a bare TypeError, and slope=nan
+        # generated a data set.
+        want = f"'{field}' must be a finite number, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            generate_synthetic(SynthConfig(**{field: value}))
+
     def test_half_population_has_zero_uplift(self):
         ds = generate_synthetic(SynthConfig(n=20_000, seed=2))
         zero_frac = (ds.true_ite == 0.0).mean()

@@ -19,6 +19,7 @@ from upliftmil.mil import (
 
 from oracles import (
     combined_loss_ref,
+    dense_mil_logit_grad,
     fd_gradients,
     max_relative_error,
     mil_loss_ref,
@@ -311,12 +312,43 @@ class TestCombinedLoss:
         assert np.isnan(breakdown.l_base) and np.isnan(breakdown.loss)
         assert breakdown.l_mil == 0.0 and breakdown.usable_bags == 0
 
+    @pytest.mark.parametrize("mode", list(BagMode))
+    @pytest.mark.parametrize("bag_size", [2, 7, 64])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_gradient_has_the_bits_of_the_dense_form(self, kind, bag_size, mode):
+        # The scatter into the factual column against the dense (n, 2)
+        # form, on the bags the call formed (disjoint, so exact). 200 rows
+        # leave remainder rows in no bag for every bag size here.
+        m = models.build(kind, 3, (6, 5), 41)
+        m.params += np.random.default_rng(410).normal(0.0, 0.3, size=m.params.size)
+        x, t, y, u_t = _batch(411, n=200)
+        bufs = models.buffer_set(m, len(x))
+        breakdown, grads, out = combined_loss_and_grads(
+            m, x, t, y, u_t, 0.1, bag_size, mode, rng=np.random.default_rng(412),
+            buffers=bufs)
+        grads = grads.copy()
+        assert breakdown.usable_bags > 0
+        part = cluster_bags(out.uplift, bag_size, mode, np.random.default_rng(412))
+        _, residuals = mil_loss(batch_bag_stats(y, t, out.p_t, out.p_c, part, u_t))
+        # A second pass in the same set, for backprop_factual to consume.
+        out = models.forward_full(m, x, bufs)
+        _, g = models.factual_loss(out, t, y)
+        g = dense_mil_logit_grad(g, out.p_t, out.p_c, t, part.bags, residuals, u_t, 0.1)
+        assert grads.tobytes() == models.backprop_factual(m, g, bufs).tobytes()
+
     def test_negative_alpha_rejected(self):
         m = models.build("tm", 3, (4,), 0)
         x, t, y, u_t = _batch(1)
         for alpha in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="'alpha' must be finite and >= 0"):
                 combined_loss_and_grads(m, x, t, y, u_t, alpha=alpha, bag_size=4)
+
+    @pytest.mark.parametrize("alpha", ["0.1", None, True, np.nan, np.inf])
+    def test_alpha_that_is_no_finite_number_rejected(self, alpha):
+        m = models.build("tm", 3, (4,), 0)
+        x, t, y, u_t = _batch(1)
+        with pytest.raises(ConfigError, match="'alpha' must be finite and >= 0"):
+            combined_loss_and_grads(m, x, t, y, u_t, alpha=alpha, bag_size=4)
 
 
 class TestVarianceIdentity:

@@ -305,6 +305,27 @@ class TestBackward:
         # The mask is applied in place, but never to the caller's array.
         assert gz.tobytes() == before.tobytes()
 
+    def test_one_unit_layers_give_the_bits_of_the_matmul_chain(self):
+        # A one-unit layer's input gradient is formed by np.dot, the rest by
+        # np.matmul; the bits must be those of np.matmul throughout. The
+        # output gradient is a strided column, as a model's arm column is.
+        rng = np.random.default_rng(8)
+        net = nncore.init_network((4, 1, 5, 1), seed=8)
+        net.flat[...] = rng.normal(0.0, 0.7, size=net.flat.size)
+        _, bufs = _forward(net, rng.normal(size=(64, 4)))
+        acts = [bufs.inputs[:64].copy()] + [a[:64].copy() for a in bufs.activations]
+        gz = rng.normal(size=(64, 2))[:, 1:]
+        grads, dx = nncore.backward(net, bufs, gz)
+        delta, want = gz, []
+        for k in range(net.n_layers - 1, -1, -1):
+            want.insert(0, np.matmul(acts[k].T, delta))
+            d = np.matmul(delta, net.blocks[k].T)
+            if k:
+                d *= acts[k] > 0
+            delta = d[:, :-1]
+        assert grads.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
+        assert dx.tobytes() == delta.tobytes()
+
     def test_buffers_of_another_net_raise(self):
         # Another depth, or the same depth with another hidden width.
         net = nncore.init_network((3, 4, 1), seed=5)
@@ -409,6 +430,12 @@ class TestAdam:
     def test_nonfinite_learning_rate_rejected(self, rate):
         with pytest.raises(ConfigError, match="learning_rate"):
             nncore.init_adam(np.zeros(2), learning_rate=rate)
+
+    @pytest.mark.parametrize("value", ["0.1", None, True, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["learning_rate", "beta1", "beta2", "eps"])
+    def test_setting_that_is_no_finite_number_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"'{name}' must be a finite number"):
+            nncore.init_adam(np.zeros(2), **{"learning_rate": 0.1, name: value})
 
     def test_huge_finite_learning_rate_accepted(self):
         assert nncore.init_adam(np.zeros(2), learning_rate=1e200).step == 0

@@ -1,6 +1,7 @@
 """Package metadata: every declared console script resolves, the package
-imports nothing beyond NumPy and the standard library, and every package
-name the benchmark harness reaches exists."""
+imports nothing beyond NumPy and the standard library, every package
+name the benchmark harness reaches exists, and a step calls the bag
+functions the harness traces through the module globals it rebinds."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from upliftmil import mil, models, trainer
@@ -62,3 +64,26 @@ def test_benchmark_harness_names_resolve():
     assert "jobs" in inspect.signature(trainer.repeat_runs).parameters
     assert "bags" in {f.name for f in fields(mil.BagPartition)}
     assert "usable_bags" in {f.name for f in fields(mil.LossBreakdown)}
+
+
+def _counting(counts, name, fn):
+    """`fn`, counting its calls in counts[name], as the tracer wraps it."""
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("alpha, calls", [(0.1, 1), (0.0, 0)])
+def test_step_calls_the_traced_bag_functions_through_mil(monkeypatch, alpha, calls):
+    # The tracer rebinds these module globals, times each call and reads
+    # cluster_bags(...).bags for mil.bags_per_step: a step at alpha > 0
+    # must call each once through them, and one at alpha 0 none.
+    counts = dict.fromkeys(("cluster_bags", "batch_bag_stats", "mil_loss"), 0)
+    for name in counts:
+        monkeypatch.setattr(mil, name, _counting(counts, name, getattr(mil, name)))
+    rng = np.random.default_rng(0)
+    t = np.tile([1.0, 0.0], 8)
+    mil.combined_loss_and_grads(models.build("sdr", 3, (4,), 0), rng.normal(size=(16, 3)),
+                                t, rng.integers(0, 2, 16).astype(float), 0.5, alpha, 2)
+    assert counts == dict.fromkeys(counts, calls)

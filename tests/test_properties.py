@@ -5,9 +5,11 @@ activations; each architecture's wiring, its probabilities and base-loss
 gradient against the per-kind clean-room oracle; a model's training
 step against the same step in a fresh set, whatever passes the reused
 set ran before it; the bag-regularized loss and gradient against the
-oracle with its bags held fixed; the uplift curve against the
+oracle with its bags held fixed; the bags `cluster_bags` forms, which
+the gradient's scatter needs disjoint; the uplift curve against the
 brute-force evaluator; and checkpoint loading of corrupted manifests."""
 
+import contextlib
 import json
 
 import numpy as np
@@ -244,6 +246,41 @@ def test_combined_loss_and_gradient_match_the_oracle(case):
     assume(_off_kinks(model, bufs, len(x)))
     (numeric,) = fd_gradients(loss, [model.params])
     np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-7)
+
+
+@st.composite
+def partition_cases(draw):
+    """Uplift predictions on a coarse grid, so ties are common, a bag size
+    up to a few rows past the batch size, a mode and a shuffle seed."""
+    n = draw(st.integers(1, 40))
+    levels = draw(st.integers(1, 8))
+    preds = np.array(draw(st.lists(st.integers(0, levels), min_size=n, max_size=n)))
+    return (preds / levels - 0.5, draw(st.integers(2, n + 3)),
+            draw(st.sampled_from(list(mil.BagMode))), draw(st.integers(0, 2**32 - 1)))
+
+
+@given(partition_cases())
+def test_bags_are_disjoint_equal_and_drop_the_remainder(case):
+    preds, bag_size, mode, seed = case
+    n = len(preds)
+
+    def bags_of(uplift):
+        with pytest.warns(UserWarning) if bag_size > n else contextlib.nullcontext():
+            return mil.cluster_bags(uplift, bag_size, mode,
+                                    np.random.default_rng(seed)).bags
+
+    bags = bags_of(preds)
+    flat = bags.ravel()
+    assert bags.shape == (n // bag_size, bag_size)
+    assert n - flat.size == n % bag_size
+    assert len(np.unique(flat)) == flat.size and np.isin(flat, np.arange(n)).all()
+    if mode is mil.BagMode.CLUSTERED:
+        # Stable: ascending uplift, ties in row order, and the dropped rows
+        # are the last of that order.
+        order = sorted(range(n), key=lambda i: (preds[i], i))
+        assert flat.tolist() == order[: flat.size]
+    else:  # the shuffle comes from the rng alone, whatever the uplift
+        assert bags.tobytes() == bags_of(preds[::-1].copy()).tobytes()
 
 
 @st.composite

@@ -79,6 +79,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=next(iter(bad))):
             train(*splits, cfg)
 
+    @pytest.mark.parametrize("value", ["0.1", None, True, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "learning_rate", "beta1", "beta2", "eps"])
+    def test_real_setting_that_is_no_finite_number_rejected(self, splits, monkeypatch,
+                                                            name, value):
+        # Strings and None once raised a bare TypeError, and True passed.
+        monkeypatch.setattr(mil, "combined_loss_and_grads", None)  # a step raises
+        cfg = _cfg(model="sdr", hidden_sizes=(8,), batch_size=128, **{name: value})
+        with pytest.raises(ConfigError, match=f"'{name}' must be"):
+            train(*splits, cfg)
+
     def test_warmup_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(warmup_steps=201, max_steps=200).validate()
