@@ -31,8 +31,11 @@ one (n_bags, bag_size) array, d l_mil / d p_f times p_f (1 - p_f), added
 by one fancy-index scatter into the factual column of the base loss's
 (n, 2) arm-logit gradient. Bags are disjoint, so the scatter writes each
 member's element once, by the operations of a dense (n, 2) form in the
-same order; elsewhere that form adds only zeros, so the two agree
-exactly (tests/oracles.py keeps the dense form).
+same order. Elsewhere that form adds +0.0, which turns the base
+gradient's -0.0 entries into +0.0 and changes nothing else, so the two
+arm-logit gradients differ only in the sign of some zeros and the
+parameter gradients agree bit for bit (tests/oracles.py keeps the dense
+form).
 """
 
 from __future__ import annotations
@@ -65,13 +68,15 @@ class BagPartition:
 @dataclass
 class BagStats:
     """Label, prediction and usable flag of every bag, aligned with the
-    rows of `BagPartition.bags`. A bag is usable for the regularizer only
-    when it holds both arms; an unusable bag's label and prediction are
-    NaN."""
+    rows of `BagPartition.bags`, and `treated`, which flags the treated
+    members of each bag (the shape of `bags`). A bag is usable for the
+    regularizer only when it holds both arms; an unusable bag's label and
+    prediction are NaN."""
 
     y_bag: np.ndarray
     h_bag: np.ndarray
     usable: np.ndarray
+    treated: np.ndarray
 
 
 @dataclass
@@ -122,16 +127,6 @@ def cluster_bags(
     return BagPartition(bags)
 
 
-def _bag_sums(a_t, a_c, treated, usable, bags, u_t: float) -> np.ndarray:
-    """Weighted arm sums of every row of `bags`: the treated members' a_t
-    over u_t minus the control members' a_c over (1 - u_t), where
-    `treated` flags the members of `bags` that are treated. A bag that is
-    not `usable` gets NaN."""
-    s_t = np.where(treated, np.asarray(a_t, dtype=np.float64)[bags], 0.0).sum(axis=1)
-    s_c = np.where(treated, 0.0, np.asarray(a_c, dtype=np.float64)[bags]).sum(axis=1)
-    return np.where(usable, s_t / u_t - s_c / (1.0 - u_t), np.nan)
-
-
 def batch_bag_stats(
     outcome, treatment, p_t, p_c, partition: BagPartition, u_t: float
 ) -> BagStats:
@@ -151,10 +146,17 @@ def batch_bag_stats(
     if not 0.0 < u_t < 1.0:
         if usable.any():
             raise ConfigError(f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")
-        return BagStats(np.full(len(bags), np.nan), np.full(len(bags), np.nan), usable)
-    y_bag = _bag_sums(outcome, outcome, treated, usable, bags, u_t)
-    h_bag = _bag_sums(p_t, p_c, treated, usable, bags, u_t)
-    return BagStats(y_bag, h_bag, usable)
+        nan = np.full(len(bags), np.nan)
+        return BagStats(nan, nan.copy(), usable, treated)
+
+    def weighted_sums(a_t, a_c):
+        # Treated members' a_t over u_t minus control members' a_c over
+        # (1 - u_t), per bag; NaN for an unusable bag.
+        s_t = np.where(treated, np.asarray(a_t, dtype=np.float64)[bags], 0.0).sum(axis=1)
+        s_c = np.where(treated, 0.0, np.asarray(a_c, dtype=np.float64)[bags]).sum(axis=1)
+        return np.where(usable, s_t / u_t - s_c / (1.0 - u_t), np.nan)
+
+    return BagStats(weighted_sums(outcome, outcome), weighted_sums(p_t, p_c), usable, treated)
 
 
 def mil_loss(stats: BagStats) -> tuple[float, np.ndarray]:
@@ -189,7 +191,8 @@ def combined_loss_and_grads(
     arm's probability p_f: alpha * d l_mil / d p_f * p_f * (1 - p_f),
     gathered per member and scattered once into that arm's column of the
     base loss's (n, 2) arm-logit gradient; the bags are disjoint, so no
-    element is written twice and the scatter is exact. With alpha = 0 the
+    element is written twice, and the parameter gradient has the bits of
+    the dense (n, 2) form (module docstring). With alpha = 0 the
     bag machinery is skipped entirely and the gradients are bit-for-bit
     those of `models.base_loss_and_grads`.
     A non-finite base loss (a diverged model) forms no bags either: the
@@ -220,8 +223,7 @@ def combined_loss_and_grads(
         # an unusable bag); then through the logistic, into the factual
         # column of g. Bags are disjoint, so the scatter adds into each
         # member's element once, in the order a dense (n, 2) form would.
-        bags = partition.bags
-        treated = t[bags] == 1.0
+        bags, treated = partition.bags, stats.treated
         r = residuals[:, None]
         dp = np.where(treated, -2.0 * r / u_t, 2.0 * r / (1.0 - u_t))
         pf = np.where(treated, out.p_t[bags], out.p_c[bags])

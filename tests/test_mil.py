@@ -167,28 +167,35 @@ class TestBagPrediction:
         assert label == pred
 
 
+def _pairs(n_bags):
+    # Member flags of n_bags two-member bags, one treated and one control
+    # member each; mil_loss reads only the bag-level fields.
+    return np.tile([True, False], (n_bags, 1))
+
+
 class TestMilLoss:
     def test_single_bag_residual(self):
-        stats = mil.BagStats(np.array([2.0]), np.array([1.5]), np.array([True]))
+        stats = mil.BagStats(np.array([2.0]), np.array([1.5]), np.array([True]), _pairs(1))
         loss, residuals = mil_loss(stats)
         assert abs(loss - 0.25) < 1e-15
         np.testing.assert_allclose(residuals, [0.5])
 
     def test_perfect_predictions_zero_loss(self):
-        stats = mil.BagStats(np.ones(4), np.ones(4), np.full(4, True))
+        stats = mil.BagStats(np.ones(4), np.ones(4), np.full(4, True), _pairs(4))
         loss, _ = mil_loss(stats)
         assert loss == 0.0
 
     def test_two_bag_sum(self):
         stats = mil.BagStats(
-            np.array([1.0, 0.0]), np.array([0.9, 0.2]), np.array([True, True])
+            np.array([1.0, 0.0]), np.array([0.9, 0.2]), np.array([True, True]), _pairs(2)
         )
         loss, _ = mil_loss(stats)
         assert abs(loss - 0.05) < 1e-15
 
     def test_unusable_bags_skipped(self):
         stats = mil.BagStats(
-            np.array([np.nan, 3.0]), np.array([np.nan, 1.0]), np.array([False, True])
+            np.array([np.nan, 3.0]), np.array([np.nan, 1.0]), np.array([False, True]),
+            _pairs(2),
         )
         loss, residuals = mil_loss(stats)
         assert abs(loss - 4.0) < 1e-15
@@ -317,8 +324,10 @@ class TestCombinedLoss:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_gradient_has_the_bits_of_the_dense_form(self, kind, bag_size, mode):
         # The scatter into the factual column against the dense (n, 2)
-        # form, on the bags the call formed (disjoint, so exact). 200 rows
-        # leave remainder rows in no bag for every bag size here.
+        # form, on the bags the call formed: the two arm-logit gradients
+        # differ at most in the sign of zeros, which the backward pass sums
+        # away, so the parameter gradients are equal bytes. 200 rows leave
+        # remainder rows in no bag for every bag size here.
         m = models.build(kind, 3, (6, 5), 41)
         m.params += np.random.default_rng(410).normal(0.0, 0.3, size=m.params.size)
         x, t, y, u_t = _batch(411, n=200)
