@@ -324,13 +324,18 @@ def split(ds: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
 
     Global split sizes follow largest-remainder rounding of the
     fractions; per-cell allocations are repaired so every cell keeps its
-    proportions within one or two rows of the exact quota. If any of the
-    four (t, y) cells has fewer rows than there are splits the partition
-    falls back to an unstratified shuffle with a warning.
+    proportions within one or two rows of the exact quota. Any data is
+    split this way, a (t, y) cell with fewer rows than splits (or none)
+    included: a repair move only takes a row from a cell above its quota,
+    so no allocation goes below zero.
     """
     if not is_int(seed, 0):
         raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
-    fractions = tuple(float(f) for f in fractions)
+    fractions = tuple(fractions)
+    for f in fractions:
+        if not is_real(f):
+            raise ConfigError(f"fractions must be finite numbers, got {f!r}")
+    fractions = tuple(map(float, fractions))
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ConfigError(f"need three positive fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
@@ -343,17 +348,6 @@ def split(ds: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
         for t in (0, 1)
         for y in (0, 1)
     ]
-    if min(len(c) for c in cells) < len(fractions):
-        warnings.warn(
-            "a (treatment, outcome) cell has fewer rows than splits; "
-            "falling back to an unstratified partition",
-            stacklevel=2,
-        )
-        perm = rng.permutation(ds.n)
-        bounds = np.cumsum(targets)[:-1]
-        parts = np.split(perm, bounds)
-        return tuple(ds.subset(np.sort(p)) for p in parts)
-
     alloc = [_largest_remainder(len(c), fractions) for c in cells]
     # Repair global drift one row at a time; each move keeps the donor
     # cell within rounding of its quota.
@@ -370,15 +364,10 @@ def split(ds: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
         totals[s_over] -= 1
         totals[s_under] += 1
 
-    parts = [[], [], []]
-    for cell, a in zip(cells, alloc):
-        perm = rng.permutation(cell)
-        bounds = np.cumsum(a)[:-1]
-        for s, chunk in enumerate(np.split(perm, bounds)):
-            parts[s].append(chunk)
-    return tuple(
-        ds.subset(np.sort(np.concatenate(p)).astype(np.int64)) for p in parts
-    )
+    # Each cell shuffled, in cell order, and cut into its three shares.
+    shares = [np.split(rng.permutation(cell), np.cumsum(a)[:-1])
+              for cell, a in zip(cells, alloc)]
+    return tuple(ds.subset(np.sort(np.concatenate(p))) for p in zip(*shares))
 
 
 def minibatches(ds: Dataset, batch_size: int, seed, epoch: int) -> list[MiniBatch]:
@@ -397,15 +386,11 @@ def minibatches(ds: Dataset, batch_size: int, seed, epoch: int) -> list[MiniBatc
             "no batches produced",
             stacklevel=2,
         )
-        return []
     rng = np.random.default_rng([int(seed), int(epoch)])
     perm = rng.permutation(ds.n)
-    batches = []
-    for start in range(0, ds.n - batch_size + 1, batch_size):
-        idx = perm[start : start + batch_size]
-        u_t = int(ds.treatment[idx].sum()) / batch_size
-        batches.append(MiniBatch(indices=idx, u_t=u_t))
-    return batches
+    rows = perm[: ds.n - ds.n % batch_size].reshape(-1, batch_size)
+    treated = ds.treatment[rows].sum(axis=1)
+    return [MiniBatch(idx, int(n_t) / batch_size) for idx, n_t in zip(rows, treated)]
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, is_int
+from .errors import ConfigError, MetricError, is_int, is_real
 
 DEFAULT_GRID = 100
 
@@ -153,7 +153,11 @@ def aggregate_runs(auucs) -> RunAggregate:
     A single run aggregates to its own value with std reported as 0 and
     the single-run flag set.
     """
-    values = [float(v) for v in auucs]
+    values = list(auucs)
+    for v in values:
+        if not is_real(v):
+            raise ConfigError(f"aggregate_runs needs finite numbers, got {v!r}")
+    values = list(map(float, values))
     if not values:
         raise ConfigError("aggregate_runs needs at least one value")
     single = len(values) == 1

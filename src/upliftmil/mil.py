@@ -118,8 +118,7 @@ def cluster_bags(
             f"bag_size {bag_size} exceeds batch size {n}; no bags formed",
             stacklevel=2,
         )
-        order = np.zeros(0, dtype=np.intp)
-    elif mode is BagMode.CLUSTERED:
+    if mode is BagMode.CLUSTERED:
         order = np.argsort(preds, kind="stable")
     else:
         order = rng.permutation(n)

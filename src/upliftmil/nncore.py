@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, is_real
+from .errors import ConfigError, ShapeError, is_int, is_real
 
 _ACTIVATIONS = ("linear", "relu")
 
@@ -179,13 +179,15 @@ def init_network(layer_sizes, seed, output_activation: str = "linear") -> Networ
     Weights are drawn N(0, 2/fan_in), the standard scaling for rectifier
     units. Deterministic for a fixed seed.
     """
-    sizes = [int(s) for s in layer_sizes]
+    sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise ConfigError(f"need at least 2 layer sizes, got {sizes}")
-    if any(s <= 0 for s in sizes):
-        raise ConfigError(f"layer sizes must be positive, got {sizes}")
+    for s in sizes:
+        if not is_int(s):
+            raise ConfigError(f"layer sizes must be positive integers, got {s!r}")
+    sizes = tuple(map(int, sizes))
     rng = np.random.default_rng(seed)
-    net = NetworkParams(np.zeros(param_count(sizes)), tuple(sizes), output_activation)
+    net = NetworkParams(np.zeros(param_count(sizes)), sizes, output_activation)
     for w in net.weights:
         w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
     return net

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, count
 
 import numpy as np
 
@@ -160,6 +161,9 @@ def train(
     """Run one training job and return the best-validation model of the
     evaluations after warm-up."""
     cfg.validate()
+    if cfg.batch_size > train_ds.n:
+        raise ConfigError(f"batch_size {cfg.batch_size} yields no batches on a "
+                          f"training split of {train_ds.n} rows")
     started = time.perf_counter()
     model = models.build(cfg.model, train_ds.d, cfg.hidden_sizes, cfg.seed)
     model.scaler = fit_scaler(train_ds.features)
@@ -176,20 +180,10 @@ def train(
     best_params = model.params.copy()
     bad_evals = 0
 
-    step = 0
-    epoch = 0
-    pending: list = []
-    while step < cfg.max_steps:
-        if not pending:
-            pending = list(minibatches(train_ds, cfg.batch_size, cfg.seed, epoch))
-            epoch += 1
-            if not pending:
-                raise ConfigError(
-                    f"batch_size {cfg.batch_size} yields no batches on a "
-                    f"training split of {train_ds.n} rows"
-                )
-        batch = pending.pop(0)
-        step += 1
+    # The epochs' batches back to back; an epoch is shuffled only when a
+    # step needs its first batch.
+    epochs = (minibatches(train_ds, cfg.batch_size, cfg.seed, e) for e in count())
+    for step, batch in zip(range(1, cfg.max_steps + 1), chain.from_iterable(epochs)):
         eff_alpha = 0.0 if step <= warmup else cfg.alpha
         breakdown, grads, _ = mil.combined_loss_and_grads(
             model,
@@ -254,13 +248,13 @@ class RunResult:
     report: TrainReport
 
 
-def _run_one(args) -> tuple[int, UpliftModel | None, TrainReport | None, str | None]:
+def _run_one(args) -> RunResult | tuple[int, str]:
+    """One seed's run, or (seed, message) when training aborts."""
     train_ds, valid_ds, test_ds, cfg = args
     try:
-        model, report = train(train_ds, valid_ds, test_ds, cfg)
-        return cfg.seed, model, report, None
+        return RunResult(cfg.seed, *train(train_ds, valid_ds, test_ds, cfg))
     except TrainingError as exc:
-        return cfg.seed, None, None, str(exc)
+        return cfg.seed, str(exc)
 
 
 def repeat_runs(
@@ -291,13 +285,8 @@ def repeat_runs(
     else:
         outcomes = [_run_one(t) for t in tasks]
 
-    results: list[RunResult] = []
-    failures: list[tuple[int, str]] = []
-    for seed, model, report, err in outcomes:
-        if err is None:
-            results.append(RunResult(seed=seed, model=model, report=report))
-        else:
-            failures.append((seed, err))
+    results = [r for r in outcomes if isinstance(r, RunResult)]
+    failures = [r for r in outcomes if not isinstance(r, RunResult)]
     aggregate = None
     if results:
         aggregate = metrics.aggregate_runs([r.report.test_auuc for r in results])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -216,6 +217,12 @@ class TestAggregateRuns:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             aggregate_runs([])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf"), "0.1", True, None])
+    def test_value_that_is_no_finite_number_rejected(self, bad):
+        want = f"aggregate_runs needs finite numbers, got {bad!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            aggregate_runs([0.1, bad])
 
 
 class TestCurveFiles:

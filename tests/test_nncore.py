@@ -1,6 +1,7 @@
 """Network machinery: init, forward, backward, Adam, cross-entropy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestInit:
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ConfigError):
             nncore.init_network((4, 0, 2), seed=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "3", None])
+    def test_size_that_is_no_integer_rejected(self, bad):
+        want = f"layer sizes must be positive integers, got {bad!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            nncore.init_network((3, bad, 1), seed=0)
 
     def test_biases_zero_weights_fan_in_scaled(self):
         net = nncore.init_network((100, 50, 1), seed=11)

@@ -7,18 +7,21 @@ step against the same step in a fresh set, whatever passes the reused
 set ran before it; the bag-regularized loss and gradient against the
 oracle with its bags held fixed; the bags `cluster_bags` forms, which
 the gradient's scatter needs disjoint; the uplift curve against the
-brute-force evaluator; and checkpoint loading of corrupted manifests."""
+brute-force evaluator; checkpoint loading of corrupted manifests;
+`data.split`, a complete, disjoint and stratified partition of any data
+set; and a table's save and load, which give back its bits."""
 
 import contextlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
-from upliftmil import metrics, mil, models, nncore  # noqa: E402
+from upliftmil import data, metrics, mil, models, nncore  # noqa: E402
 from upliftmil.errors import ConfigError, is_int  # noqa: E402
 
 from oracles import (  # noqa: E402
@@ -374,3 +377,97 @@ def test_corrupted_manifest_is_a_config_error(text, saved_checkpoint):
     for key in ("format_version", "kind", "input_dim", "hidden_sizes"):
         assert manifest[key] == valid[key] and type(manifest[key]) is type(valid[key])
     assert is_int(manifest["seed"], 0) and isinstance(manifest["has_scaler"], bool)
+
+
+@st.composite
+def split_cases(draw):
+    """A data set whose four (t, y) cells hold 0, 1, 2 or more rows each,
+    in a drawn row order, with its row numbers as its one feature; three
+    positive fractions that sum to 1, and a seed."""
+    sizes = draw(st.lists(st.one_of(st.integers(0, 2), st.integers(0, 60)),
+                          min_size=4, max_size=4))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(sum(sizes))
+    t, y = np.repeat([0, 0, 1, 1], sizes)[order], np.repeat([0, 1, 0, 1], sizes)[order]
+    weights = draw(st.lists(st.integers(1, 20), min_size=3, max_size=3))
+    fractions = tuple(w / sum(weights) for w in weights)
+    ds = data.Dataset(np.arange(len(t), dtype=np.float64)[:, None], t, y)
+    return ds, fractions, draw(st.integers(0, 2**32 - 1))
+
+
+def _largest_remainder(n, fractions):
+    """Each split's floor of n times its fraction, plus one row for the
+    splits with the largest remainders, ties to the earlier split."""
+    quotas = [n * f for f in fractions]
+    sizes = [math.floor(q) for q in quotas]
+    for s in sorted(range(3), key=lambda s: sizes[s] - quotas[s])[: n - sum(sizes)]:
+        sizes[s] += 1
+    return sizes
+
+
+_SYNTH_100 = data.generate_synthetic(data.SynthConfig(n=100, d=3, seed=1))
+
+
+@given(split_cases())
+@example((_SYNTH_100, (0.8, 0.1, 0.1), 0))
+def test_split_is_a_stratified_partition(case):
+    ds, fractions, seed = case
+    parts = data.split(ds, fractions, seed)
+    rows = [np.flatnonzero(np.isin(ds.features[:, 0], p.features[:, 0])) for p in parts]
+    assert [len(r) for r in rows] == [p.n for p in parts]
+    # Complete and disjoint, each split's rows in the data set's order.
+    np.testing.assert_array_equal(np.sort(np.concatenate(rows)), np.arange(ds.n))
+    for p, r in zip(parts, rows):
+        np.testing.assert_array_equal(p.features, ds.features[r])
+        np.testing.assert_array_equal(p.treatment, ds.treatment[r])
+        np.testing.assert_array_equal(p.outcome, ds.outcome[r])
+    assert [p.n for p in parts] == _largest_remainder(ds.n, fractions)
+    for t in (0, 1):
+        for y in (0, 1):
+            cell_n = int(((ds.treatment == t) & (ds.outcome == y)).sum())
+            for p, f in zip(parts, fractions):
+                got = int(((p.treatment == t) & (p.outcome == y)).sum())
+                assert abs(got - cell_n * f) <= 2
+
+
+# Finite values at the edges of float64: signed zeros, the least subnormal,
+# the largest subnormal and the largest finite value.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+          -1.7976931348623157e308]
+
+
+@st.composite
+def table_cases(draw):
+    """A data set of 1..6 rows and 1..3 features, its values drawn from
+    every finite float64 and the edges above, with or without a true_ite
+    column, and a delimiter."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    finite = st.one_of(st.sampled_from(_EDGES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    unit = st.one_of(st.sampled_from([v for v in _EDGES if abs(v) <= 1.0] + [-1.0, 1.0]),
+                     st.floats(-1.0, 1.0))
+    features = draw(st.lists(finite, min_size=n * d, max_size=n * d))
+    flags = draw(st.lists(st.integers(0, 1), min_size=2 * n, max_size=2 * n))
+    ite = draw(st.none() | st.lists(unit, min_size=n, max_size=n))
+    ds = data.Dataset(np.reshape(features, (n, d)), flags[:n], flags[n:], ite)
+    return ds, draw(st.sampled_from([",", ";", "\t"]))
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "table.txt"
+
+
+@given(case=table_cases())
+def test_table_round_trip_is_exact(case, table_path):
+    ds, delimiter = case
+    data.save_table(ds, table_path, delimiter)
+    saved = table_path.read_bytes()
+    ite = None if ds.true_ite is None else "true_ite"
+    back = data.load_table(table_path, data.TableSchema(true_ite_col=ite,
+                                                        delimiter=delimiter))
+    for name in ("features", "treatment", "outcome", "true_ite"):
+        a, b = getattr(ds, name), getattr(back, name)
+        assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
+                                             and a.tobytes() == b.tobytes())
+    data.save_table(back, table_path, delimiter)
+    assert table_path.read_bytes() == saved

@@ -89,6 +89,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{name}' must be"):
             train(*splits, cfg)
 
+    def test_batch_beyond_training_rows_rejected_before_training(self, splits, monkeypatch):
+        tr, va, te = splits
+        with monkeypatch.context() as m:
+            m.setattr(models, "build", None)  # building the model raises
+            with pytest.raises(ConfigError, match=f"yields no batches on a training "
+                                                  f"split of {tr.n} rows"):
+                train(tr, va, te, _cfg(batch_size=tr.n + 1))
+        # A batch of every row is one batch an epoch.
+        _, report = train(tr, va, te, _cfg(batch_size=tr.n, bag_size=16, max_steps=3,
+                                           warmup_steps=1, eval_every=3))
+        assert [e.step for e in report.history] == [3]
+
     def test_warmup_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(warmup_steps=201, max_steps=200).validate()
