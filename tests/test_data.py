@@ -196,12 +196,25 @@ class TestLoadTable:
 
 
 class TestSplit:
+    def test_exact_sizes(self):
+        ds = generate_synthetic(SynthConfig(n=100, d=3, seed=1))
+        tr, va, te = split(ds, (0.8, 0.1, 0.1), seed=0)
+        assert (tr.n, va.n, te.n) == (80, 10, 10)
+
     def test_deterministic(self):
         ds = generate_synthetic(SynthConfig(n=500, d=3, seed=2))
         a = split(ds, (0.6, 0.2, 0.2), seed=5)
         b = split(ds, (0.6, 0.2, 0.2), seed=5)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
+
+    def test_partition_complete_and_disjoint(self):
+        ds = generate_synthetic(SynthConfig(n=503, d=3, seed=3))
+        parts = split(ds, (0.7, 0.15, 0.15), seed=1)
+        assert sum(p.n for p in parts) == ds.n
+        # Row identity via the unique uniform features
+        keys = [tuple(row) for p in parts for row in p.features]
+        assert len(set(keys)) == ds.n
 
     def test_stratification_keeps_cell_proportions(self):
         ds = generate_synthetic(SynthConfig(n=2000, d=3, seed=4))
