@@ -331,6 +331,8 @@ def split(ds: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
     """
     if not is_int(seed, 0):
         raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
+    if isinstance(fractions, (str, bytes)) or not np.iterable(fractions):
+        raise ConfigError(f"fractions must be a sequence of numbers, got {fractions!r}")
     fractions = tuple(fractions)
     for f in fractions:
         if not is_real(f):

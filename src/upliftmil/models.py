@@ -75,8 +75,11 @@ CHECKPOINT_VERSION = 2
 _CONTROL, _TREATED, _BOTH = slice(0, 1), slice(1, 2), slice(0, 2)
 
 # Rows per forward pass of `predict`: it holds one chunk's activations
-# at a time, not the whole set's.
-CHUNK = 2048
+# at a time, not the whole set's. 1024 is the default
+# `TrainConfig.batch_size`, so a default run's one buffer set, sized for
+# its batches, serves its evaluations too; 2048-row chunks scored no
+# faster and doubled the set.
+CHUNK = 1024
 
 
 class ModelKind(str, Enum):

@@ -177,8 +177,14 @@ def init_network(layer_sizes, seed, output_activation: str = "linear") -> Networ
     """Build a network with fan-in-scaled zero-mean weights and zero biases.
 
     Weights are drawn N(0, 2/fan_in), the standard scaling for rectifier
-    units. Deterministic for a fixed seed.
+    units. Deterministic for a fixed seed: an integer >= 0 or a list or
+    tuple of them (`models.build` passes [seed, net index]), else a
+    ConfigError naming it.
     """
+    if not (is_int(seed, 0) or (isinstance(seed, (list, tuple)) and seed
+                                and all(is_int(s, 0) for s in seed))):
+        raise ConfigError(
+            f"'seed' must be an integer >= 0 or a sequence of them, got {seed!r}")
     sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise ConfigError(f"need at least 2 layer sizes, got {sizes}")

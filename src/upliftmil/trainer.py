@@ -17,7 +17,9 @@ max_steps`) keeps its best warm-up checkpoint.
 max(`batch_size`, `models.CHUNK`) rows: every step and every evaluation
 within the run (`models.CHUNK` rows at a time, as outside a run) reuse
 it (`nncore`'s pass contract), so a step allocates nothing of the
-model's size. The set is dropped on return.
+model's size. At the default `batch_size` of 1024 that is one batch's
+rows, 1024, and no row of it serves evaluation alone. The set is
+dropped on return.
 """
 
 from __future__ import annotations

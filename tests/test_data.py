@@ -255,6 +255,13 @@ class TestSplit:
         with pytest.raises(ConfigError, match=re.escape(want)):
             split(ds, (bad, 0.5, 0.5), seed=0)
 
+    @pytest.mark.parametrize("bad", [0.5, None, "abc", b"abc", np.float64(0.5)])
+    def test_fractions_that_are_no_sequence_rejected(self, bad):
+        ds = generate_synthetic(SynthConfig(n=50, d=3, seed=0))
+        want = f"fractions must be a sequence of numbers, got {bad!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            split(ds, bad, seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
     def test_bad_seed_rejected(self, seed):
         ds = generate_synthetic(SynthConfig(n=50, d=3, seed=0))

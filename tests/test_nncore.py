@@ -55,6 +55,18 @@ class TestInit:
         with pytest.raises(ConfigError, match=re.escape(want)):
             nncore.init_network((3, bad, 1), seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, "3", -1, True, None, [], [0, -1], [0, 1.5],
+                                      "ab", np.float64(1.0)])
+    def test_seed_that_is_no_integer_rejected(self, seed):
+        want = f"'seed' must be an integer >= 0 or a sequence of them, got {seed!r}"
+        with pytest.raises(ConfigError, match=re.escape(want)):
+            nncore.init_network((3, 2, 1), seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(5), [7, 1], (7, 1)])
+    def test_integer_seeds_accepted(self, seed):
+        a, b = nncore.init_network((3, 2, 1), seed), nncore.init_network((3, 2, 1), seed)
+        assert a.flat.tobytes() == b.flat.tobytes()
+
     def test_biases_zero_weights_fan_in_scaled(self):
         net = nncore.init_network((100, 50, 1), seed=11)
         assert all(not b.any() for b in net.biases)

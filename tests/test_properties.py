@@ -4,12 +4,14 @@ central finite differences, for drawn layer sizes, row counts and output
 activations; each architecture's wiring, its probabilities and base-loss
 gradient against the per-kind clean-room oracle; a model's training
 step against the same step in a fresh set, whatever passes the reused
-set ran before it; the bag-regularized loss and gradient against the
-oracle with its bags held fixed; the bags `cluster_bags` forms, which
-the gradient's scatter needs disjoint; the uplift curve against the
-brute-force evaluator; checkpoint loading of corrupted manifests;
-`data.split`, a complete, disjoint and stratified partition of any data
-set; and a table's save and load, which give back its bits."""
+set ran before it; `predict` against `forward_full` over the same
+chunks and over all rows at once, at the chunk edges; the
+bag-regularized loss and gradient against the oracle with its bags held
+fixed; the bags `cluster_bags` forms, which the gradient's scatter
+needs disjoint; the uplift curve against the brute-force evaluator;
+checkpoint loading of corrupted manifests; `data.split`, a complete,
+disjoint and stratified partition of any data set; and a table's save
+and load, which give back its bits."""
 
 import contextlib
 import json
@@ -197,6 +199,50 @@ def test_step_in_a_reused_set_gives_fresh_bits(case):
             _step(model, bufs, *before)
     want = _step(model, models.buffer_set(model, len(x)), x, t, y)
     assert _step(model, bufs, x, t, y) == want
+
+
+@st.composite
+def predict_cases(draw):
+    """A model of a drawn kind and sizes, with drawn parameters and a
+    scaler, and n rows of features, n at a chunk edge: 0, 1, CHUNK - 1,
+    CHUNK, CHUNK + 1 or 2 * CHUNK + k."""
+    kind = draw(st.sampled_from(list(models.ModelKind)))
+    d = draw(st.integers(1, 3))
+    hidden = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    chunk = models.CHUNK
+    n = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1])
+             | st.integers(0, 9).map(lambda k: 2 * chunk + k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = models.build(kind, d, hidden, seed=0)
+    model.params[...] = rng.normal(0.0, 0.7, size=model.params.size)
+    model.scaler = (rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    return model, rng.normal(size=(n, d))
+
+
+@given(predict_cases())
+def test_predict_is_forward_full_over_chunks(case):
+    model, x = case
+    n, chunk = len(x), models.CHUNK
+    scores = models.predict(model, x)
+    passes = [models.forward_full(model, x[s : s + chunk]) for s in range(0, n, chunk)]
+    for got, name in zip(scores, ("p_t", "p_c", "uplift")):
+        want = [getattr(out, name) for out in passes]
+        assert got.shape == (n,)
+        assert got.tobytes() == np.concatenate([np.empty(0), *want]).tobytes()
+    p_t, p_c, uplift = scores
+    assert uplift.tobytes() == (p_t - p_c).tobytes()
+    # One pass over all rows agrees to rounding only: a short last chunk
+    # may take another BLAS kernel than the same rows inside a long pass.
+    # The uplift's tolerance is absolute too, for p_t - p_c near zero.
+    full = models.forward_full(model, x)
+    np.testing.assert_allclose(p_t, full.p_t, rtol=1e-12)
+    np.testing.assert_allclose(p_c, full.p_c, rtol=1e-12)
+    np.testing.assert_allclose(uplift, full.uplift, rtol=1e-12, atol=1e-12)
+    # Each chunk's first and last rows against the clean-room evaluator.
+    edges = sorted({i for s in range(0, n, chunk) for i in (s, min(s + chunk, n) - 1)})
+    ref_t, ref_c = model_probs(model, x[edges])
+    np.testing.assert_allclose(p_t[edges], ref_t, rtol=1e-12)
+    np.testing.assert_allclose(p_c[edges], ref_c, rtol=1e-12)
 
 
 @st.composite

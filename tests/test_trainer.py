@@ -253,6 +253,35 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak < model.params.nbytes
 
+    def test_default_batch_run_holds_one_batch_of_rows(self):
+        # A run at the default batch_size, TARNet 256/128/64 with an eval
+        # after each of its two steps, peaks below five parameter vectors
+        # (parameters, best checkpoint, Adam's moments, gradient) and one
+        # buffer set of batch_size rows, plus half that set again for the
+        # heads' input gradients and a step's temporaries: its evaluations
+        # stream through the batch's rows and add no rows of their own.
+        # A set of twice the rows, for 2048-row evaluation chunks, breaks it.
+        ds = generate_synthetic(SynthConfig(n=3000, seed=4))
+        tr, va, te = split(ds, (0.6, 0.2, 0.2), seed=4)
+        cfg = TrainConfig(hidden_sizes=(256, 128, 64), max_steps=2, warmup_steps=0,
+                          eval_every=1)
+        assert cfg.batch_size == 1024
+        model = models.build(cfg.model, tr.d, cfg.hidden_sizes, cfg.seed)
+        tracemalloc.start()
+        try:
+            models.buffer_set(model, cfg.batch_size)
+            set_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            _, report = train(tr, va, te, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [p.step for p in report.history] == [1, 2]
+        assert peak < 5 * model.params.nbytes + 1.5 * set_bytes
+
 
 class TestEvaluate:
     def test_constant_model_near_random_baseline(self):
