@@ -271,6 +271,25 @@ class TestPredict:
             with pytest.raises(ShapeError):
                 predict(m, x)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_chunked_scores_match_one_pass(self, kind):
+        # A tail of a few rows may run through another BLAS kernel than a
+        # whole pass, so chunked and one-pass scores agree to rounding,
+        # not bit for bit.
+        m = _tiny(kind, seed=9)
+        m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
+        rng = np.random.default_rng(9)
+        for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5):
+            x = rng.random((n, 3))
+            p_t, p_c, uplift = predict(m, x)
+            np.testing.assert_array_equal(uplift, p_t - p_c)
+            full = models.forward_full(m, x)
+            ref_t, ref_c = model_probs(m, x)
+            pairs = ((p_t, full.p_t), (p_c, full.p_c), (p_t, ref_t), (p_c, ref_c))
+            for got, want in pairs:
+                assert got.shape == (n,)
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+
     def test_memory_bounded_by_chunk(self):
         # No backward caches outlive a chunk: beyond the three output
         # vectors, predict holds at most two chunks' worth of inputs and
