@@ -1,8 +1,10 @@
-"""Print the code lines of each `src/upliftmil` module and their total.
+"""Print the code lines of each `src/upliftmil` module and their total,
+then the total line count of the Python files in `tests/`.
 
 A code line is a line that is not blank, not a comment line and not part
 of a docstring (the first statement of a module, class or function when
-it is a string literal). Run from anywhere:
+it is a string literal). Test files are counted whole, every line, as
+ROADMAP.md quotes them. Run from anywhere:
 
     python scripts/code_lines.py
 """
@@ -10,7 +12,9 @@ it is a string literal). Run from anywhere:
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "upliftmil"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "upliftmil"
+TESTS = ROOT / "tests"
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -41,6 +45,9 @@ def main() -> None:
         total += count
         print(f"{path.name:<16}{count:>6}")
     print(f"{'total':<16}{total:>6}")
+    tests = sum(len(p.read_text(encoding="utf-8").splitlines())
+                for p in TESTS.glob("*.py"))
+    print(f"{'tests/ lines':<16}{tests:>6}")
 
 
 if __name__ == "__main__":

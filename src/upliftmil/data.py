@@ -165,8 +165,10 @@ def load_table(path, schema: TableSchema) -> Dataset:
     column and, for treatment and outcome, the value; a csv scan finds
     it, and runs only once the fast parse or its checks have failed. A
     non-finite feature or `true_ite` raises `ConfigError` from `Dataset`.
-    The file is read as UTF-8 whatever the locale; bytes that do not
-    decode raise `ParseError` naming the file.
+    The file is read as UTF-8 whatever the locale, without the UTF-8
+    byte-order mark that some editors write before the header (it would
+    otherwise join the first column's name); bytes that do not decode
+    raise `ParseError` naming the file.
     """
     try:
         ds = _read_table(path, schema)
@@ -178,7 +180,7 @@ def load_table(path, schema: TableSchema) -> Dataset:
 
 
 def _read_table(path, schema: TableSchema) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             header = next(csv.reader(fh, delimiter=schema.delimiter))
         except StopIteration:
@@ -251,7 +253,7 @@ def _raise_first_bad_row(path, delimiter: str, n_fields: int, cells) -> None:
     """Read the body again with `csv`, one row at a time, and raise the
     ParseError of the first row the fast parse could not take; return if
     there is none."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         next(reader)
         for row_no, row in enumerate(reader, start=1):

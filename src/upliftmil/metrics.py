@@ -19,6 +19,17 @@ AUUC is ATE * (P + 1) / (2 P) on a P-point grid, and g(1) equals the
 empirical ATE exactly since both arms' rankings then include everyone. The
 empirical ATE acts as an approximate upper bound.
 
+The curve is counted, as the classic ROC algorithm counts positives at
+each threshold (Fawcett, Pattern Recognit. Lett. 2006). Each arm sorts
+the negated scores of its rows, and apart from them those of its
+responders, as keys. For a selection of the top m rows, the bounds
+[a, b) of the tied group holding the m-th key are binary-search
+positions in the arm's keys, and the responders ranked before that
+group and through it are binary-search counts in the responders' keys:
+all exact integers, with no permutation or running sum formed. The
+search compares keys, so -0.0 and +0.0 count as one score whichever
+order the sort left them in.
+
 Each selected rate is computed as one ratio of integers, which is exact
 (correctly rounded) while m * (group size) < 2**53 per arm, i.e. up to
 about 9e7 rows per arm.
@@ -63,33 +74,6 @@ def _ceil_div(a, b):
     return -(-a // b)
 
 
-def _ranked(scores: np.ndarray, values: np.ndarray):
-    """Ascending sort keys (the negated scores, so best first) and the
-    0-prefixed cumulative sum of `values` in that order. The order within
-    a tied group does not matter: only sums at group boundaries are
-    read."""
-    keys = -scores
-    order = np.argsort(keys)
-    return keys[order], np.concatenate(([0], np.cumsum(values[order])))
-
-
-def _tied_group(keys: np.ndarray, m: np.ndarray):
-    """Bounds [a, b) of the tied group that holds position m - 1 of the
-    sorted keys, for every selection size in m."""
-    last = keys[m - 1]
-    return (
-        np.searchsorted(keys, last, side="left"),
-        np.searchsorted(keys, last, side="right"),
-    )
-
-
-def _selected(cum: np.ndarray, a: np.ndarray, b: np.ndarray, m: np.ndarray):
-    """(b - a) times the sum over the top m rows, where the partly
-    selected group [a, b) adds its sum in proportion (m - a) / (b - a).
-    An integer, so the caller's ratio is exact."""
-    return cum[a] * (b - a) + (m - a) * (cum[b] - cum[a])
-
-
 def _binary(values, name: str) -> np.ndarray:
     """`values` as int64, or MetricError naming the column unless every
     entry is 0 or 1."""
@@ -131,13 +115,20 @@ def uplift_curve(
         raise MetricError(f"uplift curve undefined: {n_t} treated, {n_c} control")
 
     k = np.arange(1, n_points + 1)
-    treated = t == 1
+    keys = -scores  # ascending keys rank the best scores first
+    treated, responded = t == 1, y == 1
     rates = []
     for arm in (treated, ~treated):
-        keys, cum = _ranked(scores[arm], y[arm])
-        m = _ceil_div(k * len(keys), n_points)
-        a, b = _tied_group(keys, m)
-        rates.append(_selected(cum, a, b, m) / (m * (b - a)))
+        ranked = np.sort(np.compress(arm, keys))
+        hits = np.sort(np.compress(arm & responded, keys))
+        m = _ceil_div(k * len(ranked), n_points)
+        last = ranked[m - 1]
+        a, b = (np.searchsorted(ranked, last, side) for side in ("left", "right"))
+        ha, hb = (np.searchsorted(hits, last, side) for side in ("left", "right"))
+        # (b - a) times the responders among the top m: all ha before
+        # the tied group [a, b) and its hb - ha in proportion (m - a) /
+        # (b - a); an integer, so the ratio is exact.
+        rates.append((ha * (b - a) + (m - a) * (hb - ha)) / (m * (b - a)))
     g = (k / n_points) * (rates[0] - rates[1])
     return UpliftCurve(phi=k / n_points, g=g, auuc=math.fsum(g) / n_points)
 

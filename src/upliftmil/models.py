@@ -145,6 +145,9 @@ class BufferSet:
     inputs: np.ndarray
     nets: dict[str, nncore.NetBuffers]
     grad: np.ndarray
+    # The bytes of the scaler last used and its mean and std tiled over
+    # the set's rows, for `_scale`.
+    _tiled: tuple = field(default=(b"", None, None), init=False, repr=False)
 
 
 def buffer_set(model: UpliftModel, rows: int) -> BufferSet:
@@ -240,15 +243,30 @@ def _check_input(model: UpliftModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scale(model: UpliftModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _scale(model: UpliftModel, x: np.ndarray, buffers: BufferSet) -> np.ndarray:
     """The model's scaled features (x - mean) / std, or `x` itself
-    without a scaler, written into `out`."""
+    without a scaler, written into the set's model-input buffer.
+
+    The arithmetic runs over `x` as one flat vector, against the mean and
+    std tiled over the set's rows (tiled again whenever the scaler's bytes
+    change), then one copy fills the buffer: each value takes the same two
+    operations as in the row-wise form, so the bits are the same, but no
+    loop runs over 6-value rows or writes a strided buffer row by row.
+    """
+    out = nncore.first_rows(buffers.inputs, len(x))[:, :-1]
     if model.scaler is None:
         np.copyto(out, x)
         return out
     mean, std = model.scaler
-    np.subtract(x, mean, out=out)
-    return np.divide(out, std, out=out)
+    key = mean.tobytes() + std.tobytes()
+    if buffers._tiled[0] != key:
+        shape = buffers.inputs[:, :-1].shape
+        buffers._tiled = (key, *(np.broadcast_to(v, shape).ravel() for v in (mean, std)))
+    _, means, stds = buffers._tiled
+    flat = np.subtract(x.reshape(-1), means[: x.size])
+    np.divide(flat, stds[: x.size], out=flat)
+    np.copyto(out, flat.reshape(x.shape))
+    return out
 
 
 def forward_full(
@@ -261,7 +279,7 @@ def forward_full(
     n = len(x)
     if buffers is None:
         buffers = buffer_set(model, n)
-    outputs = {"x": _scale(model, x, nncore.first_rows(buffers.inputs, n)[:, :-1])}
+    outputs = {"x": _scale(model, x, buffers)}
     z = np.zeros((n, 2))
     for name, _, arms, source in model._layout:
         inputs = outputs.get(source)

@@ -183,6 +183,22 @@ class TestLoadTable:
             with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8 text")):
                 load_table(p, TableSchema())
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # A UTF-8 byte-order mark before the header is not part of the
+        # first column's name, whether that column is named by the schema
+        # or is a feature; a bad row is still found and numbered.
+        bom = "\ufeff"
+        p = _write(tmp_path, bom + "treatment,x1,outcome\n1,0.5,0\n0,1.5,1\n")
+        ds = load_table(p, TableSchema())
+        np.testing.assert_array_equal(ds.treatment, [1, 0])
+        np.testing.assert_array_equal(ds.features.ravel(), [0.5, 1.5])
+        p = _write(tmp_path, bom + "x1,x2,treatment,outcome\n1,2,1,0\n3,4,0,1\n")
+        ds = load_table(p, TableSchema(feature_cols=["x1"]))
+        np.testing.assert_array_equal(ds.features.ravel(), [1.0, 3.0])
+        p = _write(tmp_path, bom + "x1,treatment,outcome\n1,1,0\n2,2,1\n")
+        with pytest.raises(ParseError, match="row 2: column 'treatment'"):
+            load_table(p, TableSchema())
+
     def test_saved_bytes_exact(self, tmp_path):
         ds = Dataset([[0.1, -2.5e-300], [3.0, 1e300]], [1, 0], [0, 1], [0.25, -1 / 3])
         p = tmp_path / "out.csv"

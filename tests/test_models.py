@@ -165,14 +165,21 @@ class TestBufferSet:
 
     def test_features_are_scaled_once_into_the_set(self):
         # forward_full scales x into the model-input buffer, and each SDR
-        # net's forward pass runs on that one copy.
+        # net's forward pass runs on that one copy. Each pass scales by
+        # the scaler the model holds then, after it is written in place
+        # or replaced too, though the set keeps the last one tiled.
         m = _tiny("sdr", seed=23)
         m.scaler = (np.array([0.4, 0.5, 0.6]), np.array([0.3, 0.2, 0.1]))
         x = np.random.default_rng(23).random((5, 3))
         bufs = models.buffer_set(m, 8)
-        models.forward_full(m, x, bufs)
-        scaled = (x - m.scaler[0]) / m.scaler[1]
-        assert bufs.inputs[:5, :-1].tobytes() == scaled.tobytes()
+        for step in ("as set", "written in place", "replaced"):
+            if step == "written in place":
+                m.scaler[0][2] = 0.7
+            elif step == "replaced":
+                m.scaler = (m.scaler[0], np.array([1.0, 2.0, 4.0]))
+            models.forward_full(m, x, bufs)
+            scaled = (x - m.scaler[0]) / m.scaler[1]
+            assert bufs.inputs[:5, :-1].tobytes() == scaled.tobytes()
         assert (bufs.inputs[:5, -1] == 1.0).all()
         for net in bufs.nets.values():
             assert net.inputs is bufs.inputs and net.rows == 5

@@ -110,6 +110,18 @@ class TestForward:
         with pytest.raises(ShapeError):
             _forward(net, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("shape", [(1, 10), (3, 10), (1024, 65)])
+    def test_rectifier_gives_the_bits_of_a_scalar_zero(self, shape):
+        # forward's rectifier takes an all-zeros array as its operand: the
+        # same bits as max(x, 0.0) for signed zeros, NaNs of either sign,
+        # infinities and the least subnormals.
+        edges = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                 -1.5, 2.5]
+        x = np.resize(np.array(edges), shape)
+        got = x.copy()
+        nncore._rectify(got)
+        assert got.tobytes() == np.maximum(x, 0.0).tobytes()
+
 
 def _two_branch_logistic(z):
     """The sigmoid as two masked branches, 1 / (1 + exp(-z)) for z >= 0

@@ -8,10 +8,12 @@ set ran before it; `predict` against `forward_full` over the same
 chunks and over all rows at once, at the chunk edges; the
 bag-regularized loss and gradient against the oracle with its bags held
 fixed; the bags `cluster_bags` forms, which the gradient's scatter
-needs disjoint; the uplift curve against the brute-force evaluator;
-checkpoint loading of corrupted manifests; `data.split`, a complete,
-disjoint and stratified partition of any data set; and a table's save
-and load, which give back its bits."""
+needs disjoint; the uplift curve against the brute-force evaluator,
+signed zeros and infinities among the scores; checkpoint loading of
+corrupted manifests; `data.split`, a complete, disjoint and stratified
+partition of any data set; `data.minibatches`, an epoch's rows in
+disjoint full batches with exact treated shares; and a table's save and
+load, which give back its bits."""
 
 import contextlib
 import json
@@ -332,19 +334,28 @@ def test_bags_are_disjoint_equal_and_drop_the_remainder(case):
         assert bags.tobytes() == bags_of(preds[::-1].copy()).tobytes()
 
 
+# Score levels at the edges of a ranking: -0.0 and +0.0 are one score in
+# the oracle, and a sort may leave them in either order.
+_SCORE_EDGES = [-0.0, 0.0, math.inf, -math.inf, 1e-300, -1e-300]
+
+
 @st.composite
 def curve_cases(draw):
-    """Scores drawn from `levels` distinct values (one level: a constant
-    scorer; few: tie-heavy), 1..n-1 treated rows at random positions,
-    each arm's response rate 0, 1 or drawn (one-sided arms included), a
-    grid of 2..60 points and a permutation of the rows."""
+    """Scores drawn from `levels` values (one level: a constant scorer;
+    few: tie-heavy), some of them signed zeros, infinities or +-1e-300,
+    1..n-1 treated rows at random positions, each arm's response rate 0,
+    1 or drawn (one-sided arms included), a grid of 2..60 points and a
+    permutation of the rows."""
     n = draw(st.integers(2, 40))
     n_t = draw(st.integers(1, n - 1))
     levels = draw(st.integers(1, n))
+    edges = draw(st.lists(st.sampled_from(_SCORE_EDGES), max_size=levels))
     rate_t, rate_c = (draw(st.sampled_from([0.0, 1.0, None])) for _ in range(2))
     n_points = draw(st.integers(2, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scores = rng.normal(size=levels)[rng.integers(0, levels, n)]
+    values = rng.normal(size=levels)
+    values[: len(edges)] = edges
+    scores = values[rng.integers(0, levels, n)]
     t = rng.permutation(np.arange(n) < n_t).astype(np.int64)
     rate = np.where(t == 1, rng.random() if rate_t is None else rate_t,
                     rng.random() if rate_c is None else rate_c)
@@ -473,6 +484,33 @@ def test_split_is_a_stratified_partition(case):
             for p, f in zip(parts, fractions):
                 got = int(((p.treatment == t) & (p.outcome == y)).sum())
                 assert abs(got - cell_n * f) <= 2
+
+
+@st.composite
+def minibatch_cases(draw):
+    """A data set of 2..200 rows with drawn treatment flags, a batch size
+    of 2..n rows, a seed and an epoch."""
+    n = draw(st.integers(2, 200))
+    t = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    ds = data.Dataset(np.zeros((n, 1)), t, np.zeros(n, dtype=np.int64))
+    return (ds, draw(st.integers(2, n)), draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 10**6)))
+
+
+@given(minibatch_cases())
+def test_minibatches_partition_an_epoch_minus_the_remainder(case):
+    ds, batch_size, seed, epoch = case
+    batches = data.minibatches(ds, batch_size, seed, epoch)
+    assert all(len(b.indices) == batch_size for b in batches)
+    rows = np.concatenate([b.indices for b in batches])
+    # Disjoint, and every row but exactly n % batch_size of them.
+    assert len(np.unique(rows)) == len(rows) == ds.n - ds.n % batch_size
+    assert rows.min() >= 0 and rows.max() < ds.n
+    for b in batches:
+        assert b.u_t == int(ds.treatment[b.indices].sum()) / batch_size
+    again = data.minibatches(ds, batch_size, seed, epoch)
+    assert [(b.indices.tobytes(), b.u_t) for b in again] == [
+        (b.indices.tobytes(), b.u_t) for b in batches]
 
 
 # Finite values at the edges of float64: signed zeros, the least subnormal,

@@ -187,6 +187,16 @@ class TestTrain:
             else:
                 assert h.usable_bags > 0
 
+    def test_rectifier_operand_stays_zero_and_read_only(self, splits):
+        # The operand every rectifier of the run read is never written.
+        train(*splits, _cfg())
+        zeros = nncore._zero_operand
+        assert zeros.size >= 256 * 9  # the widest activation of a batch
+        assert not zeros.flags.writeable
+        assert not zeros.any()
+        with pytest.raises(ValueError):
+            zeros[0] = 1.0
+
     def test_returned_model_holds_no_buffers(self, splits):
         # A model outlives its run: the run's buffer set must not ride on it.
         model, _ = train(*splits, _cfg(max_steps=20, warmup_steps=5, eval_every=10))
