@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, ParseError, SchemaError, is_int, is_real
+from .errors import (ConfigError, MetricError, ParseError, SchemaError, is_binary,
+                     is_int, is_real)
 
 log = logging.getLogger(__name__)
 
@@ -24,9 +25,16 @@ log = logging.getLogger(__name__)
 class Dataset:
     """Feature matrix plus binary treatment flags and binary outcomes.
 
+    Treatment and outcome are binary as `errors.is_binary` defines it,
+    the package's one definition: bool values, integers 0 and 1, or
+    floats equal to 0.0 or 1.0 (-0.0 included). They are checked before
+    they are stored as int64, so 0.5, 1.7, NaN or a str or object array
+    raises ConfigError naming the column rather than being truncated.
+    An empty Dataset is valid: `subset` and `split` can make one.
     `true_ite` is only present for synthetic data, where the generating
-    response probabilities are known. Arrays are frozen after validation;
-    a Dataset can be shared read-only across parallel runs.
+    response probabilities are known; its values must lie in [-1, 1].
+    Arrays are frozen after validation; a Dataset can be shared
+    read-only across parallel runs.
     """
 
     features: np.ndarray
@@ -36,8 +44,13 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.treatment = np.asarray(self.treatment, dtype=np.int64)
-        self.outcome = np.asarray(self.outcome, dtype=np.int64)
+        for name in ("treatment", "outcome"):
+            vec = np.asarray(getattr(self, name))
+            # Checked before the cast, which would truncate 0.5 to 0.
+            if not is_binary(vec):
+                raise ConfigError(f"{name} values must be 0 or 1, held as bool, "
+                                  f"integer or float; got a {vec.dtype} array")
+            setattr(self, name, vec.astype(np.int64, copy=False))
         if self.features.ndim != 2:
             raise ConfigError(f"features must be 2-D, got shape {self.features.shape}")
         n = self.features.shape[0]
@@ -48,15 +61,14 @@ class Dataset:
             )
         if not np.all(np.isfinite(self.features)):
             raise ConfigError("features contain non-finite values")
-        for name, vec in (("treatment", self.treatment), ("outcome", self.outcome)):
-            if not np.isin(vec, (0, 1)).all():
-                raise ConfigError(f"{name} values must be 0 or 1")
         if self.true_ite is not None:
             self.true_ite = np.asarray(self.true_ite, dtype=np.float64)
             if self.true_ite.shape != (n,):
                 raise ConfigError("true_ite length does not match feature rows")
-            # Negated so that NaN, which compares False, fails too.
-            if not np.all(np.abs(self.true_ite) <= 1.0):
+            ite = self.true_ite
+            # Negated so that NaN, which min and max return and which
+            # compares False, fails too.
+            if ite.size and not (ite.min() >= -1.0 and ite.max() <= 1.0):
                 raise ConfigError("true_ite values must lie in [-1, 1]")
             self.true_ite.setflags(write=False)
         for arr in (self.features, self.treatment, self.outcome):
@@ -156,8 +168,10 @@ def load_table(path, schema: TableSchema) -> Dataset:
     cell holds what Python's `float()` reads, surrounding whitespace
     included, except that digit-group underscores (`1_000`) and
     non-ASCII digits are rejected. Treatment and outcome cells must read
-    as 0 or 1. Columns the schema does not use are not parsed, but every
-    row must have as many fields as the header.
+    as 0 or 1 (`0.0`, `1e0` and `-0` do) by `errors.is_binary`, the
+    package's one definition of a binary column. Columns the schema does
+    not use are not parsed, but every row must have as many fields as the
+    header.
 
     Rows are numbered from 1 after the header, one per csv record; blank
     lines are skipped but still counted. A header problem raises
@@ -233,7 +247,7 @@ def _read_table(path, schema: TableSchema) -> Dataset:
         table = rows.view(np.float64).reshape(len(rows), len(used))
         pos = {name: used.index(i) for name, i, _ in cells}
         flags = np.take(table, [pos[c] for c in binary], axis=1)
-        if not np.all((flags == 0.0) | (flags == 1.0)):
+        if not is_binary(flags):
             rows, failure = None, "a treatment or outcome value is not 0 or 1"
     if rows is None:
         _raise_first_bad_row(path, schema.delimiter, len(header), cells)
@@ -276,7 +290,7 @@ def _raise_first_bad_row(path, delimiter: str, n_fields: int, cells) -> None:
                     )
                 if value is None:
                     raise ParseError(f"{where} non-numeric value in column {name!r}")
-                if kind == "binary" and value not in (0.0, 1.0):
+                if kind == "binary" and not is_binary(value):
                     raise ParseError(
                         f"{where} column {name!r} must be 0 or 1, got {row[i]!r}"
                     )

@@ -1,7 +1,12 @@
 """Exception types shared across the package, `enum_member`, the one
 lookup that reports an unknown enum value as a `ConfigError`, and
-`is_int` and `is_real`, the one tests of an integer and of a real-valued
-setting."""
+`is_int`, `is_real` and `is_binary`, the one tests of an integer setting,
+of a real-valued setting and of a binary column.
+
+`is_binary` is the package's one definition of a binary column, the
+treatment and outcome of every data set: `Dataset`, `load_table` and the
+uplift curve each call it, and each raises its own typed error, naming
+the column, when it fails."""
 
 import math
 
@@ -60,3 +65,21 @@ def is_real(v) -> bool:
         return math.isfinite(v)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def is_binary(values) -> bool:
+    """Every entry of the array `values` is 0 or 1, judged by its dtype:
+    a bool array always is; an integer array is when its min is >= 0 and
+    its max <= 1, two reductions and no temporary; a floating array is
+    when each value equals 0 or 1 (so -0.0 is, and NaN and the
+    infinities are not); any other dtype (str, object, complex) never
+    is, even empty. An empty bool, integer or floating array is."""
+    v = np.asarray(values)
+    kind = v.dtype.kind
+    if kind not in "biuf":
+        return False
+    if kind == "b" or v.size == 0:
+        return True
+    if kind == "f":
+        return bool(((v == 0.0) | (v == 1.0)).all())
+    return bool(v.min() >= 0 and v.max() <= 1)

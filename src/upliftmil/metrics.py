@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, is_int, is_real
+from .errors import ConfigError, MetricError, is_binary, is_int, is_real
 
 DEFAULT_GRID = 100
 
@@ -75,14 +75,18 @@ def _ceil_div(a, b):
 
 
 def _binary(values, name: str) -> np.ndarray:
-    """`values` as int64, or MetricError naming the column unless every
-    entry is 0 or 1."""
+    """`values` as int64, or MetricError naming the column unless
+    `is_binary(values)`: for a bool, integer or float column the error
+    counts the values that are not 0 or 1, for any other it names the
+    dtype."""
     v = np.asarray(values)
-    ok = (v == 0) | (v == 1)
-    if not ok.all():
+    if not is_binary(v):
+        if v.dtype.kind not in "iuf":
+            raise MetricError(f"uplift curve undefined: {name} must be bool, "
+                              f"integer or float, got {v.dtype}")
+        bad = np.count_nonzero((v != 0) & (v != 1))
         raise MetricError(
-            f"uplift curve undefined: {int((~ok).sum())} of {v.size} {name} "
-            "values are not 0 or 1"
+            f"uplift curve undefined: {bad} of {v.size} {name} values are not 0 or 1"
         )
     return v.astype(np.int64, copy=False)
 
@@ -97,7 +101,10 @@ def uplift_curve(
     it takes, so the result does not depend on row order. A constant
     scorer gives g(phi) = phi * ATE and AUUC = ATE * (n_points + 1) /
     (2 n_points). NaN scores have no place in a ranking, and outcome and
-    treatment must be binary; both raise MetricError.
+    treatment must be binary as `errors.is_binary` defines it (bool, or
+    integers or floats equal to 0 or 1); both raise MetricError, which
+    for a column names it and counts its other values, or names its dtype
+    when that is not bool, integer or float.
     """
     scores = np.asarray(scores, dtype=np.float64)
     y = _binary(outcome, "outcome")

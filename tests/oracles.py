@@ -6,10 +6,13 @@ dense-net evaluator per architecture (arm logits, and their sigmoid),
 the factual-arm loss on the logits and the bag-level loss, the
 bag-noise identity, central finite differences, a functional per-array
 Adam step, a brute-force uplift-curve evaluator that materializes every
-selection explicitly, and the two-sample standard error of an empirical
-ATE. One oracle is a bit-exact reference instead: the dense (n, 2) form
-of the bag term's arm-logit gradient, which the package's scatter must
-reproduce bit for bit.
+selection explicitly, the two-sample standard error of an empirical
+ATE, and a value-by-value test of a binary column. One oracle is a
+bit-exact reference instead: the dense (n, 2) form of the bag term's
+arm-logit gradient, which the package's scatter must reproduce bit for
+bit. Another, `replay_train`, is built from the package's own step
+functions: it checks `trainer.train`'s loop (which batch, u_t, alpha,
+scaler and checkpoint), not the step, which the other oracles check.
 """
 
 import math
@@ -266,3 +269,39 @@ def ate_standard_error(ds):
     y_t = ds.outcome[ds.treatment == 1].astype(np.float64)
     y_c = ds.outcome[ds.treatment == 0].astype(np.float64)
     return math.sqrt(y_t.var(ddof=1) / len(y_t) + y_c.var(ddof=1) / len(y_c))
+
+
+def binary_ref(values):
+    """Whether `values` is a binary column: an array of bool, integer or
+    floating dtype whose every value, read as an exact Python number,
+    equals 0 or 1. Any other dtype is not, even when empty."""
+    v = np.asarray(values)
+    return v.dtype.kind in "biuf" and all(x == 0 or x == 1 for x in v.ravel().tolist())
+
+
+def replay_train(train_ds, cfg, steps):
+    """The params of a clustered-bag `trainer.train(train_ds, ..., cfg)`
+    run after `steps` steps, replayed without evaluation: the scaler fit
+    on the training features, then per step the epoch's next batch, the
+    bag-regularized loss at the batch's treated fraction (alpha from the
+    first step after warm-up) and one Adam step."""
+    from upliftmil import data, mil, models, nncore
+
+    model = models.build(cfg.model, train_ds.d, cfg.hidden_sizes, cfg.seed)
+    model.scaler = data.fit_scaler(train_ds.features)
+    state = nncore.init_adam(model.params, cfg.learning_rate, cfg.beta1, cfg.beta2,
+                             cfg.eps)
+    step, epoch = 0, 0
+    while step < steps:
+        for batch in data.minibatches(train_ds, cfg.batch_size, cfg.seed, epoch):
+            if step == steps:
+                break
+            step += 1
+            rows = batch.indices
+            t, y = train_ds.treatment[rows], train_ds.outcome[rows]
+            alpha = cfg.alpha if step > cfg.resolved_warmup() else 0.0
+            _, grads, _ = mil.combined_loss_and_grads(
+                model, train_ds.features[rows], t, y, t.mean(), alpha, cfg.bag_size)
+            nncore.adam_step(model.params, grads, state)
+        epoch += 1
+    return model.params

@@ -44,6 +44,34 @@ class TestDataset:
         with pytest.raises(ConfigError):
             Dataset(np.zeros((2, 1)), np.array([0, 2]), np.array([0, 1]))
 
+    @pytest.mark.parametrize("column", ["treatment", "outcome"])
+    @pytest.mark.parametrize("bad", [
+        [0.5, 1.7, 0.0], [True, 0.9, 1], [np.nan, 0.0, 1.0], ["0", "1", "0"],
+        np.array([0, 1, None], dtype=object),
+    ], ids=["fractions", "mixed", "nan", "str", "object"])
+    def test_nonbinary_column_names_it(self, column, bad):
+        # Checked before the int64 cast, which would truncate 0.5, 1.7 and
+        # 0.9, read "1" as 1, and fail on NaN with a bare ValueError.
+        cols = {"treatment": [0, 1, 0], "outcome": [1, 0, 1], column: bad}
+        with pytest.raises(ConfigError, match=f"^{column} values must be 0 or 1"):
+            Dataset(np.zeros((3, 1)), cols["treatment"], cols["outcome"])
+
+    @pytest.mark.parametrize("t, y", [
+        (np.array([False, True]), np.array([True, False])),
+        (np.array([0.0, 1.0]), np.array([-0.0, 1.0])),
+        (np.array([0, 1], dtype=np.uint8), np.array([1, 0], dtype=np.int8)),
+    ], ids=["bool", "float", "small-int"])
+    def test_binary_dtypes_accepted_as_int64(self, t, y):
+        ds = Dataset(np.zeros((2, 1)), t, y)
+        assert ds.treatment.dtype == ds.outcome.dtype == np.int64
+        np.testing.assert_array_equal(ds.treatment, t.astype(np.int64))
+        np.testing.assert_array_equal(ds.outcome, y.astype(np.int64))
+
+    def test_empty_dataset_accepted(self):
+        ds = Dataset(np.zeros((0, 2)), [], [], [])
+        assert ds.n == 0 and ds.treatment.dtype == np.int64
+        assert ds.subset(np.array([], dtype=np.intp)).n == 0
+
     def test_length_validation(self):
         with pytest.raises(ConfigError):
             Dataset(np.zeros((3, 1)), np.array([0, 1]), np.array([0, 1, 0]))
@@ -114,6 +142,12 @@ class TestLoadTable:
             p = _write(tmp_path, "a,b,treatment,outcome\n" + body)
             with pytest.raises(ParseError, match=match + ", header has 4"):
                 load_table(p, schema)
+
+    def test_binary_cells_read_as_numbers(self, tmp_path):
+        p = _write(tmp_path, "a,treatment,outcome\n1,1e0,-0\n2,0.0,1.000\n")
+        ds = load_table(p, TableSchema())
+        np.testing.assert_array_equal(ds.treatment, [1, 0])
+        np.testing.assert_array_equal(ds.outcome, [0, 1])
 
     def test_nonbinary_outcome_names_column_and_value(self, tmp_path):
         p = _write(tmp_path, "a,treatment,outcome\n1,1,0\n2,0,0.5\n")

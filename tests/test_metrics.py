@@ -169,6 +169,15 @@ class TestUpliftCurve:
         with pytest.raises(MetricError, match=f"1 of 4 {column} values"):
             uplift_curve(np.array([0.4, 0.3, 0.2, 0.1]), **cols)
 
+    @pytest.mark.parametrize("outcome", [np.array(["1", "0", "1", "0"]),
+                                         np.array([0, 1, 1, 0], dtype=object),
+                                         np.array([0, 1, 1, 0], dtype=complex)])
+    def test_non_numeric_column_names_its_dtype(self, outcome):
+        # Rejected even when every value equals 0 or 1.
+        with pytest.raises(MetricError, match=f"outcome must be bool, integer or "
+                                              f"float, got {outcome.dtype}"):
+            uplift_curve(np.zeros(4), outcome, [1, 1, 0, 0])
+
 
 class TestAuuc:
     def test_wrapper_equals_curve(self):

@@ -12,8 +12,9 @@ needs disjoint; the uplift curve against the brute-force evaluator,
 signed zeros and infinities among the scores; checkpoint loading of
 corrupted manifests; `data.split`, a complete, disjoint and stratified
 partition of any data set; `data.minibatches`, an epoch's rows in
-disjoint full batches with exact treated shares; and a table's save and
-load, which give back its bits."""
+disjoint full batches with exact treated shares; a table's save and
+load, which give back its bits; and `errors.is_binary`, the one test of
+a binary column, against a value-by-value oracle."""
 
 import contextlib
 import json
@@ -26,9 +27,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 from upliftmil import data, metrics, mil, models, nncore  # noqa: E402
-from upliftmil.errors import ConfigError, is_int  # noqa: E402
+from upliftmil.errors import ConfigError, is_binary, is_int  # noqa: E402
 
 from oracles import (  # noqa: E402
+    binary_ref,
     brute_force_curve,
     combined_loss_ref,
     dense_eval,
@@ -555,3 +557,44 @@ def test_table_round_trip_is_exact(case, table_path):
                                              and a.tobytes() == b.tobytes())
     data.save_table(back, table_path, delimiter)
     assert table_path.read_bytes() == saved
+
+
+_BINARY_DTYPES = ("bool", "int8", "int64", "uint64", "float32", "float64", "complex128",
+                  "U1", "O")
+
+
+@st.composite
+def column_cases(draw):
+    """A column of 0 to 6 values of a drawn dtype: 0s and 1s (signed zeros
+    among the floats), one of them replaced, half the time, by any value
+    of the dtype: a fraction, NaN, the infinities or an integer at its
+    type's edge."""
+    dtype = np.dtype(draw(st.sampled_from(_BINARY_DTYPES)))
+    binary = [0.0, -0.0, 1.0] if dtype.kind == "f" else [0, 1]
+    values = draw(st.lists(st.sampled_from(binary), max_size=6))
+    if dtype.kind == "f":
+        width = dtype.itemsize * 8
+        other = st.one_of(st.floats(0.0, 1.0, width=width), st.floats(width=width))
+    elif dtype.kind in "iu":
+        other = st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    else:
+        other = st.sampled_from([0, 1, 2, True])
+    if values and draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(other)
+    if dtype.kind == "U":
+        values = [str(v) for v in values]
+    return np.array(values, dtype=dtype)
+
+
+@given(column_cases())
+@example(np.array([np.nan]))
+@example(np.array([0.5, 1.0]))
+@example(np.array([-0.0, 1.0], dtype=np.float32))
+@example(np.array([np.inf, 0.0]))
+@example(np.array([2**64 - 1, 1], dtype=np.uint64))
+@example(np.array([-(2**63), 0]))
+@example(np.array([], dtype=np.uint64))
+@example(np.array([], dtype=np.float32))
+@example(np.array([], dtype="U1"))
+def test_is_binary_matches_the_value_oracle(values):
+    assert is_binary(values) is binary_ref(values)

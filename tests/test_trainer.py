@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from upliftmil import mil, models, nncore, trainer
-from upliftmil.data import SynthConfig, empirical_ate, generate_synthetic, split
+from upliftmil.data import (SynthConfig, empirical_ate, fit_scaler, generate_synthetic,
+                            split)
 from upliftmil.errors import ConfigError, TrainingError
 from upliftmil.metrics import auuc
 from upliftmil.trainer import TrainConfig, evaluate, repeat_runs, train
+
+from oracles import replay_train
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +38,19 @@ def _cfg(**kw):
     )
     base.update(kw)
     return TrainConfig(**base)
+
+
+def _train_peaking_at(monkeypatch, splits, cfg, peak):
+    """train() whose `peak`-th evaluation reads highest and the others the
+    lower the farther they are from it."""
+    calls = []
+
+    def peaked(model, ds, n_points, buffers=None):
+        calls.append(None)
+        return -abs(len(calls) - peak), evaluate(model, ds, n_points, buffers)[1]
+
+    monkeypatch.setattr(trainer, "evaluate", peaked)
+    return train(*splits, cfg)
 
 
 def _report_key(report):
@@ -133,15 +149,24 @@ class TestTrain:
         _, rep_b = train(tr, va, te, _cfg())
         assert _report_key(rep_a) == _report_key(rep_b)
 
-    def test_returned_model_is_best_checkpoint(self, splits):
-        # The best of the evaluations after warm-up (step 50).
-        tr, va, te = splits
-        model, report = train(tr, va, te, _cfg(max_steps=400, eval_every=40))
-        after = [h for h in report.history if h.step > 50]
-        assert report.best_val_auuc == max(h.val_auuc for h in after)
-        assert report.best_step in [h.step for h in after]
-        got, _ = evaluate(model, va, 100)
-        assert got == report.best_val_auuc
+    def test_returned_model_is_best_checkpoint(self, splits, monkeypatch):
+        # The evaluations after warm-up (step 50) peak at step 160, mid-run;
+        # patience stops the run at step 360. The returned params are a
+        # replay's stopped at step 160, and the scaler is the training
+        # split's.
+        tr = splits[0]
+        cfg = _cfg(max_steps=400, eval_every=40)
+        model, report = _train_peaking_at(monkeypatch, splits, cfg, peak=4)
+        assert report.best_step == 160 and report.history[-1].step == 360
+        assert model.params.tobytes() == replay_train(tr, cfg, 160).tobytes()
+        assert [a.tobytes() for a in model.scaler] == [
+            a.tobytes() for a in fit_scaler(tr.features)]
+
+    def test_best_checkpoint_at_the_last_step_is_the_replay(self, splits, monkeypatch):
+        cfg = _cfg(max_steps=200, eval_every=40)
+        model, report = _train_peaking_at(monkeypatch, splits, cfg, peak=5)
+        assert report.best_step == 200
+        assert model.params.tobytes() == replay_train(splits[0], cfg, 200).tobytes()
 
     def test_warmup_peak_is_not_returned(self, splits, monkeypatch):
         # The warm-up eval at step 50 reads higher than any later one, yet
