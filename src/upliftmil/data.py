@@ -33,8 +33,12 @@ class Dataset:
     An empty Dataset is valid: `subset` and `split` can make one.
     `true_ite` is only present for synthetic data, where the generating
     response probabilities are known; its values must lie in [-1, 1].
-    Arrays are frozen after validation; a Dataset can be shared
-    read-only across parallel runs.
+    The Dataset holds read-only views of its arrays, made after
+    validation, so a Dataset can be shared read-only across parallel
+    runs. An input already stored as the Dataset stores it (contiguous
+    float64 features and `true_ite`, int64 treatment and outcome) is not
+    copied: the view shares memory with the caller's array, which stays
+    writable, and a later write there shows through the Dataset.
     """
 
     features: np.ndarray
@@ -70,9 +74,12 @@ class Dataset:
             # compares False, fails too.
             if ite.size and not (ite.min() >= -1.0 and ite.max() <= 1.0):
                 raise ConfigError("true_ite values must lie in [-1, 1]")
-            self.true_ite.setflags(write=False)
-        for arr in (self.features, self.treatment, self.outcome):
-            arr.setflags(write=False)
+        for name in ("features", "treatment", "outcome", "true_ite"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr = arr.view()  # frozen, not the caller's array
+                arr.setflags(write=False)
+                setattr(self, name, arr)
 
     @property
     def n(self) -> int:

@@ -42,19 +42,21 @@ must be finite, the std positive.
 Buffers: `forward_full`, `backprop_factual` and `predict` run in a
 `BufferSet`: one model-input buffer, each net's `nncore.NetBuffers` and
 one gradient vector laid out like `params`, whose per-net slices the
-nets' backward passes write; the passes follow `nncore`'s pass
-contract, net by net, so `backprop_factual` consumes the `forward_full`
-pass last run in its set. The model-input buffer, of rows x
-(input_dim + 1), is shared by every net that reads the scaled features
-(TM's net, TARNet's trunk, DDR's control net and all three SDR nets):
-`forward_full` scales `x` straight into it, once per pass. TARNet's
-heads read the trunk's output buffer, and DDR's treatment net has an
-input buffer of its own, for the features and the control probability.
-The caller owns the set and makes it with `buffer_set`; `trainer.train`
-keeps one for a whole run, steps and evaluations alike, and drops it on
-return. Called without a set, `forward_full` and `predict` make one for
-the call. A set is never an attribute of the model: a model outlives
-its run.
+nets' backward passes write; the passes follow `nncore`'s pass contract,
+net by net, so `backprop_factual` consumes the `forward_full` pass last
+run in its set. The model-input buffer, of rows x (input_dim + 1), is
+shared by every net that reads the scaled features (TM's net, TARNet's
+trunk, DDR's control net and all three SDR nets): `forward_full` scales
+`x` straight into it, once per pass, next to its last column:
+`buffer_set` writes that column 1.0 once, as `nncore.net_buffers` does
+for each net's input and activation buffers, and no pass leaves it
+otherwise (`nncore`'s pass contract). TARNet's heads read the trunk's
+output buffer, and DDR's treatment net has an input buffer of its own,
+for the features and the control probability. The caller owns the set
+and makes it with `buffer_set`; `trainer.train` keeps one for a whole
+run, steps and evaluations alike, and drops it on return. Called without
+a set, `forward_full` and `predict` make one for the call. A set is
+never an attribute of the model: a model outlives its run.
 """
 
 from __future__ import annotations
@@ -152,11 +154,13 @@ class BufferSet:
 
 def buffer_set(model: UpliftModel, rows: int) -> BufferSet:
     """A buffer set for `model`'s passes over up to `rows` rows. Each
-    net's input buffer is the one its `_layout` entry names."""
+    net's input buffer is the one its `_layout` entry names. Every input
+    and activation buffer's last column is written 1.0 here, once."""
     counts = [net.flat.size for net in model.nets.values()]
     grad = np.empty(sum(counts))
     slices = np.split(grad, np.cumsum(counts)[:-1])
     inputs = np.empty((rows, model.input_dim + 1))
+    inputs[:, -1] = 1.0
     nets: dict[str, nncore.NetBuffers] = {}
     for (name, sizes, _, source), g in zip(model._layout, slices):
         shared = None if source is None else (

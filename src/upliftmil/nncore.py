@@ -20,20 +20,23 @@ a batch's size they allocate only the rectifier mask, a transient
 boolean array, and the input gradient's array for a backward pass wider
 than any before it. The rectifier reads one shared read-only zero
 operand, mapped again only for an activation larger than any before it
-and never resident (`_rectify`). The input buffer and every activation buffer have one
-column more than their layer's width, held at 1.0: `forward` copies its
-input into the input buffer's other columns (numpy skips the copy when
-the input is that very view, as for an input a caller wrote there or the
-output of another net that shares the buffer) and sets the ones column
-of every buffer for the rows of its pass. A rectifier keeps that column,
-as max(1, 0) = 1.
+and never resident (`_rectify`). The input buffer and every activation
+buffer have one column more than their layer's width, and that column
+reads 1.0 in every row between passes: `net_buffers` writes it once,
+when it makes the set, and the one pass that borrows it, `backward`,
+writes it back (the pass contract below). `forward` writes no ones
+column. It copies its input into the input buffer's other columns (numpy
+skips the copy when the input is that very view, as for an input a
+caller wrote there or the output of another net that shares the buffer)
+and writes each layer's product into its activation's other columns; a
+rectifier keeps the ones column, as max(1, 0) = 1.
 
 The pass contract: a set of r rows takes forward and backward passes
-over up to r rows. A backward pass consumes the forward pass last run
-in its set: it writes each hidden delta, whose last column is scratch,
-over the activation it differentiates, ones column included, which is
-why every forward pass sets that column again. The set records the
-row count of the pass it may differentiate, and `backward` raises
+over up to r rows. A backward pass consumes the forward pass last run in
+its set: it writes each hidden delta, whose last column is scratch, over
+the activation it differentiates, ones column included, and writes 1.0
+back into that column before it moves to the next layer. The set records
+the row count of the pass it may differentiate, and `backward` raises
 ShapeError for an output gradient of other rows or width, for a set
 whose pass is consumed or never ran, or for a set laid out for another
 net. The input gradient has an array of its own, since other nets may
@@ -234,14 +237,20 @@ def net_buffers(
     """Buffers for passes of a net with these sizes over up to `rows`
     rows, whose backward passes write the parameter gradient to `grad`.
     `inputs` is an input buffer of `rows` x (input width + 1) that other
-    nets share; a fresh one when None."""
+    nets share; a fresh one when None. The last column of the input
+    buffer, a shared one included, and of every activation buffer is
+    written 1.0 here, once: the passes keep it so (see the module's pass
+    contract)."""
     sizes = tuple(layer_sizes)
     if inputs is None:
         (inputs,) = _rows(rows, sizes[:1])
     elif inputs.shape != (rows, sizes[0] + 1):
         raise ShapeError(f"input buffer of shape {inputs.shape} does not take "
                          f"{rows} rows of {sizes[0]} inputs and a ones column")
-    return NetBuffers(inputs, _rows(rows, sizes[1:]), grad, *_rows(0, sizes[:1]))
+    activations = _rows(rows, sizes[1:])
+    for a in (inputs, *activations):
+        a[:, -1] = 1.0
+    return NetBuffers(inputs, activations, grad, *_rows(0, sizes[:1]))
 
 
 def first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
@@ -254,7 +263,8 @@ def first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
 def forward(params: NetworkParams, x: np.ndarray, buffers: NetBuffers) -> np.ndarray:
     """Run the net on a batch in `buffers` and return its outputs, a view
     into them; the set records the pass for `backward`. `x` is copied
-    into the input buffer unless it is already the view of it."""
+    into the input buffer unless it is already the view of it. No ones
+    column is written: every buffer's already reads 1.0 (`net_buffers`)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected 2-D input, got shape {x.shape}")
@@ -267,11 +277,9 @@ def forward(params: NetworkParams, x: np.ndarray, buffers: NetBuffers) -> np.nda
     a = first_rows(buffers.inputs, n)
     buffers.rows = None  # until the pass is whole
     np.copyto(a[:, :-1], x)
-    a[:, -1] = 1.0
     last = params.n_layers - 1
     for k, block in enumerate(params.blocks):
         out = first_rows(buffers.activations[k], n)
-        out[:, -1] = 1.0  # a backward pass may have used it as scratch
         np.matmul(a, block, out=out[:, :-1])
         if k < last or params.output_activation == "relu":
             _rectify(out)
@@ -302,7 +310,10 @@ def backward(
     width, whose last column is scratch: the rectifier mask then runs
     over whole contiguous rows, two to three times faster than over rows
     that skip the input's ones column. The mask is taken from the
-    activation before that product overwrites it.
+    activation before that product overwrites it, and the column is set
+    to 1.0 again right after the mask multiply, in the same layer's step:
+    later steps read only the delta's other columns, and the set's ones
+    columns read 1.0 whenever no pass is running.
 
     The input-gradient product of a one-unit layer (delta of one column,
     K = 1) takes `np.dot`, every other one `np.matmul`. Each value of a
@@ -332,6 +343,7 @@ def backward(
         mask = a_prev > 0
         _times_transpose(delta, params.blocks[k], a_prev)
         a_prev *= mask
+        a_prev[:, -1] = 1.0  # scratch back to the ones column
         del mask  # freed before the next layer makes its own
         delta = a_prev[:, :-1]
     np.matmul(buffers.inputs[:n].T, delta, out=grad_blocks[0])

@@ -3,11 +3,12 @@
 Everything here is written straight from the defining formulas with
 plain loops, deliberately sharing no code with the package: a clean-room
 dense-net evaluator per architecture (arm logits, and their sigmoid),
-the factual-arm loss on the logits and the bag-level loss, the
-bag-noise identity, central finite differences, a functional per-array
-Adam step, a brute-force uplift-curve evaluator that materializes every
-selection explicitly, the two-sample standard error of an empirical
-ATE, and a value-by-value test of a binary column. One oracle is a
+the factual-arm loss on the logits and the bag-level loss, the bag-noise
+identity, central finite differences, a functional per-array Adam step,
+a brute-force uplift-curve evaluator that materializes every selection
+explicitly, the two-sample standard error of an empirical ATE, a
+value-by-value test of a binary column, and the mean and sample standard
+deviation of repeated runs, taken in exact rationals. One oracle is a
 bit-exact reference instead: the dense (n, 2) form of the bag term's
 arm-logit gradient, which the package's scatter must reproduce bit for
 bit. Another, `replay_train`, is built from the package's own step
@@ -277,6 +278,18 @@ def binary_ref(values):
     equals 0 or 1. Any other dtype is not, even when empty."""
     v = np.asarray(values)
     return v.dtype.kind in "biuf" and all(x == 0 or x == 1 for x in v.ravel().tolist())
+
+
+def aggregate_ref(values):
+    """(mean, sample standard deviation) of a list of floats: the mean and
+    the n - 1 variance summed exactly as fractions and rounded once, the
+    deviation the square root of that variance; 0.0 for a single value."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    if len(exact) == 1:
+        return float(mean), 0.0
+    var = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+    return float(mean), math.sqrt(var)
 
 
 def replay_train(train_ds, cfg, steps):

@@ -100,6 +100,31 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 1.0
 
+    def test_caller_arrays_stay_writable(self):
+        # Inputs already of the stored dtype are not copied: the Dataset
+        # freezes views of them, not the caller's own arrays.
+        x, t = np.zeros((3, 2)), np.array([0, 1, 0], dtype=np.int64)
+        y, ite = np.array([1, 0, 1], dtype=np.int64), np.zeros(3)
+        ds = Dataset(x, t, y, ite)
+        for name, mine in (("features", x), ("treatment", t), ("outcome", y),
+                           ("true_ite", ite)):
+            frozen = getattr(ds, name)
+            assert np.shares_memory(frozen, mine)
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0] = 1
+            mine[0] = 1  # the caller's array still takes writes
+            assert (frozen[0] == 1).all()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ConfigError, match="^features contain non-finite values$"):
+            Dataset(np.array([[0.0], [bad]]), [0, 1], [1, 0])
+
+    def test_true_ite_length_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^true_ite length does not match feature rows$"):
+            Dataset(np.zeros((2, 1)), [0, 1], [1, 0], [0.0])
+
 
 class TestLoadTable:
     def test_small_file_shape(self, tmp_path):
@@ -180,6 +205,25 @@ class TestLoadTable:
         p = _write(tmp_path, header + "\n" + row + "\n" + row + "\n")
         ds = load_table(p, TableSchema())
         assert ds.d == 12
+
+    @pytest.mark.parametrize("text, schema, error, match", [
+        ("", TableSchema(), SchemaError, "file is empty, expected a header row"),
+        ("treatment,outcome\n1,0\n", TableSchema(), SchemaError,
+         "no feature columns left after schema mapping"),
+        ("t,y,ite\n1,0,0.1\n", TableSchema("t", "y", true_ite_col="ite"),
+         SchemaError, "no feature columns left after schema mapping"),
+        ("a,treatment,outcome\n", TableSchema(), ParseError, "no data rows"),
+        ("a,treatment,outcome\n1,1,0\n2,yes,1\n", TableSchema(), ParseError,
+         "row 2: non-numeric value 'yes' in column 'treatment'"),
+        ("a,treatment,outcome,ite\n1,1,0,0.1\n2,0,1,abc\n",
+         TableSchema(true_ite_col="ite"), ParseError,
+         "row 2: non-numeric value in column 'ite'"),
+    ], ids=["empty", "no-feature", "no-feature-ite", "no-rows", "treatment-cell",
+            "ite-cell"])
+    def test_typed_error_names_the_cause(self, tmp_path, text, schema, error, match):
+        p = _write(tmp_path, text)
+        with pytest.raises(error, match=f"^{re.escape(f'{p}: {match}')}$"):
+            load_table(p, schema)
 
     def test_missing_column_names_it(self, tmp_path):
         p = _write(tmp_path, "a,treatment\n1,0\n")
@@ -297,6 +341,14 @@ class TestSplit:
         ds = generate_synthetic(SynthConfig(n=50, d=3, seed=0))
         with pytest.raises(ConfigError):
             split(ds, (0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.4, 0.3, 0.2, 0.1),
+                                           (1.2, -0.1, -0.1), (1.0, 0.0, 0.0)])
+    def test_three_positive_fractions_needed(self, fractions):
+        ds = generate_synthetic(SynthConfig(n=50, d=3, seed=0))
+        want = f"need three positive fractions, got {tuple(map(float, fractions))}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            split(ds, fractions, seed=0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "0.6", True, None])
     def test_fraction_that_is_no_finite_number_rejected(self, bad):

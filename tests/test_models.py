@@ -530,6 +530,14 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=re.escape("'params'")):
             models.load_checkpoint(path)
 
+    @pytest.mark.parametrize("key", ["scaler.mean", "scaler.std"])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+    def test_scaler_member_of_wrong_shape_names_it(self, tmp_path, key, shape):
+        path = self._saved(tmp_path, edit=lambda m: m.update({key: np.ones(shape)}))
+        want = f"checkpoint member {key!r} has shape {shape}, expected (3,)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            models.load_checkpoint(path)
+
     @pytest.mark.parametrize("key, values, match", [
         ("params", {0: np.nan}, "not finite"),
         ("params", {-1: np.inf}, "not finite"),

@@ -209,15 +209,18 @@ class TestBuffers:
             assert not np.shares_memory(bufs.input_grad, bufs.inputs)
 
     def test_forward_after_backward_gives_fresh_bits(self):
-        # A backward pass writes its deltas' scratch column over the ones
-        # column of the activations' rows it differentiates; a forward pass
-        # reads those rows, so it must set the column again.
+        # A backward pass borrows the ones column of the activations it
+        # differentiates as its deltas' scratch and writes 1.0 back, so
+        # every row of every input and activation buffer's last column
+        # reads 1.0 once it returns, and a forward pass after it, which
+        # writes no ones column, gives a fresh set's bits.
         net = nncore.init_network((3, 7, 5, 2), seed=7)
         rng = np.random.default_rng(7)
         bufs = nncore.net_buffers(net.layer_sizes, 10, np.empty_like(net.flat))
         nncore.forward(net, rng.normal(size=(5, 3)), bufs)
         nncore.backward(net, bufs, rng.normal(size=(5, 2)))
-        assert any((a[:5, -1] != 1.0).any() for a in bufs.activations[:-1])
+        for a in (bufs.inputs, *bufs.activations):
+            assert (a[:, -1] == 1.0).all()
         x = rng.normal(size=(9, 3))
         out = nncore.forward(net, x, bufs)
         fresh_out, fresh = _forward(net, x)

@@ -1,20 +1,23 @@
 """Property-based tests of passes run in a reused set of buffers:
 `nncore.forward` and `backward` against the clean-room evaluator and
 central finite differences, for drawn layer sizes, row counts and output
-activations; each architecture's wiring, its probabilities and base-loss
-gradient against the per-kind clean-room oracle; a model's training
-step against the same step in a fresh set, whatever passes the reused
-set ran before it; `predict` against `forward_full` over the same
-chunks and over all rows at once, at the chunk edges; the
-bag-regularized loss and gradient against the oracle with its bags held
-fixed; the bags `cluster_bags` forms, which the gradient's scatter
-needs disjoint; the uplift curve against the brute-force evaluator,
-signed zeros and infinities among the scores; checkpoint loading of
-corrupted manifests; `data.split`, a complete, disjoint and stratified
-partition of any data set; `data.minibatches`, an epoch's rows in
-disjoint full batches with exact treated shares; a table's save and
-load, which give back its bits; and `errors.is_binary`, the one test of
-a binary column, against a value-by-value oracle."""
+activations; the ones columns of a set, which read 1.0 after every pass
+of any interleaving, whose forward passes give a fresh set's bits; each
+architecture's wiring, its probabilities and base-loss gradient against
+the per-kind clean-room oracle; a model's training step against the same
+step in a fresh set, whatever passes the reused set ran before it;
+`predict` against `forward_full` over the same chunks and over all rows
+at once, at the chunk edges; the bag-regularized loss and gradient
+against the oracle with its bags held fixed; the bags `cluster_bags`
+forms, which the gradient's scatter needs disjoint; the uplift curve
+against the brute-force evaluator, signed zeros and infinities among the
+scores; checkpoint loading of corrupted manifests; `data.split`, a
+complete, disjoint and stratified partition of any data set;
+`data.minibatches`, an epoch's rows in disjoint full batches with exact
+treated shares; a table's save and load, which give back its bits;
+`errors.is_binary`, the one test of a binary column, against a
+value-by-value oracle; and `metrics.aggregate_runs` against the exact
+mean and sample standard deviation."""
 
 import contextlib
 import json
@@ -30,6 +33,7 @@ from upliftmil import data, metrics, mil, models, nncore  # noqa: E402
 from upliftmil.errors import ConfigError, is_binary, is_int  # noqa: E402
 
 from oracles import (  # noqa: E402
+    aggregate_ref,
     binary_ref,
     brute_force_curve,
     combined_loss_ref,
@@ -98,12 +102,63 @@ def test_forward_and_backward_in_a_set_match_oracles(case):
     (numeric_x,) = fd_gradients(loss, [x_back])
     np.testing.assert_allclose(d_x, numeric_x, rtol=1e-6, atol=1e-7)
 
-    # The backward pass wrote its deltas over the activations, using their
-    # ones column as scratch; a forward pass over any rows of the set
-    # still matches the evaluator.
+    # The backward pass wrote its deltas over the activations, borrowing
+    # their ones column as scratch; a forward pass over any rows of the
+    # set still matches the evaluator.
     out = nncore.forward(net, x_fwd, bufs)
     np.testing.assert_allclose(out, _oracle(net, x_fwd, net.output_activation),
                                rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def pass_sequences(draw):
+    """A net, drawn as `net_cases` draws one, a set of r rows, and 1 to 8
+    passes in a drawn order: a forward pass over 1..r rows of inputs, or
+    a backward pass, with or without the input gradient, of an output
+    gradient for the rows of the forward pass it consumes (a forward pass
+    where none is left to consume)."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    activation = draw(st.sampled_from(["linear", "relu"]))
+    rows = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = nncore.init_network(sizes, 0, activation)
+    net.flat[...] = rng.normal(0.0, 0.7, size=net.flat.size)
+    passes, consumable = [], None
+    for backward in draw(st.lists(st.booleans(), min_size=1, max_size=8)):
+        if backward and consumable is not None:
+            passes.append((rng.normal(size=(consumable, sizes[-1])), draw(st.booleans())))
+            consumable = None
+        else:
+            consumable = draw(st.integers(1, rows))
+            passes.append((rng.normal(size=(consumable, sizes[0])), None))
+    return net, rows, passes
+
+
+def _ones_columns_hold(bufs):
+    return all((a[:, -1] == 1.0).all() for a in (bufs.inputs, *bufs.activations))
+
+
+@given(pass_sequences())
+def test_ones_columns_hold_between_passes(case):
+    # No pass writes a ones column but the backward pass that borrows it,
+    # which writes it back: every row of every input and activation
+    # buffer's last column reads 1.0 after each pass, and each forward
+    # pass gives the bits of one in a fresh set.
+    net, rows, passes = case
+    bufs = nncore.net_buffers(net.layer_sizes, rows, np.empty_like(net.flat))
+    assert _ones_columns_hold(bufs)
+    for array, input_grad in passes:
+        if input_grad is None:
+            n = len(array)
+            out = nncore.forward(net, array, bufs)
+            fresh = nncore.net_buffers(net.layer_sizes, n, np.empty_like(net.flat))
+            assert out.tobytes() == nncore.forward(net, array, fresh).tobytes()
+            for got, want in zip((bufs.inputs, *bufs.activations),
+                                 (fresh.inputs, *fresh.activations)):
+                assert got[:n].tobytes() == want.tobytes()
+        else:
+            nncore.backward(net, bufs, array, input_grad=input_grad)
+        assert _ones_columns_hold(bufs)
 
 
 @st.composite
@@ -598,3 +653,20 @@ def column_cases(draw):
 @example(np.array([], dtype="U1"))
 def test_is_binary_matches_the_value_oracle(values):
     assert is_binary(values) is binary_ref(values)
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12))
+@example([0.125])
+@example([-0.0])
+@example([0.1, 0.1])
+def test_aggregate_runs_is_the_mean_and_sample_std(values):
+    # Run AUUCs lie in [-1, 1]. A single run is flagged and its std is 0,
+    # not the NaN of an n - 1 deviation over one value.
+    agg = metrics.aggregate_runs(values)
+    mean, std = aggregate_ref(values)
+    assert agg.values == values
+    assert agg.single_run is (len(values) == 1)
+    assert math.isclose(agg.mean, mean, rel_tol=1e-12, abs_tol=1e-14)
+    assert math.isclose(agg.std, std, rel_tol=1e-9, abs_tol=1e-14)
+    if len(values) == 1:
+        assert agg.mean == values[0] and agg.std == 0.0

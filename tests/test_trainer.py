@@ -1,11 +1,17 @@
 """Training loop: warm-up, early stopping, checkpointing, repetition."""
 
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import upliftmil
 from upliftmil import mil, models, nncore, trainer
 from upliftmil.data import (SynthConfig, empirical_ate, fit_scaler, generate_synthetic,
                             split)
@@ -346,6 +352,37 @@ class TestEvaluate:
         b = evaluate(model, te, 100)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1].g, b[1].g)
+
+
+# Trains each config it reads from stdin on the splits it reads there and
+# writes the trained params back, all pickled.
+_TRAIN_ALL = """
+import pickle, sys
+from upliftmil.trainer import train
+splits, cfgs = pickle.load(sys.stdin.buffer)
+pickle.dump([train(*splits, cfg)[0].params for cfg in cfgs], sys.stdout.buffer)
+"""
+
+
+class TestThreadCounts:
+    def test_one_blas_thread_trains_the_same_bytes(self, splits):
+        # A product split over OpenBLAS threads must sum in the order one
+        # thread does: process pools of one-thread workers rely on it. So a
+        # short run of each kind in a subprocess on one thread trains the
+        # params of the same run in this process, on however many threads.
+        cfgs = [_cfg(model=kind, hidden_sizes=(64, 32), batch_size=512, bag_size=8,
+                     max_steps=40, warmup_steps=10, eval_every=20, alpha=1e-2)
+                for kind in ("tm", "tarnet", "ddr", "sdr")]
+        src = str(Path(upliftmil.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
+                   "PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", _TRAIN_ALL], env=env,
+                              input=pickle.dumps((splits, cfgs)), capture_output=True,
+                              check=True)
+        one_thread = pickle.loads(proc.stdout)
+        for cfg, params in zip(cfgs, one_thread, strict=True):
+            assert params.tobytes() == train(*splits, cfg)[0].params.tobytes(), cfg.model
 
 
 class TestRepeatRuns:
