@@ -17,6 +17,19 @@ is added to the base loss with weight alpha. The bag assignment is
 discrete and carries no gradient; bags are re-formed from fresh
 predictions every step.
 
+The paper's abstract sums each bag's individual uplift predictions,
+h_bag = sum_bag (p_t - p_c). Over random assignment that form has the
+same expectation as the factual one above; it carries no assignment
+noise, and it sends gradient to both arms of every row, where the
+factual form reaches each row through its factual arm alone, so that
+its residual calibrates the bag's factual predictions rather than
+constraining the uplift directly. The factual form stays because the
+two could not be told apart: on synthetic data at the default tau_max
+(TARNet 64/32, 50k rows, bag 64, 6 seeds), with clustered bags and
+alpha 1e-2, the abstract's form gave a test AUUC of 12.14 +- 0.83
+(x 1e-3) and an ITE RMSE of 0.0275 +- 0.0075, the factual form
+11.87 +- 1.27 and 0.0271 +- 0.0042.
+
 A partition is one (n_bags, bag_size) array of batch positions, so every
 bag's label, prediction, residual and gradient comes from a few array
 operations over its rows; there are no per-bag objects. `batch_bag_stats`

@@ -310,7 +310,7 @@ def predict(model: UpliftModel, x: np.ndarray, buffers: BufferSet | None = None)
     the features runs on that one copy. Beyond the three output vectors,
     its memory is that set, whatever the number of rows: inputs and
     activations one column wider than their layers, and a gradient
-    vector that no pass of `predict` writes.
+    vector and input-gradient arrays that no pass of `predict` writes.
     """
     x = _check_input(model, x)
     n = x.shape[0]

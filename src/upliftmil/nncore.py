@@ -15,21 +15,22 @@ backward: the bias is the product's last term and its gradient the
 last row of the block's gradient.
 
 Buffers: `forward` and `backward` run in the `NetBuffers` their caller
-passes, using the first n rows of each array for a pass over n rows; of
-a batch's size they allocate only the rectifier mask, a transient
-boolean array, and the input gradient's array for a backward pass wider
-than any before it. The rectifier reads one shared read-only zero
-operand, mapped again only for an activation larger than any before it
-and never resident (`_rectify`). The input buffer and every activation
-buffer have one column more than their layer's width, and that column
-reads 1.0 in every row between passes: `net_buffers` writes it once,
-when it makes the set, and the one pass that borrows it, `backward`,
-writes it back (the pass contract below). `forward` writes no ones
-column. It copies its input into the input buffer's other columns (numpy
-skips the copy when the input is that very view, as for an input a
-caller wrote there or the output of another net that shares the buffer)
-and writes each layer's product into its activation's other columns; a
-rectifier keeps the ones column, as max(1, 0) = 1.
+passes, using the first n rows of each array for a pass over n rows. A
+set is complete when `net_buffers` makes it: besides the input,
+activation and gradient arrays it holds the gradient's layer blocks, the
+input gradient's array and the rectifier's zero operand, a read-only
+mapping of zeros that never becomes resident. So of a batch's size a
+pass allocates only the rectifier mask, a transient boolean array, and
+no pass replaces an array of the set. The input buffer and every
+activation buffer have one column more than their layer's width, and
+that column reads 1.0 in every row between passes: `net_buffers` writes
+it once, when it makes the set, and the one pass that borrows it,
+`backward`, writes it back (the pass contract below). `forward` writes
+no ones column. It copies its input into the input buffer's other
+columns (numpy skips the copy when the input is that very view, as for
+an input a caller wrote there or the output of another net that shares
+the buffer) and writes each layer's product into its activation's other
+columns; a rectifier keeps the ones column, as max(1, 0) = 1.
 
 The pass contract: a set of r rows takes forward and backward passes
 over up to r rows. A backward pass consumes the forward pass last run in
@@ -71,27 +72,6 @@ _ACTIVATIONS = ("linear", "relu")
 # Values per block of `adam_step`: its two scratch vectors and the four
 # blocks it reads stay in cache.
 ADAM_BLOCK = 16_384
-
-# The rectifier's second operand. max(a, 0) against zeros of a's own
-# shape runs numpy's contiguous two-array loop: 13 us at (1024, 65),
-# against 25 us for the scalar 0.0, while 0-d, one-element and row
-# operands, `clip` and `fmax` all took 25-37 us. The zeros are a
-# private read-only anonymous mapping: reads map the kernel's one zero
-# page, so they never become resident, and no write can reach them.
-# Only `_rectify` replaces it, with a longer one.
-_zero_operand = np.zeros(0)
-_zero_operand.flags.writeable = False
-
-
-def _rectify(a: np.ndarray) -> None:
-    """a = max(a, 0) in place, bit for bit as against the scalar 0.0."""
-    global _zero_operand
-    zeros = _zero_operand  # one read, so another thread cannot shrink it
-    if a.size > zeros.size:
-        pages = mmap.mmap(-1, a.size * 8, flags=mmap.MAP_PRIVATE, prot=mmap.PROT_READ)
-        zeros = _zero_operand = np.frombuffer(pages, dtype=np.float64)
-    np.maximum(a, zeros[: a.size].reshape(a.shape), out=a)
-
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -135,10 +115,13 @@ class NetBuffers:
     `inputs` holds the net's input and `activations[k]` layer k's output,
     each with a last column of ones (rows x width + 1); other nets may
     share `inputs`. `grad` is the vector the parameter gradient is
-    written to, laid out like the net's `flat`, and `input_grad` holds
-    the input gradient, one column wider than the input with the last
-    column scratch, in as many rows as the widest backward pass that
-    formed one. `rows` is the row count of the forward pass that
+    written to, laid out like the net's `flat`, and `grad_blocks` its
+    layers' [W; b] views (`layer_blocks`). `input_grad` holds the input
+    gradient, in as many rows as the set, one column wider than the
+    input with the last column scratch. `zeros` is the rectifier's
+    second operand, read-only zeros as long as the largest activation
+    buffer (at least one value). All of them are made with the set and
+    kept for its life. `rows` is the row count of the forward pass that
     `backward` may differentiate, None before the first and once a
     backward pass consumed it. Activations hold no pre-activations,
     since a rectifier passes gradient where `relu(z) > 0`, which equals
@@ -149,7 +132,9 @@ class NetBuffers:
     inputs: np.ndarray
     activations: tuple[np.ndarray, ...]
     grad: np.ndarray
+    grad_blocks: tuple[np.ndarray, ...]
     input_grad: np.ndarray
+    zeros: np.ndarray
     rows: int | None = None
 
 
@@ -234,13 +219,15 @@ def _rows(n: int, widths) -> tuple[np.ndarray, ...]:
 def net_buffers(
     layer_sizes, rows: int, grad: np.ndarray, inputs: np.ndarray | None = None
 ) -> NetBuffers:
-    """Buffers for passes of a net with these sizes over up to `rows`
-    rows, whose backward passes write the parameter gradient to `grad`.
-    `inputs` is an input buffer of `rows` x (input width + 1) that other
-    nets share; a fresh one when None. The last column of the input
-    buffer, a shared one included, and of every activation buffer is
-    written 1.0 here, once: the passes keep it so (see the module's pass
-    contract)."""
+    """The complete set for passes of a net with these sizes over up to
+    `rows` rows, whose backward passes write the parameter gradient to
+    `grad` (ShapeError unless it has the net's `flat` length). `inputs`
+    is an input buffer of `rows` x (input width + 1) that other nets
+    share; a fresh one when None. The gradient's layer blocks, the input
+    gradient's array of `rows` rows and the zero operand are made here,
+    and no pass replaces them. The last column of the input buffer, a
+    shared one included, and of every activation buffer is written 1.0
+    here, once: the passes keep it so (see the module's pass contract)."""
     sizes = tuple(layer_sizes)
     if inputs is None:
         (inputs,) = _rows(rows, sizes[:1])
@@ -250,7 +237,17 @@ def net_buffers(
     activations = _rows(rows, sizes[1:])
     for a in (inputs, *activations):
         a[:, -1] = 1.0
-    return NetBuffers(inputs, activations, grad, *_rows(0, sizes[:1]))
+    # The rectifier's second operand. max(a, 0) against zeros of a's own
+    # shape runs numpy's contiguous two-array loop: 13 us at (1024, 65),
+    # against 25 us for the scalar 0.0, while 0-d, one-element and row
+    # operands, `clip` and `fmax` all took 25-37 us. The zeros are a
+    # private read-only anonymous mapping, of at least one value since
+    # mmap maps no empty length: reads map the kernel's one zero page, so
+    # they never become resident, and no write can reach them.
+    size = 8 * max(1, *(a.size for a in activations))
+    zeros = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE, prot=mmap.PROT_READ)
+    return NetBuffers(inputs, activations, grad, layer_blocks(grad, sizes),
+                      *_rows(rows, sizes[:1]), np.frombuffer(zeros, dtype=np.float64))
 
 
 def first_rows(buffer: np.ndarray, n: int) -> np.ndarray:
@@ -282,7 +279,7 @@ def forward(params: NetworkParams, x: np.ndarray, buffers: NetBuffers) -> np.nda
         out = first_rows(buffers.activations[k], n)
         np.matmul(a, block, out=out[:, :-1])
         if k < last or params.output_activation == "relu":
-            _rectify(out)
+            np.maximum(out, buffers.zeros[: out.size].reshape(out.shape), out=out)
         a = out
     buffers.rows = n
     return a[:, :-1]
@@ -303,7 +300,9 @@ def backward(
     Returns (grad, input_grad) where grad is `buffers.grad`, laid out
     like `params.flat`, and input_grad is the gradient with respect to the
     batch input (a view into `buffers.input_grad`), or None when
-    `input_grad=False` asks not to form it.
+    `input_grad=False` asks not to form it. Both are written into arrays
+    the set has held since `net_buffers` made it, the gradient through its
+    `grad_blocks`; the pass allocates only the rectifier mask.
 
     Each layer's block gradient is one product, input.T @ delta, and the
     gradient at its input one more, delta @ block.T over the augmented
@@ -334,7 +333,7 @@ def backward(
             f"output_grad shape {output_grad.shape} does not match {(n, widths[-1])}, "
             "the outputs of the set's last forward pass (None rows: none to consume)"
         )
-    grad_blocks = layer_blocks(buffers.grad, params.layer_sizes)
+    grad_blocks = buffers.grad_blocks
     buffers.rows = None
     delta = output_grad
     for k in range(params.n_layers - 1, 0, -1):
@@ -349,8 +348,6 @@ def backward(
     np.matmul(buffers.inputs[:n].T, delta, out=grad_blocks[0])
     if not input_grad:
         return buffers.grad, None
-    if len(buffers.input_grad) < n:
-        (buffers.input_grad,) = _rows(n, widths[:1])
     d_in = buffers.input_grad[:n]
     _times_transpose(delta, params.blocks[0], d_in)
     return buffers.grad, d_in[:, :-1]

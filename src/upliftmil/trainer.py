@@ -33,7 +33,7 @@ import numpy as np
 
 from . import metrics, mil, models, nncore
 from .data import Dataset, fit_scaler, minibatches
-from .errors import ConfigError, TrainingError, enum_member, is_int, is_real
+from .errors import ConfigError, MetricError, TrainingError, enum_member, is_int, is_real
 from .metrics import RunAggregate, UpliftCurve
 from .mil import BagMode
 from .models import ModelKind, UpliftModel
@@ -78,7 +78,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    n_points: int = 100
+    n_points: int = metrics.DEFAULT_GRID
 
     def resolved_warmup(self) -> int:
         if self.warmup_steps is None:
@@ -146,7 +146,7 @@ class TrainReport:
 def evaluate(
     model: UpliftModel,
     ds: Dataset,
-    n_points: int = 100,
+    n_points: int = metrics.DEFAULT_GRID,
     buffers: models.BufferSet | None = None,
 ) -> tuple[float, UpliftCurve]:
     """AUUC and uplift curve of a model's uplift scores on a dataset,
@@ -161,11 +161,18 @@ def train(
     train_ds: Dataset, valid_ds: Dataset, test_ds: Dataset, cfg: TrainConfig
 ) -> tuple[UpliftModel, TrainReport]:
     """Run one training job and return the best-validation model of the
-    evaluations after warm-up."""
+    evaluations after warm-up. A validation or test split without both
+    arms, whose uplift curve is undefined, raises MetricError naming it
+    and its arm counts before any model is built."""
     cfg.validate()
     if cfg.batch_size > train_ds.n:
         raise ConfigError(f"batch_size {cfg.batch_size} yields no batches on a "
                           f"training split of {train_ds.n} rows")
+    for name, ds in (("validation", valid_ds), ("test", test_ds)):
+        n_t = int(ds.treatment.sum())
+        if not 0 < n_t < ds.n:
+            raise MetricError(f"uplift curve undefined on the {name} split: "
+                              f"{n_t} treated, {ds.n - n_t} control")
     started = time.perf_counter()
     model = models.build(cfg.model, train_ds.d, cfg.hidden_sizes, cfg.seed)
     model.scaler = fit_scaler(train_ds.features)
@@ -204,7 +211,7 @@ def train(
                 f"non-finite loss at step {step}: l_base={breakdown.l_base!r} "
                 f"l_mil={breakdown.l_mil!r} u_t={batch.u_t!r} "
                 f"batch_head={batch.indices[:8].tolist()} "
-                f"first_nonfinite_grad={_first_nonfinite_grad(model, buffers)}"
+                f"first_nonfinite_grad={_first_nonfinite_grad(buffers)}"
             )
         nncore.adam_step(model.params, grads, state)
 
@@ -232,12 +239,11 @@ def train(
     return model, report
 
 
-def _first_nonfinite_grad(model: UpliftModel, buffers: models.BufferSet) -> str:
-    """'net layer k' of the first gradient slice, in parameter order, that
+def _first_nonfinite_grad(buffers: models.BufferSet) -> str:
+    """'net layer k' of the first gradient block, in parameter order, that
     holds a non-finite value; 'none' when every value is finite."""
     for name, net in buffers.nets.items():
-        blocks = nncore.layer_blocks(net.grad, model.nets[name].layer_sizes)
-        for k, block in enumerate(blocks):
+        for k, block in enumerate(net.grad_blocks):
             if not np.isfinite(block).all():
                 return f"{name} layer {k}"
     return "none"
@@ -282,7 +288,8 @@ def repeat_runs(
         for i in range(n_runs)
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The fork start method launches every worker up front, used or not.
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     else:
         outcomes = [_run_one(t) for t in tasks]

@@ -125,6 +125,12 @@ class TestDataset:
                            match="^true_ite length does not match feature rows$"):
             Dataset(np.zeros((2, 1)), [0, 1], [1, 0], [0.0])
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 1, 1)])
+    def test_features_that_are_not_2d_rejected(self, shape):
+        want = f"features must be 2-D, got shape {shape}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            Dataset(np.zeros(shape), [0, 1], [1, 0])
+
 
 class TestLoadTable:
     def test_small_file_shape(self, tmp_path):
@@ -454,6 +460,14 @@ class TestGenerateSynthetic:
         want = f"'{field}' must be a finite number, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(want)):
             generate_synthetic(SynthConfig(**{field: value}))
+
+    @pytest.mark.parametrize("fraction", [0, 1, 0.0, 1.0, 1.5])
+    def test_treated_fraction_outside_the_open_unit_interval_rejected(self, fraction):
+        # Finite, so it passes the real-value check, but one arm would be
+        # empty (or more than all rows).
+        want = f"treated_fraction must lie in (0, 1), got {fraction}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            generate_synthetic(SynthConfig(treated_fraction=fraction))
 
     def test_half_population_has_zero_uplift(self):
         ds = generate_synthetic(SynthConfig(n=20_000, seed=2))

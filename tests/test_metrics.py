@@ -146,6 +146,15 @@ class TestUpliftCurve:
             uplift_curve(np.array([0.1, np.nan, 0.3, np.nan]), np.zeros(4),
                          np.array([1, 0, 1, 0]))
 
+    @pytest.mark.parametrize("n_scores, n_outcome, n_treatment", [
+        (3, 4, 4), (4, 3, 4), (4, 4, 5), (0, 4, 4),
+    ])
+    def test_vectors_of_unequal_length_rejected(self, n_scores, n_outcome, n_treatment):
+        with pytest.raises(ConfigError, match="^scores, outcome and treatment must be "
+                                              "equal-length vectors$"):
+            uplift_curve(np.zeros(n_scores), np.arange(n_outcome) % 2,
+                         np.arange(n_treatment) % 2)
+
     def test_single_arm_rejected(self):
         with pytest.raises(MetricError):
             uplift_curve(np.zeros(4), np.zeros(4), np.ones(4))
@@ -263,6 +272,13 @@ class TestCurveFiles:
             b"phi,g\n0.33333333333333331,0.01\n0.66666666666666663,-0\n"
             b"1,0.30000000000000004\n"
         )
+
+    def test_one_point_curve_rejected(self, tmp_path):
+        # No file is begun for a curve export_curve rejects.
+        curve = UpliftCurve(np.array([1.0]), np.array([0.02]), 0.0)
+        with pytest.raises(ConfigError, match="^a curve needs at least 2 points$"):
+            export_curve(curve, tmp_path / "curve.csv")
+        assert not (tmp_path / "curve.csv").exists()
 
     def test_unwritable_path_raises(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n=500, seed=5))

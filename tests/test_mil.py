@@ -74,6 +74,14 @@ class TestClusterBags:
         with pytest.raises(ConfigError, match=re.escape(want)):
             combined_loss_and_grads(m, *_batch(30), alpha=0.01, bag_size=bag_size)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", list(BagMode))
+    def test_non_finite_prediction_rejected(self, bad, mode):
+        preds = np.array([0.1, bad, 0.3, 0.2])
+        with pytest.raises(ConfigError,
+                           match="^uplift predictions contain non-finite values$"):
+            cluster_bags(preds, 2, mode, np.random.default_rng(0))
+
     def test_random_mode_without_rng_rejected(self):
         # A seedless shuffle would draw OS entropy and break reproducibility.
         with pytest.raises(ConfigError, match="rng"):
@@ -140,6 +148,48 @@ class TestBagLabel:
         label, _, usable = _one_bag(y, t, 0.5)
         assert not usable
         assert np.isnan(label)
+
+
+class TestTreatedFractionOutsideUnitInterval:
+    # u_t is the batch's treated fraction. At 0 or 1 every bag holds one
+    # arm, and the label's weights 1 / u_t and 1 / (1 - u_t) are undefined
+    # only for the arm no bag holds.
+    @pytest.mark.parametrize("u_t", [0.0, 1.0, -0.5, 1.5])
+    def test_a_two_arm_bag_raises(self, u_t):
+        partition = BagPartition(np.array([[0, 1], [2, 3]]))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")):
+            batch_bag_stats(np.ones(4), [1, 1, 1, 0], np.full(4, 0.5), np.full(4, 0.5),
+                            partition, u_t)
+
+    @pytest.mark.parametrize("u_t, t", [(1.0, [1, 1, 1, 1]), (0.0, [0, 0, 0, 0]),
+                                        (1.5, [1, 1, 0, 0])])
+    def test_single_arm_bags_are_unusable(self, u_t, t):
+        partition = BagPartition(np.array([[0, 1], [2, 3]]))
+        stats = batch_bag_stats(np.ones(4), t, np.full(4, 0.5), np.full(4, 0.5),
+                                partition, u_t)
+        assert not stats.usable.any()
+        assert np.isnan(stats.y_bag).all() and np.isnan(stats.h_bag).all()
+        assert not np.shares_memory(stats.y_bag, stats.h_bag)
+        np.testing.assert_array_equal(stats.treated, np.reshape(t, (2, 2)) == 1)
+        loss, residuals = mil_loss(stats)
+        assert loss == 0.0 and residuals.tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_an_all_treated_step_is_the_base_step(self, kind):
+        # A batch of treated rows alone (u_t = 1) forms only unusable bags:
+        # the regularizer adds nothing, and the gradient has the bytes of
+        # the alpha-0 step.
+        m = models.build(kind, 3, (5, 4), 13)
+        x, _, y, _ = _batch(130)
+        t = np.ones(len(x))
+        for mode in BagMode:
+            step, grads, _ = combined_loss_and_grads(
+                m, x, t, y, 1.0, 0.5, 4, mode, np.random.default_rng(0))
+            base, base_grads, _ = combined_loss_and_grads(m, x, t, y, 1.0, 0.0, 4)
+            assert step.usable_bags == 0 and step.l_mil == 0.0
+            assert step.l_base == step.loss == base.loss
+            assert grads.tobytes() == base_grads.tobytes()
 
 
 class TestBagPrediction:

@@ -121,6 +121,25 @@ class TestParameterVector:
         m = build("tarnet", 6, (1024, 512, 256), seed=0)
         assert abs(len(pickle.dumps(m)) / m.params.nbytes - 1.0) < 0.01
 
+    def test_harness_parameter_arrays(self):
+        # The benchmark harness's names for the parameter vector: the
+        # vector itself, a copy in, checked for shape, and a copy out.
+        m = _tiny("sdr", seed=3)
+        assert m.parameter_arrays() is m.params
+        clone = models.clone_parameter_arrays(m)
+        assert clone.tobytes() == m.params.tobytes()
+        assert not np.shares_memory(clone, m.params)
+        clone += 1.0
+        values = clone.copy()
+        models.set_parameter_arrays(m, clone)
+        assert m.params.tobytes() == values.tobytes()
+        assert not np.shares_memory(m.params, clone)
+        for shape in [(m.params.size - 1,), (m.params.size + 1,), (1, m.params.size)]:
+            want = f"expected {m.params.shape} values, got {shape}"
+            with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+                models.set_parameter_arrays(m, np.zeros(shape))
+        assert m.params.tobytes() == values.tobytes()
+
     def test_params_of_wrong_shape_rejected(self):
         n = _tiny("tm").params.size
         for shape in [(0,), (n - 1,), (n + 1,), (2, n // 2)]:

@@ -67,6 +67,18 @@ class TestInit:
         a, b = nncore.init_network((3, 2, 1), seed), nncore.init_network((3, 2, 1), seed)
         assert a.flat.tobytes() == b.flat.tobytes()
 
+    def test_unknown_output_activation_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown output activation 'sigmoid'$"):
+            nncore.NetworkParams(np.zeros(4), (3, 1), "sigmoid")
+        with pytest.raises(ConfigError, match="'sigmoid'"):
+            nncore.init_network((3, 1), 0, "sigmoid")
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), ()])
+    def test_layer_blocks_of_a_vector_of_the_wrong_length_rejected(self, shape):
+        want = f"{shape} does not hold a net of sizes (3, 1)"
+        with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+            nncore.layer_blocks(np.zeros(shape), (3, 1))
+
     def test_biases_zero_weights_fan_in_scaled(self):
         net = nncore.init_network((100, 50, 1), seed=11)
         assert all(not b.any() for b in net.biases)
@@ -105,6 +117,15 @@ class TestForward:
             out, _ = _forward(net, np.ones((2, 2)))
             np.testing.assert_array_equal(nncore.logistic(out), np.full((2, 1), p))
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((1, 2, 3)), np.float64(1.0)])
+    def test_input_that_is_not_2d_rejected(self, x):
+        net = nncore.init_network((3, 1), seed=0)
+        bufs = nncore.net_buffers(net.layer_sizes, 2, np.empty_like(net.flat))
+        want = f"expected 2-D input, got shape {np.shape(x)}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+            nncore.forward(net, x, bufs)
+        assert bufs.rows is None
+
     def test_dimension_mismatch_raises(self):
         net = nncore.init_network((3, 1), seed=0)
         with pytest.raises(ShapeError):
@@ -112,15 +133,31 @@ class TestForward:
 
     @pytest.mark.parametrize("shape", [(1, 10), (3, 10), (1024, 65)])
     def test_rectifier_gives_the_bits_of_a_scalar_zero(self, shape):
-        # forward's rectifier takes an all-zeros array as its operand: the
-        # same bits as max(x, 0.0) for signed zeros, NaNs of either sign,
-        # infinities and the least subnormals.
-        edges = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
-                 -1.5, 2.5]
-        x = np.resize(np.array(edges), shape)
-        got = x.copy()
-        nncore._rectify(got)
+        # forward's rectifier takes its set's all-zeros operand, cut to the
+        # activation's shape: the same bits as max(x, 0.0) for signed
+        # zeros, NaNs of either sign, infinities and the least subnormals.
+        # First against the operand of a set whose activation has this
+        # shape, then through forward on a rectifier net whose
+        # pre-activations are the edges: one input of 1.0, the edges as
+        # weights and a zero bias. The product may turn -0.0 into 0.0, so
+        # only the first part is sure to see a negative zero.
+        edges = np.array([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf,
+                          5e-324, -5e-324, -1.5, 2.5])
+        rows, width = shape
+        net = nncore.init_network((1, width - 1), 0, "relu")
+        bufs = nncore.net_buffers(net.layer_sizes, rows, np.empty_like(net.flat))
+        x = np.resize(edges, shape)
+        got = np.maximum(x, bufs.zeros[: x.size].reshape(shape))
         assert got.tobytes() == np.maximum(x, 0.0).tobytes()
+
+        w = np.resize(edges, width - 1)
+        net.weights[0][...], net.biases[0][...] = w, 0.0
+        linear = nncore.NetworkParams(net.flat, net.layer_sizes, "linear")
+        z = _forward(linear, np.ones((rows, 1)))[0]
+        nonzero = w != 0.0
+        assert z[:, nonzero].tobytes() == np.tile(w[nonzero], (rows, 1)).tobytes()
+        out = nncore.forward(net, np.ones((rows, 1)), bufs)
+        assert out.tobytes() == np.maximum(z, 0.0).tobytes()
 
 
 def _two_branch_logistic(z):
@@ -176,17 +213,17 @@ class TestBuffers:
         # than their layer: a ones column, or a delta's scratch column. A
         # backward pass over n rows writes each hidden delta over the first
         # n rows of the activation it differentiates and leaves the other
-        # rows alone. The input gradient has an array of its own, made at
-        # the rows of the first pass that forms one and made again only
-        # for a wider pass, and never shares memory with the input buffer.
+        # rows alone. The input gradient has an array of its own, made with
+        # the set at its rows, kept by every pass, and never sharing memory
+        # with the input buffer.
         net = nncore.init_network((3, 7, 5, 2), seed=6)
         bufs = nncore.net_buffers(net.layer_sizes, 9, np.empty_like(net.flat))
         assert bufs.inputs.shape == (9, 4)
         assert [a.shape for a in bufs.activations] == [(9, 8), (9, 6), (9, 3)]
-        assert bufs.input_grad.shape == (0, 4)
+        assert bufs.input_grad.shape == (9, 4)
+        kept = bufs.input_grad
         rng = np.random.default_rng(6)
-        kept = None
-        for n, rows in [(5, 5), (3, 5), (9, 9)]:
+        for n in (5, 3, 9):
             x, gz = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
             nncore.forward(net, rng.normal(size=(9, 3)), bufs)
             rest = [a[n:].copy() for a in bufs.activations]
@@ -202,9 +239,7 @@ class TestBuffers:
                                        rtol=1e-12, atol=1e-14)
             for got, want in zip(bufs.activations, rest):
                 assert got[n:].tobytes() == want.tobytes()
-            assert bufs.input_grad.shape == (rows, 4)
-            assert (bufs.input_grad is kept) == (n == 3)
-            kept = bufs.input_grad
+            assert bufs.input_grad is kept
             assert np.shares_memory(dx, bufs.input_grad)
             assert not np.shares_memory(bufs.input_grad, bufs.inputs)
 
@@ -227,6 +262,20 @@ class TestBuffers:
         assert out.tobytes() == fresh_out.tobytes()
         for got, want in zip(bufs.activations, fresh.activations):
             assert got[:9].tobytes() == want[:9].tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 5), (3, 4), (5, 4)])
+    def test_shared_input_buffer_of_the_wrong_shape_rejected(self, shape):
+        want = (f"input buffer of shape {shape} does not take 4 rows of 3 inputs "
+                "and a ones column")
+        with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+            nncore.net_buffers((3, 2, 1), 4, np.empty(11), np.empty(shape))
+
+    def test_gradient_of_the_wrong_length_rejected(self):
+        # The set cuts its gradient blocks when it is made, so a gradient
+        # vector that does not hold the net fails then, not in a pass.
+        for size in (10, 12):
+            with pytest.raises(ShapeError, match=re.escape(f"({size},) does not hold")):
+                nncore.net_buffers((3, 2, 1), 4, np.empty(size))
 
     def test_pass_wider_than_buffers_rejected(self):
         # Forward and backward passes take up to the set's rows.
@@ -320,6 +369,17 @@ class TestBackward:
         _, bufs = _forward(trunk, np.zeros((1, 1)))
         d_pre = nncore.output_grad_to_preact(trunk, bufs, np.ones((1, 2)))
         np.testing.assert_array_equal(d_pre, [[0.0, 1.0]])
+
+    def test_linear_output_gradient_is_already_the_preactivation_gradient(self):
+        # A linear output is its own pre-activation: the gradient comes
+        # back as the very array passed, unchanged, and `out` is not
+        # written.
+        net = nncore.init_network((3, 4, 2), seed=2)
+        _, bufs = _forward(net, np.random.default_rng(2).normal(size=(5, 3)))
+        g = np.random.default_rng(3).normal(size=(5, 2))
+        before, out = g.copy(), np.full((5, 2), 7.0)
+        assert nncore.output_grad_to_preact(net, bufs, g, out=out) is g
+        assert g.tobytes() == before.tobytes() and (out == 7.0).all()
 
     def test_skipping_input_grad_leaves_gradients_unchanged(self):
         # A backward pass consumes its forward pass, so each of the two

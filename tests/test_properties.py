@@ -2,26 +2,30 @@
 `nncore.forward` and `backward` against the clean-room evaluator and
 central finite differences, for drawn layer sizes, row counts and output
 activations; the ones columns of a set, which read 1.0 after every pass
-of any interleaving, whose forward passes give a fresh set's bits; each
-architecture's wiring, its probabilities and base-loss gradient against
-the per-kind clean-room oracle; a model's training step against the same
-step in a fresh set, whatever passes the reused set ran before it;
-`predict` against `forward_full` over the same chunks and over all rows
-at once, at the chunk edges; the bag-regularized loss and gradient
-against the oracle with its bags held fixed; the bags `cluster_bags`
-forms, which the gradient's scatter needs disjoint; the uplift curve
-against the brute-force evaluator, signed zeros and infinities among the
-scores; checkpoint loading of corrupted manifests; `data.split`, a
-complete, disjoint and stratified partition of any data set;
-`data.minibatches`, an epoch's rows in disjoint full batches with exact
-treated shares; a table's save and load, which give back its bits;
-`errors.is_binary`, the one test of a binary column, against a
-value-by-value oracle; and `metrics.aggregate_runs` against the exact
-mean and sample standard deviation."""
+of any interleaving, whose forward passes give a fresh set's bits, and
+whose input-gradient array, read-only zero operand and gradient blocks
+are the ones it was made with; each architecture's wiring, its
+probabilities and base-loss gradient against the per-kind clean-room
+oracle; a model's training step against the same step in a fresh set,
+whatever passes the reused set ran before it; `predict` against
+`forward_full` over the same chunks and over all rows at once, at the
+chunk edges; the bag-regularized loss and gradient against the oracle
+with its bags held fixed; the bags `cluster_bags` forms, which the
+gradient's scatter needs disjoint; the uplift curve against the
+brute-force evaluator, signed zeros and infinities among the scores;
+checkpoint loading of corrupted manifests; `data.split`, a complete,
+disjoint and stratified partition of any data set; `data.minibatches`,
+an epoch's rows in disjoint full batches with exact treated shares; a
+table's save and load, which give back its bits, and a rejected table,
+whose ParseError names a row; `errors.is_binary`, the one test of a
+binary column, against a value-by-value oracle; and
+`metrics.aggregate_runs` against the exact mean and sample standard
+deviation."""
 
 import contextlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +34,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 from upliftmil import data, metrics, mil, models, nncore  # noqa: E402
-from upliftmil.errors import ConfigError, is_binary, is_int  # noqa: E402
+from upliftmil.errors import ConfigError, ParseError, is_binary, is_int  # noqa: E402
 
 from oracles import (  # noqa: E402
     aggregate_ref,
@@ -138,15 +142,36 @@ def _ones_columns_hold(bufs):
     return all((a[:, -1] == 1.0).all() for a in (bufs.inputs, *bufs.activations))
 
 
+def _made_with_the_set(bufs, kept):
+    """The set still holds the input-gradient array, zero operand and
+    gradient blocks it was made with, and the zeros are read-only zeros."""
+    now = (bufs.input_grad, bufs.zeros, *bufs.grad_blocks)
+    if not all(a is k for a, k in zip(now, kept, strict=True)):
+        return False
+    with pytest.raises(ValueError):
+        bufs.zeros[-1] = 1.0
+    with pytest.raises(ValueError):
+        bufs.zeros.flags.writeable = True
+    return not bufs.zeros.flags.writeable and (bufs.zeros == 0.0).all()
+
+
 @given(pass_sequences())
 def test_ones_columns_hold_between_passes(case):
     # No pass writes a ones column but the backward pass that borrows it,
     # which writes it back: every row of every input and activation
     # buffer's last column reads 1.0 after each pass, and each forward
-    # pass gives the bits of one in a fresh set.
+    # pass gives the bits of one in a fresh set. No pass replaces an array
+    # of the set either: the input-gradient array, the zero operand and
+    # the gradient blocks are those `net_buffers` made, and the zero
+    # operand, as long as the largest activation buffer, stays read-only
+    # zeros.
     net, rows, passes = case
     bufs = nncore.net_buffers(net.layer_sizes, rows, np.empty_like(net.flat))
-    assert _ones_columns_hold(bufs)
+    kept = (bufs.input_grad, bufs.zeros, *bufs.grad_blocks)
+    assert bufs.input_grad.shape == (rows, net.layer_sizes[0] + 1)
+    assert bufs.zeros.size == max(a.size for a in bufs.activations)
+    assert all(np.shares_memory(b, bufs.grad) for b in bufs.grad_blocks)
+    assert _ones_columns_hold(bufs) and _made_with_the_set(bufs, kept)
     for array, input_grad in passes:
         if input_grad is None:
             n = len(array)
@@ -158,7 +183,7 @@ def test_ones_columns_hold_between_passes(case):
                 assert got[:n].tobytes() == want.tobytes()
         else:
             nncore.backward(net, bufs, array, input_grad=input_grad)
-        assert _ones_columns_hold(bufs)
+        assert _ones_columns_hold(bufs) and _made_with_the_set(bufs, kept)
 
 
 @st.composite
@@ -612,6 +637,59 @@ def test_table_round_trip_is_exact(case, table_path):
                                              and a.tobytes() == b.tobytes())
     data.save_table(back, table_path, delimiter)
     assert table_path.read_bytes() == saved
+
+
+# Cells that no column takes (a number with an underscore, a letter or a
+# space in it, a non-ASCII digit, a stray quote, an empty cell), cells
+# that only a feature or true_ite column takes, and one that splits a
+# cell in two.
+_BAD_CELLS = ["1_0", "1x", "1 2", "\u0661", "0x10", "--1", '1"', '"', "", "2", "0.5",
+              "-1", "nan", "inf", "1{d}0"]
+
+
+@st.composite
+def bad_table_cases(draw):
+    """A data set and delimiter of `table_cases`, and 1 to 3 edits of the
+    text `save_table` writes for it: (row, column, cell), a body row
+    numbered from 1, a column of that row and the cell that replaces it,
+    one of `_BAD_CELLS` or drawn text of digits, signs, letters, spaces,
+    quotes, delimiters and line breaks."""
+    ds, delimiter = draw(table_cases())
+    width = ds.d + 2 + (ds.true_ite is not None)
+    text = st.text(alphabet="0123456789.+-eE_xn \u0661\"" + delimiter + "\n\r",
+                   max_size=6)
+    cell = st.one_of(st.sampled_from(_BAD_CELLS), text).map(
+        lambda c: c.format(d=delimiter))
+    edits = draw(st.lists(st.tuples(st.integers(1, ds.n), st.integers(0, width - 1), cell),
+                          min_size=1, max_size=3))
+    return ds, delimiter, edits
+
+
+@given(case=bad_table_cases())
+def test_a_rejected_table_names_its_row(case, table_path):
+    # load_table parses a body in one pass, and scans it row by row only
+    # once that pass or its binary check rejected the file. The scan must
+    # then find the row at fault: a ParseError names a row, never the
+    # fast parse's own message. Rows before the first edited one are
+    # valid, so the row it names is not before that.
+    ds, delimiter, edits = case
+    data.save_table(ds, table_path, delimiter)
+    lines = table_path.read_text(encoding="utf-8").splitlines()
+    for row, column, cell in edits:
+        cells = lines[row].split(delimiter)
+        cells[column] = cell
+        lines[row] = delimiter.join(cells)
+    table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ite = None if ds.true_ite is None else "true_ite"
+    schema = data.TableSchema(true_ite_col=ite, delimiter=delimiter)
+    try:
+        data.load_table(table_path, schema)
+    except ParseError as exc:
+        named = re.match(rf"{re.escape(str(table_path))}: row (\d+)", str(exc))
+        assert named, str(exc)
+        assert int(named[1]) >= min(row for row, _, _ in edits)
+    except ConfigError:
+        pass  # a non-finite feature or true_ite, which Dataset rejects
 
 
 _BINARY_DTYPES = ("bool", "int8", "int64", "uint64", "float32", "float64", "complex128",

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ import upliftmil
 from upliftmil import mil, models, nncore, trainer
 from upliftmil.data import (SynthConfig, empirical_ate, fit_scaler, generate_synthetic,
                             split)
-from upliftmil.errors import ConfigError, TrainingError
+from upliftmil.errors import ConfigError, MetricError, TrainingError
 from upliftmil.metrics import auuc
 from upliftmil.trainer import TrainConfig, evaluate, repeat_runs, train
 
@@ -123,6 +124,32 @@ class TestConfig:
                                            warmup_steps=1, eval_every=3))
         assert [e.step for e in report.history] == [3]
 
+    def test_int_beyond_float_range_is_no_finite_alpha(self):
+        # math.isfinite cannot take 10**400: is_real reports the
+        # OverflowError as a value that is not real.
+        with pytest.raises(ConfigError, match="^'alpha' must be finite and >= 0, got 1000"):
+            TrainConfig(alpha=10**400).validate()
+
+    @pytest.mark.parametrize("name", ["validation", "test"])
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_single_arm_evaluation_split_rejected_before_training(
+            self, splits, monkeypatch, name, arm):
+        # Its uplift curve is undefined, so the run could not evaluate it;
+        # train says so, naming the split, before it builds a model, and
+        # repeat_runs, which runs train, fails with it at once.
+        tr, va, te = splits
+        ds = va if name == "validation" else te
+        one_arm = ds.subset(np.flatnonzero(ds.treatment == arm))
+        n_t = one_arm.n if arm else 0
+        args = (tr, one_arm, te) if name == "validation" else (tr, va, one_arm)
+        monkeypatch.setattr(models, "build", None)  # building the model raises
+        want = (f"uplift curve undefined on the {name} split: {n_t} treated, "
+                f"{one_arm.n - n_t} control")
+        with pytest.raises(MetricError, match=f"^{re.escape(want)}$"):
+            train(*args, _cfg())
+        with pytest.raises(MetricError, match=f"^{re.escape(want)}$"):
+            repeat_runs(*args, _cfg(), n_runs=3)
+
     def test_warmup_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(warmup_steps=201, max_steps=200).validate()
@@ -218,15 +245,31 @@ class TestTrain:
             else:
                 assert h.usable_bags > 0
 
-    def test_rectifier_operand_stays_zero_and_read_only(self, splits):
-        # The operand every rectifier of the run read is never written.
+    def test_rectifier_operand_stays_zero_and_read_only(self, monkeypatch, splits):
+        # The zero operand each net's rectifier read throughout the run is
+        # the one its set was made with, as long as the net's widest
+        # activation buffer, and never written; so are the set's
+        # input-gradient arrays and gradient blocks kept.
+        made, buffer_set = [], models.buffer_set
+
+        def recording(model, rows):
+            bufs = buffer_set(model, rows)
+            made.append((bufs, {name: (b.zeros, b.input_grad, *b.grad_blocks)
+                                for name, b in bufs.nets.items()}))
+            return bufs
+
+        monkeypatch.setattr(models, "buffer_set", recording)
         train(*splits, _cfg())
-        zeros = nncore._zero_operand
-        assert zeros.size >= 256 * 9  # the widest activation of a batch
-        assert not zeros.flags.writeable
-        assert not zeros.any()
-        with pytest.raises(ValueError):
-            zeros[0] = 1.0
+        ((bufs, kept),) = made
+        assert len(bufs.inputs) == 1024  # models.CHUNK rows, for evaluation
+        for name, b in bufs.nets.items():
+            now = (b.zeros, b.input_grad, *b.grad_blocks)
+            assert all(a is k for a, k in zip(now, kept[name], strict=True))
+            assert b.zeros.size == max(a.size for a in b.activations) >= 1024 * 5
+            assert not b.zeros.flags.writeable
+            assert not b.zeros.any()
+            with pytest.raises(ValueError):
+                b.zeros[0] = 1.0
 
     def test_returned_model_holds_no_buffers(self, splits):
         # A model outlives its run: the run's buffer set must not ride on it.
@@ -248,6 +291,23 @@ class TestTrain:
             TrainingError, match=r"at step \d+: .*first_nonfinite_grad=trunk layer \d"
         ):
             train(tr, va, te, _cfg(learning_rate=1e200, max_steps=50))
+
+    def test_nonfinite_loss_of_finite_gradients_names_none(self, splits, monkeypatch):
+        # An infinite output bias makes every logit infinite and the loss
+        # NaN, while each gradient stays finite: the output gradient is
+        # logistic(inf) - y and no product reads the bias.
+        build = models.build
+
+        def infinite_bias(*args):
+            model = build(*args)
+            model.nets["net"].biases[-1][...] = np.inf
+            return model
+
+        monkeypatch.setattr(models, "build", infinite_bias)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"at step 1: .*first_nonfinite_grad=none$"
+        ):
+            train(*splits, _cfg(model="tm"))
 
     @pytest.mark.parametrize("warmup_steps", [0, 3])
     def test_divergence_with_bags_is_a_training_error(self, splits, warmup_steps):
@@ -415,6 +475,30 @@ class TestRepeatRuns:
         assert seq.values == par.values
         for a, b in zip(seq_results, par_results):
             assert _report_key(a.report) == _report_key(b.report)
+
+    @pytest.mark.parametrize("n_runs, jobs, workers", [(2, 8, 2), (3, 2, 2), (1, 4, 1)])
+    def test_pool_starts_no_more_workers_than_runs(self, splits, monkeypatch, n_runs,
+                                                   jobs, workers):
+        # A pool forks all its workers when it starts, used or not.
+        started = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", Inline)
+        cfg = _cfg(max_steps=20, warmup_steps=10, eval_every=10)
+        _, results, _ = repeat_runs(*splits, cfg, n_runs=n_runs, jobs=jobs)
+        assert started == [workers] and len(results) == n_runs
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
     def test_nonpositive_jobs_rejected(self, splits, jobs):
