@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import logging
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, MetricError, ParseError, SchemaError, is_binary,
-                     is_int, is_real)
+from .errors import (ConfigError, MetricError, ParseError, SchemaError, check_int,
+                     is_binary, is_real)
 
 log = logging.getLogger(__name__)
 
@@ -125,10 +126,7 @@ class SynthConfig:
 
     def validate(self) -> None:
         for name, least in (("n", 1), ("d", 3), ("seed", 0)):
-            value = getattr(self, name)
-            if not is_int(value, least):
-                raise ConfigError(
-                    f"{name!r} must be an integer >= {least}, got {value!r}")
+            check_int(name, getattr(self, name), least)
         for name in ("base_rate", "slope", "tau_max", "treated_fraction"):
             value = getattr(self, name)
             if not is_real(value):
@@ -156,7 +154,9 @@ class SynthConfig:
 class TableSchema:
     """Column mapping for delimited-text ingestion.
 
-    feature_cols=None means "all columns not otherwise named".
+    feature_cols=None means "all columns not otherwise named". Each
+    column takes one role, and the delimiter is one character other than
+    the quote `"` and a line break.
     """
 
     treatment_col: str = "treatment"
@@ -182,15 +182,21 @@ def load_table(path, schema: TableSchema) -> Dataset:
 
     Rows are numbered from 1 after the header, one per csv record; blank
     lines are skipped but still counted. A header problem raises
-    `SchemaError`. A bad row raises `ParseError` naming its number, the
-    column and, for treatment and outcome, the value; a csv scan finds
-    it, and runs only once the fast parse or its checks have failed. A
+    `SchemaError`: among them a column the schema uses that the header
+    holds more than once, and a column the schema gives two roles (both
+    the treatment and the outcome, say, or a feature and the treatment);
+    columns it does not use may repeat. A delimiter csv or `np.loadtxt`
+    cannot split on raises `ConfigError` before the file is opened. A
+    bad row raises `ParseError` naming its number, the column and, for
+    treatment and outcome, the value; a csv scan finds it, and runs only
+    once the fast parse or its checks have failed. A
     non-finite feature or `true_ite` raises `ConfigError` from `Dataset`.
     The file is read as UTF-8 whatever the locale, without the UTF-8
     byte-order mark that some editors write before the header (it would
     otherwise join the first column's name); bytes that do not decode
     raise `ParseError` naming the file.
     """
+    _check_delimiter(schema.delimiter)
     try:
         ds = _read_table(path, schema)
     except UnicodeDecodeError as exc:
@@ -209,20 +215,24 @@ def _read_table(path, schema: TableSchema) -> Dataset:
         header = [h.strip() for h in header]
         col_idx = {name: i for i, name in enumerate(header)}
 
-        named = [schema.treatment_col, schema.outcome_col]
+        roles = [schema.treatment_col, schema.outcome_col]
         if schema.true_ite_col is not None:
-            named.append(schema.true_ite_col)
-        if schema.feature_cols is not None:
-            named.extend(schema.feature_cols)
-        for name in named:
-            if name not in col_idx:
-                raise SchemaError(f"{path}: column {name!r} not found in header")
-
+            roles.append(schema.true_ite_col)
         if schema.feature_cols is None:
-            reserved = {schema.treatment_col, schema.outcome_col, schema.true_ite_col}
-            feature_cols = [h for h in header if h not in reserved]
+            feature_cols = [h for h in header if h not in roles]
         else:
             feature_cols = list(schema.feature_cols)
+        # Every column the schema uses, once per role it takes.
+        named, in_header = Counter(roles + feature_cols), Counter(header)
+        for name in roles + feature_cols:
+            if name not in col_idx:
+                raise SchemaError(f"{path}: column {name!r} not found in header")
+            if in_header[name] > 1:
+                raise SchemaError(f"{path}: column {name!r} appears "
+                                  f"{in_header[name]} times in the header")
+            if named[name] > 1:
+                raise SchemaError(f"{path}: column {name!r} takes more than one "
+                                  "role in the schema")
         if not feature_cols:
             raise SchemaError(f"{path}: no feature columns left after schema mapping")
 
@@ -318,7 +328,9 @@ def _number(cell: str) -> float | None:
 def save_table(ds: Dataset, path, delimiter: str = ",") -> None:
     """Write a Dataset as delimited text; true_ite rides along as an
     extra column when present. Floats use 17 significant digits so a
-    re-import reproduces values bitwise."""
+    re-import reproduces values bitwise. A delimiter `load_table` could
+    not read back raises ConfigError before the file is opened."""
+    _check_delimiter(delimiter)
     header = [f"x{i + 1}" for i in range(ds.d)] + ["treatment", "outcome"]
     columns = [ds.features, ds.treatment, ds.outcome]
     fmt = ["%.17g"] * ds.d + ["%d", "%d"]
@@ -329,6 +341,14 @@ def save_table(ds: Dataset, path, delimiter: str = ",") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         np.savetxt(fh, np.column_stack(columns), fmt=fmt, delimiter=delimiter,
                    header=delimiter.join(header), comments="")
+
+
+def _check_delimiter(delimiter) -> None:
+    """ConfigError naming `delimiter` unless csv and `np.loadtxt` can split
+    a table on it: one character, neither the quote `"` nor a line break."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
+        raise ConfigError("'delimiter' must be one character other than '\"' and a "
+                          f"line break, got {delimiter!r}")
 
 
 def _largest_remainder(n: int, fractions) -> list[int]:
@@ -352,8 +372,7 @@ def split(ds: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
     included: a repair move only takes a row from a cell above its quota,
     so no allocation goes below zero.
     """
-    if not is_int(seed, 0):
-        raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
+    check_int("seed", seed, 0)
     if isinstance(fractions, (str, bytes)) or not np.iterable(fractions):
         raise ConfigError(f"fractions must be a sequence of numbers, got {fractions!r}")
     fractions = tuple(fractions)
@@ -403,8 +422,7 @@ def minibatches(ds: Dataset, batch_size: int, seed, epoch: int) -> list[MiniBatc
     """
     for name, value, least in (("batch_size", batch_size, 2), ("seed", seed, 0),
                                ("epoch", epoch, 0)):
-        if not is_int(value, least):
-            raise ConfigError(f"{name!r} must be an integer >= {least}, got {value!r}")
+        check_int(name, value, least)
     if batch_size > ds.n:
         warnings.warn(
             f"batch_size {batch_size} exceeds dataset size {ds.n}; "

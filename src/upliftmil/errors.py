@@ -1,5 +1,6 @@
 """Exception types shared across the package, `enum_member`, the one
-lookup that reports an unknown enum value as a `ConfigError`, and
+lookup that reports an unknown enum value as a `ConfigError`,
+`check_int`, which holds the one message of a bad integer setting, and
 `is_int`, `is_real` and `is_binary`, the one tests of an integer setting,
 of a real-valued setting and of a binary column.
 
@@ -54,6 +55,14 @@ def enum_member(enum, value, name: str):
 def is_int(v, least: int = 1) -> bool:
     """An integer >= least; bool, float and str values are not integers."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least
+
+
+def check_int(name: str, value, least: int = 1) -> int:
+    """`int(value)` for an integer >= least (`is_int`), else a ConfigError
+    naming the setting `name`, the least value and the value."""
+    if not is_int(value, least):
+        raise ConfigError(f"{name!r} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def is_real(v) -> bool:

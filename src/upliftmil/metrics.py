@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, is_binary, is_int, is_real
+from .errors import ConfigError, MetricError, check_int, is_binary, is_real
 
 DEFAULT_GRID = 100
 
@@ -114,8 +114,7 @@ def uplift_curve(
     n_nan = int(np.isnan(scores).sum())
     if n_nan:
         raise MetricError(f"uplift curve undefined: {n_nan} of {len(scores)} scores are NaN")
-    if not is_int(n_points, 2):
-        raise ConfigError(f"'n_points' must be an integer >= 2, got {n_points!r}")
+    check_int("n_points", n_points, 2)
     n_t = int(t.sum())
     n_c = len(t) - n_t
     if n_t == 0 or n_c == 0:

@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .errors import ConfigError, enum_member, is_int, is_real
+from .errors import ConfigError, check_int, enum_member, is_real
 from .models import ModelOutputs, UpliftModel
 
 
@@ -119,8 +119,7 @@ def cluster_bags(
     """
     preds = np.asarray(uplift_predictions, dtype=np.float64)
     mode = enum_member(BagMode, mode, "mode")
-    if not is_int(bag_size, 2):
-        raise ConfigError(f"'bag_size' must be an integer >= 2, got {bag_size!r}")
+    check_int("bag_size", bag_size, 2)
     if mode is BagMode.RANDOM and rng is None:
         raise ConfigError("random bags need an rng, so the shuffle is reproducible")
     if not np.all(np.isfinite(preds)):

@@ -44,31 +44,34 @@ Buffers: `forward_full`, `backprop_factual` and `predict` run in a
 one gradient vector laid out like `params`, whose per-net slices the
 nets' backward passes write; the passes follow `nncore`'s pass contract,
 net by net, so `backprop_factual` consumes the `forward_full` pass last
-run in its set. The model-input buffer, of rows x (input_dim + 1), is
-shared by every net that reads the scaled features (TM's net, TARNet's
-trunk, DDR's control net and all three SDR nets): `forward_full` scales
-`x` straight into it, once per pass, next to its last column:
-`buffer_set` writes that column 1.0 once, as `nncore.net_buffers` does
-for each net's input and activation buffers, and no pass leaves it
-otherwise (`nncore`'s pass contract). TARNet's heads read the trunk's
-output buffer, and DDR's treatment net has an input buffer of its own,
-for the features and the control probability. The caller owns the set
-and makes it with `buffer_set`; `trainer.train` keeps one for a whole
-run, steps and evaluations alike, and drops it on return. Called without
-a set, `forward_full` and `predict` make one for the call. A set is
-never an attribute of the model: a model outlives its run.
+run in its set. The model-input buffer is shared by every net that
+reads the scaled features (TM's net, TARNet's trunk, DDR's control net
+and all three SDR nets). `nncore.net_buffers` makes it, with its ones
+column, in the set of the first of them and is passed it for the
+others; `forward_full` scales `x` straight into its other columns, once
+per pass. This module allocates no net buffer and writes no ones column:
+`nncore` keeps every ones column 1.0 (its pass contract). TARNet's heads
+read the trunk's output buffer, and DDR's treatment net has an input
+buffer of its own, for the features and the control probability. The
+gradient at the trunk's output is its heads' summed input gradients,
+which `nncore.backward` takes as it takes a logit's. The caller owns
+the set and makes it with `buffer_set`; `trainer.train` keeps one for a
+whole run, steps and evaluations alike, and drops it on return. Called
+without a set, `forward_full` and `predict` make one for the call. A set
+is never an attribute of the model: a model outlives its run.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import nncore
-from .errors import ConfigError, ShapeError, enum_member, is_int
+from .errors import ConfigError, ShapeError, check_int, enum_member, is_int
 from .nncore import NetworkParams
 
 CHECKPOINT_VERSION = 2
@@ -114,9 +117,7 @@ class UpliftModel:
     def __post_init__(self):
         self.kind = enum_member(ModelKind, self.kind, "kind")
         layout = _layout(self.kind, self.input_dim, self.hidden_sizes)
-        if not is_int(self.seed, least=0):
-            raise ConfigError(f"'seed' must be an integer >= 0, got {self.seed!r}")
-        self.input_dim, self.seed = int(self.input_dim), int(self.seed)
+        self.input_dim, self.seed = int(self.input_dim), check_int("seed", self.seed, 0)
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         counts = [nncore.param_count(sizes) for _, sizes, _, _ in layout]
         params = np.ascontiguousarray(self.params, dtype=np.float64)
@@ -140,9 +141,10 @@ class UpliftModel:
 @dataclass
 class BufferSet:
     """A model's reusable arrays, from `buffer_set`: the model-input
-    buffer `inputs` (scaled features and a ones column), each net's
-    buffers and the one gradient vector `grad` whose slices are the
-    nets' `grad`."""
+    buffer `inputs` (scaled features and a ones column), which is the
+    `inputs` of every net that reads the features, each net's buffers
+    and the one gradient vector `grad` whose slices are the nets'
+    `grad`."""
 
     inputs: np.ndarray
     nets: dict[str, nncore.NetBuffers]
@@ -153,20 +155,22 @@ class BufferSet:
 
 
 def buffer_set(model: UpliftModel, rows: int) -> BufferSet:
-    """A buffer set for `model`'s passes over up to `rows` rows. Each
-    net's input buffer is the one its `_layout` entry names. Every input
-    and activation buffer's last column is written 1.0 here, once."""
+    """A buffer set for `model`'s passes over up to `rows` rows: each
+    net's `nncore.net_buffers`, reading the input buffer its `_layout`
+    entry names. The first net that reads the features makes the
+    model-input buffer, and the later ones share it; `nncore` writes its
+    ones column, as every buffer's."""
     counts = [net.flat.size for net in model.nets.values()]
     grad = np.empty(sum(counts))
     slices = np.split(grad, np.cumsum(counts)[:-1])
-    inputs = np.empty((rows, model.input_dim + 1))
-    inputs[:, -1] = 1.0
     nets: dict[str, nncore.NetBuffers] = {}
+    reads: dict[str, np.ndarray] = {}  # the buffer each input name is read from
     for (name, sizes, _, source), g in zip(model._layout, slices):
-        shared = None if source is None else (
-            inputs if source == "x" else nets[source].activations[-1])
-        nets[name] = nncore.net_buffers(sizes, rows, g, shared)
-    return BufferSet(inputs, nets, grad)
+        nets[name] = nncore.net_buffers(sizes, rows, g, reads.get(source))
+        if source == "x":
+            reads.setdefault("x", nets[name].inputs)
+        reads[name] = nets[name].activations[-1]
+    return BufferSet(reads["x"], nets, grad)
 
 
 @dataclass
@@ -194,8 +198,7 @@ def _layout(
     that reads that net's output, and None for one whose input is its
     own: the features and the logistic of the control logit of the nets
     before it, a constant (stop-gradient)."""
-    if not is_int(input_dim):
-        raise ConfigError(f"input_dim must be a positive integer, got {input_dim!r}")
+    input_dim = check_int("input_dim", input_dim)
     try:
         hidden = tuple(hidden_sizes)
     except TypeError:
@@ -337,13 +340,10 @@ def backprop_factual(model: UpliftModel, g: np.ndarray,
     d_reads: dict[str, np.ndarray] = {}
     for name, _, arms, source in reversed(model._layout):
         net, bufs = model.nets[name], buffers.nets[name]
-        if arms is None:  # a representation: its readers' summed input gradients
-            d_out = nncore.output_grad_to_preact(net, bufs, d_reads[name],
-                                                 out=d_reads[name])
-        else:
-            d_out = g[:, arms]
-            if d_out.shape[1] > net.layer_sizes[-1]:  # one logit for both arms
-                d_out = d_out[:, :1] + d_out[:, 1:]
+        # A representation takes its readers' summed input gradients.
+        d_out = d_reads[name] if arms is None else g[:, arms]
+        if d_out.shape[1] > net.layer_sizes[-1]:  # one logit for both arms
+            d_out = d_out[:, :1] + d_out[:, 1:]
         # No input gradient for the features or an input of its own; a
         # reader adds the sum of the readers after it into its own.
         d_in = nncore.backward(net, bufs, d_out, input_grad=source in model.nets)[1]
@@ -428,13 +428,28 @@ def _entry(manifest: dict, key: str):
     return manifest[key]
 
 
+def _archive(fh, path) -> np.lib.npyio.NpzFile:
+    """The .npz archive in the open file `fh`, or ConfigError naming
+    `path`. The caller closes `fh`, which `np.load` of a path leaves open
+    when the archive is truncated."""
+    try:
+        archive = np.load(fh)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # text, empty or truncated
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # or a single .npy array
+        raise ConfigError(f"{path} is not a checkpoint: not an .npz archive")
+    return archive
+
+
 def load_checkpoint(path) -> UpliftModel:
     """Read a format-2 checkpoint. The model is laid out from the
     manifest over the stored `params`; no weights are drawn. Every
     stored value must be finite, and the scaler's std positive. A
     manifest that is not JSON, or whose entries are missing or of the
-    wrong type, raises ConfigError."""
-    with np.load(path) as archive:
+    wrong type, raises ConfigError, and so does a file that is no .npz
+    archive (text, an .npy array, a truncated archive); a missing file
+    raises FileNotFoundError."""
+    with open(path, "rb") as fh, _archive(fh, path) as archive:
         if "manifest" not in archive:
             raise ConfigError("checkpoint member 'manifest' is missing")
         try:

@@ -32,15 +32,21 @@ an input a caller wrote there or the output of another net that shares
 the buffer) and writes each layer's product into its activation's other
 columns; a rectifier keeps the ones column, as max(1, 0) = 1.
 
+A buffer that several nets read, such as a model's input buffer or a
+representation net's output, is made with one net's set and passed to
+`net_buffers` for the others, so each buffer's ones column has one
+writer, the set that made it.
+
 The pass contract: a set of r rows takes forward and backward passes
 over up to r rows. A backward pass consumes the forward pass last run in
 its set: it writes each hidden delta, whose last column is scratch, over
 the activation it differentiates, ones column included, and writes 1.0
-back into that column before it moves to the next layer. The set records
-the row count of the pass it may differentiate, and `backward` raises
-ShapeError for an output gradient of other rows or width, for a set
-whose pass is consumed or never ran, or for a set laid out for another
-net. The input gradient has an array of its own, since other nets may
+back into that column before it moves to the next layer. A rectifier
+output's masked gradient goes over the output activation, whose ones
+column it leaves alone. The set records the row count of the pass it
+may differentiate, and `backward` raises ShapeError for an output
+gradient of other rows or width, for a set whose pass is consumed or
+never ran, or for a set laid out for another net. The input gradient has an array of its own, since other nets may
 read the input buffer. The caller owns the set: the returned outputs
 (the final activations without their ones column), gradient and input
 gradient are views into it, valid until its next pass of the same kind.
@@ -50,12 +56,14 @@ with scratch kept in its `AdamState`.
 A net ends in "linear" (a logit) or "relu" (a representation for
 further nets), never in a sigmoid: `models.forward_full` alone applies
 `logistic`, to the arm logits. Gradient convention: `backward` consumes
-the gradient of the scalar loss with respect to the final layer's
-PRE-activation values. Cross-entropy is taken on the logits themselves:
-`bce_loss` reports softplus(z) - y * z and returns its exact derivative
-(logistic(z) - y) / n, with no probability in between to round off or
-clamp; gradients with respect to post-activation outputs can be
-converted with `output_grad_to_preact`.
+the gradient of the scalar loss with respect to the outputs that
+`forward` returned, for either output activation. For a linear output
+that is the final pre-activation gradient already; for a rectifier
+output `backward` masks it with `output_grad_to_preact`, writing over
+the output activation, which the pass consumes. Cross-entropy is taken
+on the logits themselves: `bce_loss` reports softplus(z) - y * z and
+returns its exact derivative (logistic(z) - y) / n, with no probability
+in between to round off or clamp.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, is_int, is_real
+from .errors import ConfigError, ShapeError, check_int, is_int, is_real
 
 _ACTIVATIONS = ("linear", "relu")
 
@@ -199,10 +207,7 @@ def init_network(layer_sizes, seed, output_activation: str = "linear") -> Networ
     sizes = tuple(layer_sizes)
     if len(sizes) < 2:
         raise ConfigError(f"need at least 2 layer sizes, got {sizes}")
-    for s in sizes:
-        if not is_int(s):
-            raise ConfigError(f"layer sizes must be positive integers, got {s!r}")
-    sizes = tuple(map(int, sizes))
+    sizes = tuple(check_int(f"layer_sizes[{k}]", s) for k, s in enumerate(sizes))
     rng = np.random.default_rng(seed)
     net = NetworkParams(np.zeros(param_count(sizes)), sizes, output_activation)
     for w in net.weights:
@@ -222,20 +227,23 @@ def net_buffers(
     """The complete set for passes of a net with these sizes over up to
     `rows` rows, whose backward passes write the parameter gradient to
     `grad` (ShapeError unless it has the net's `flat` length). `inputs`
-    is an input buffer of `rows` x (input width + 1) that other nets
-    share; a fresh one when None. The gradient's layer blocks, the input
-    gradient's array of `rows` rows and the zero operand are made here,
-    and no pass replaces them. The last column of the input buffer, a
-    shared one included, and of every activation buffer is written 1.0
-    here, once: the passes keep it so (see the module's pass contract)."""
+    is an input buffer of `rows` x (input width + 1) that another net's
+    set made, for nets that read one input; None makes a fresh one. The
+    gradient's layer blocks, the input gradient's array of `rows` rows
+    and the zero operand are made here, and no pass replaces them. The
+    last column of every buffer made here, the input buffer when
+    `inputs` is None and each activation buffer, is written 1.0 here,
+    once (a shared input buffer's was written by the set that made it):
+    the passes keep it so (see the module's pass contract)."""
     sizes = tuple(layer_sizes)
     if inputs is None:
         (inputs,) = _rows(rows, sizes[:1])
+        inputs[:, -1] = 1.0
     elif inputs.shape != (rows, sizes[0] + 1):
         raise ShapeError(f"input buffer of shape {inputs.shape} does not take "
                          f"{rows} rows of {sizes[0]} inputs and a ones column")
     activations = _rows(rows, sizes[1:])
-    for a in (inputs, *activations):
+    for a in activations:
         a[:, -1] = 1.0
     # The rectifier's second operand. max(a, 0) against zeros of a's own
     # shape runs numpy's contiguous two-array loop: 13 us at (1024, 65),
@@ -294,8 +302,11 @@ def backward(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact reverse-mode gradients of the forward pass last run in
     `buffers`, which this pass consumes, for a loss whose gradient with
-    respect to the final layer's pre-activations is `output_grad`, one
-    row per row of that pass.
+    respect to the outputs `forward` returned is `output_grad`, one row
+    per row of that pass. For a rectifier output, `output_grad_to_preact`
+    masks it, writing over the output activation but not its ones
+    column; a linear output's gradient is its pre-activation gradient,
+    taken as it is. `output_grad` itself is never written.
 
     Returns (grad, input_grad) where grad is `buffers.grad`, laid out
     like `params.flat`, and input_grad is the gradient with respect to the
@@ -334,8 +345,11 @@ def backward(
             "the outputs of the set's last forward pass (None rows: none to consume)"
         )
     grad_blocks = buffers.grad_blocks
-    buffers.rows = None
     delta = output_grad
+    if params.output_activation == "relu":  # masked over the outputs it consumes
+        delta = output_grad_to_preact(params, buffers, output_grad,
+                                      out=buffers.activations[-1][:n, :-1])
+    buffers.rows = None
     for k in range(params.n_layers - 1, 0, -1):
         a_prev = buffers.activations[k - 1][:n]
         np.matmul(a_prev.T, delta, out=grad_blocks[k])
@@ -368,10 +382,13 @@ def output_grad_to_preact(
     grad_outputs: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Convert a gradient taken w.r.t. the outputs of the forward pass
-    last run in `buffers` into the pre-activation gradient `backward`
-    expects; a rectifier output's masked gradient goes to `out`
-    (`grad_outputs` itself may be it)."""
+    """The gradient at the final layer's pre-activations of the forward
+    pass last run in `buffers`, from `grad_outputs`, the gradient at its
+    outputs: for a rectifier output, masked where the output is not
+    positive and written to `out` (`grad_outputs` itself may be it, and
+    `backward` passes the output activation it consumes); for a linear
+    output, `grad_outputs` itself, with `out` unwritten. `backward`
+    calls it for a rectifier output."""
     if params.output_activation == "relu":
         outputs = buffers.activations[-1][: buffers.rows, :-1]
         return np.multiply(grad_outputs, outputs > 0, out=out)

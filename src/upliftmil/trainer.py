@@ -33,7 +33,8 @@ import numpy as np
 
 from . import metrics, mil, models, nncore
 from .data import Dataset, fit_scaler, minibatches
-from .errors import ConfigError, MetricError, TrainingError, enum_member, is_int, is_real
+from .errors import (ConfigError, MetricError, TrainingError, check_int, enum_member,
+                     is_real)
 from .metrics import RunAggregate, UpliftCurve
 from .mil import BagMode
 from .models import ModelKind, UpliftModel
@@ -43,7 +44,7 @@ from .models import ModelKind, UpliftModel
 # warmup_steps may also be None.
 _INT_FIELDS = (("batch_size", 1), ("bag_size", 2), ("max_steps", 1),
                ("warmup_steps", 0), ("eval_every", 1), ("patience", 1),
-               ("n_points", 2))
+               ("n_points", 2), ("seed", 0))
 
 
 @dataclass
@@ -95,9 +96,8 @@ class TrainConfig:
             raise ConfigError(f"'alpha' must be finite and >= 0, got {self.alpha!r}")
         for name, least in _INT_FIELDS:
             value = getattr(self, name)
-            if not (is_int(value, least) or (name == "warmup_steps" and value is None)):
-                raise ConfigError(
-                    f"{name!r} must be an integer >= {least}, got {value!r}")
+            if not (name == "warmup_steps" and value is None):
+                check_int(name, value, least)
         if self.bag_size > self.batch_size:
             raise ConfigError(
                 f"bag_size {self.bag_size} exceeds batch_size {self.batch_size}"
@@ -278,11 +278,12 @@ def repeat_runs(
     Returns (aggregate over completed runs' test AUUCs, completed run
     results ordered by seed, failures as (seed, message)). The aggregate
     is None when every run failed. Runs are state-isolated, so parallel
-    execution (jobs > 1) gives results identical to sequential.
+    execution (jobs > 1) gives results identical to sequential. `cfg` is
+    validated, and `n_runs` and `jobs` checked, before any seed is
+    derived.
     """
-    for name, value in (("n_runs", n_runs), ("jobs", jobs)):
-        if not is_int(value):
-            raise ConfigError(f"{name} must be at least 1, got {value!r}")
+    cfg.validate()
+    n_runs, jobs = check_int("n_runs", n_runs), check_int("jobs", jobs)
     tasks = [
         (train_ds, valid_ds, test_ds, replace(cfg, seed=cfg.seed + i))
         for i in range(n_runs)

@@ -224,8 +224,17 @@ class TestLoadTable:
         ("a,treatment,outcome,ite\n1,1,0,0.1\n2,0,1,abc\n",
          TableSchema(true_ite_col="ite"), ParseError,
          "row 2: non-numeric value in column 'ite'"),
+        # Once the first x1 was dropped and the second loaded twice; the
+        # treatment loaded as the outcome; a role column loaded as a feature.
+        ("x1,x1,treatment,outcome\n1,2,1,0\n3,4,0,1\n", TableSchema(), SchemaError,
+         "column 'x1' appears 2 times in the header"),
+        ("a,treatment,outcome\n1,1,0\n", TableSchema(outcome_col="treatment"),
+         SchemaError, "column 'treatment' takes more than one role in the schema"),
+        ("a,treatment,outcome,ite\n1,1,0,0.1\n",
+         TableSchema(feature_cols=["a", "ite"], true_ite_col="ite"), SchemaError,
+         "column 'ite' takes more than one role in the schema"),
     ], ids=["empty", "no-feature", "no-feature-ite", "no-rows", "treatment-cell",
-            "ite-cell"])
+            "ite-cell", "repeated-column", "treatment-as-outcome", "role-as-feature"])
     def test_typed_error_names_the_cause(self, tmp_path, text, schema, error, match):
         p = _write(tmp_path, text)
         with pytest.raises(error, match=f"^{re.escape(f'{p}: {match}')}$"):
@@ -242,8 +251,10 @@ class TestLoadTable:
             load_table(p, TableSchema())
 
     def test_explicit_feature_subset_and_delimiter(self, tmp_path):
-        # The unused column b may hold anything, numbers or not.
-        for text in ("a;b;t;y\n1;9;1;0\n2;8;0;1\n", "a;b;t;y\n1;x;1;0\n2;;0;1\n"):
+        # The unused column b may hold anything, numbers or not, and its
+        # name may repeat.
+        for text in ("a;b;t;y\n1;9;1;0\n2;8;0;1\n", "a;b;t;y\n1;x;1;0\n2;;0;1\n",
+                     "a;b;b;t;y\n1;9;x;1;0\n2;8;;0;1\n"):
             p = _write(tmp_path, text)
             schema = TableSchema(
                 treatment_col="t", outcome_col="y", feature_cols=["a"], delimiter=";"
@@ -282,6 +293,20 @@ class TestLoadTable:
         p = _write(tmp_path, bom + "x1,treatment,outcome\n1,1,0\n2,2,1\n")
         with pytest.raises(ParseError, match="row 2: column 'treatment'"):
             load_table(p, TableSchema())
+
+    @pytest.mark.parametrize("delimiter", [",,", "", '"', "\n", None])
+    def test_delimiter_csv_cannot_split_on_rejected(self, tmp_path, delimiter):
+        # csv raised a bare TypeError for the first two on load, and save
+        # wrote files that load could not read back.
+        p = _write(tmp_path, "a,treatment,outcome\n1,1,0\n")
+        want = f"'delimiter' must be one character other than '\"' and a line break, " \
+               f"got {delimiter!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            load_table(p, TableSchema(delimiter=delimiter))
+        out = tmp_path / "out.csv"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            save_table(Dataset([[1.0]], [1], [0]), out, delimiter)
+        assert not out.exists()
 
     def test_saved_bytes_exact(self, tmp_path):
         ds = Dataset([[0.1, -2.5e-300], [3.0, 1e300]], [1, 0], [0, 1], [0.25, -1 / 3])

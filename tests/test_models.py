@@ -578,6 +578,24 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match=f"'{re.escape(key)}'.*{match}"):
             models.load_checkpoint(path)
 
+    @pytest.mark.parametrize("kind", ["text", "truncated", "npy"])
+    def test_file_that_is_no_checkpoint_rejected(self, tmp_path, kind):
+        # They raised ValueError about pickled data, zipfile.BadZipFile and
+        # TypeError (an array is not a context manager).
+        path = self._saved(tmp_path)
+        if kind == "text":
+            path.write_text("kind,sdr\n")
+        elif kind == "truncated":
+            path.write_bytes(path.read_bytes()[:-40])
+        else:
+            path = tmp_path / "params.npy"
+            np.save(path, _tiny("sdr", seed=18).params)
+        want = f"{path} is not a checkpoint: not an .npz archive"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            models.load_checkpoint(path)
+        with pytest.raises(FileNotFoundError):
+            models.load_checkpoint(tmp_path / "missing.npz")
+
     @pytest.mark.parametrize("text", ["{not json", "", '{"kind": "sdr"'])
     def test_manifest_that_is_not_json_rejected(self, tmp_path, text):
         path = self._saved(tmp_path, edit=lambda m: m.update(manifest=np.array(text)))
@@ -599,8 +617,11 @@ class TestCheckpoint:
             ({"input_dim": 7}, "'params'"),
             *[({"hidden_sizes": v}, "hidden_sizes must be")
               for v in ([], [0], ["a"], 5, [2.5], [True])],
-            *[({"input_dim": v}, "input_dim must be")
-              for v in (0, "3", 2.5, [3], True)],
+            # The ids are those of the message these cases matched before
+            # `errors.check_int` held the one message of an integer setting.
+            *[pytest.param({"input_dim": v}, f"'input_dim' must be an integer >= 1, "
+                           f"got {v!r}", id=f"entries{i}-input_dim must be")
+              for i, v in enumerate((0, "3", 2.5, [3], True), start=9)],
             ({"format_version": 1}, "checkpoint format 1 not supported"),
             ({"format_version": 2.0}, "checkpoint format 2.0 not supported"),
         ],

@@ -51,7 +51,7 @@ class TestInit:
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True, "3", None])
     def test_size_that_is_no_integer_rejected(self, bad):
-        want = f"layer sizes must be positive integers, got {bad!r}"
+        want = f"'layer_sizes[1]' must be an integer >= 1, got {bad!r}"
         with pytest.raises(ConfigError, match=re.escape(want)):
             nncore.init_network((3, bad, 1), seed=0)
 
@@ -369,6 +369,13 @@ class TestBackward:
         _, bufs = _forward(trunk, np.zeros((1, 1)))
         d_pre = nncore.output_grad_to_preact(trunk, bufs, np.ones((1, 2)))
         np.testing.assert_array_equal(d_pre, [[0.0, 1.0]])
+        # backward takes the gradient at the rectified outputs and masks it
+        # itself, over its own buffer, never over the caller's array.
+        g = np.ones((1, 2))
+        grads, _ = nncore.backward(trunk, bufs, g)
+        grad_b = nncore.layer_blocks(grads, trunk.layer_sizes)[0][-1]
+        np.testing.assert_array_equal(grad_b, [0.0, 1.0])
+        assert (g == 1.0).all()
 
     def test_linear_output_gradient_is_already_the_preactivation_gradient(self):
         # A linear output is its own pre-activation: the gradient comes

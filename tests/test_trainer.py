@@ -79,6 +79,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bag_size"):
             _cfg(bag_size=1).validate()
 
+    @pytest.mark.parametrize("seed", [-1, "3", None, 1.0, True])
+    def test_seed_that_is_no_integer_rejected(self, splits, seed):
+        # validate skipped seed: -1 passed, and repeat_runs failed on
+        # cfg.seed + i with a bare TypeError.
+        want = f"'seed' must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            _cfg(seed=seed).validate()
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            repeat_runs(*splits, _cfg(seed=seed), n_runs=2)
+
     @pytest.mark.parametrize("n_points", [0, 1])
     def test_curve_of_fewer_than_two_points_rejected(self, n_points):
         with pytest.raises(ConfigError, match="n_points"):
@@ -502,12 +512,12 @@ class TestRepeatRuns:
 
     @pytest.mark.parametrize("jobs", [0, -3, 1.5, True, "2"])
     def test_nonpositive_jobs_rejected(self, splits, jobs):
-        with pytest.raises(ConfigError, match="jobs must be at least 1"):
+        with pytest.raises(ConfigError, match="'jobs' must be an integer >= 1"):
             repeat_runs(*splits, _cfg(), n_runs=1, jobs=jobs)
 
     @pytest.mark.parametrize("n_runs", [0, -3, 1.5, True, "2"])
     def test_nonpositive_n_runs_rejected(self, splits, n_runs):
-        with pytest.raises(ConfigError, match="n_runs must be at least 1"):
+        with pytest.raises(ConfigError, match="'n_runs' must be an integer >= 1"):
             repeat_runs(*splits, _cfg(), n_runs=n_runs)
 
     def test_failed_runs_counted_not_fatal(self, splits):
