@@ -86,6 +86,11 @@ MUTANTS = (
     ("nncore.py", 'if params.output_activation == "relu":  # masked',
      "if False:  # masked",
      "backward drops a rectified output's mask"),
+    # A checkpoint at the exact path given; real-valued input arrays.
+    ("models.py", "np.savez(fh, manifest", "np.savez(path, manifest",
+     "save_checkpoint lets np.savez add .npz to a path with another suffix"),
+    ("errors.py", 'v.dtype.kind not in "biuf":', 'v.dtype.kind not in "biufc":',
+     "check_reals lets a complex array through, dropping its imaginary part"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -5,90 +5,28 @@ SDR) on randomized-experiment data, regularizes them with a multiple-
 instance loss over bags of adjacent uplift predictions, and evaluates
 with separate-ranking uplift curves and AUUC. A synthetic generator with
 known ground-truth effects supports desk-scale verification.
+
+Each name has one import path, its module; the package root re-exports
+none of them:
+
+* `upliftmil.data`: the datasets. `Dataset`, delimited text through
+  `TableSchema`, `load_table` and `save_table`, stratified `split`,
+  `minibatches`, the synthetic experiment (`SynthConfig`,
+  `generate_synthetic`), `empirical_ate` and `fit_scaler`.
+* `upliftmil.nncore`: the nets. Dense layers in one flat parameter
+  vector (`init_network`), their buffers (`net_buffers`), `forward`,
+  `backward`, `bce_loss` and Adam (`init_adam`, `adam_step`).
+* `upliftmil.models`: the models and checkpoints. The four
+  architectures of `ModelKind` behind `build`, `forward_full`,
+  `predict` and `backprop_factual`, and `save_checkpoint` and
+  `load_checkpoint`.
+* `upliftmil.mil`: the bags. `cluster_bags` and the bag-regularized
+  loss `combined_loss_and_grads`.
+* `upliftmil.metrics`: the metrics. `uplift_curve`, `auuc`,
+  `aggregate_runs` and `export_curve`.
+* `upliftmil.trainer`: the training loop. `TrainConfig`, `train`,
+  `evaluate` and `repeat_runs`.
+* `upliftmil.errors`: the exception types every module raises, all
+  under `UpliftError`, and the shared checks of settings and input
+  arrays.
 """
-
-__version__ = "0.1.0"
-
-from .data import (
-    Dataset,
-    MiniBatch,
-    SynthConfig,
-    TableSchema,
-    empirical_ate,
-    generate_synthetic,
-    load_table,
-    minibatches,
-    save_table,
-    split,
-)
-from .errors import (
-    ConfigError,
-    MetricError,
-    ParseError,
-    SchemaError,
-    ShapeError,
-    TrainingError,
-    UpliftError,
-)
-from .metrics import RunAggregate, UpliftCurve, aggregate_runs, auuc, uplift_curve
-from .mil import (
-    BagMode,
-    BagPartition,
-    BagStats,
-    LossBreakdown,
-    cluster_bags,
-    combined_loss_and_grads,
-    mil_loss,
-)
-from .models import (
-    ModelKind,
-    UpliftModel,
-    build,
-    load_checkpoint,
-    predict,
-    save_checkpoint,
-)
-from .trainer import TrainConfig, TrainReport, evaluate, repeat_runs, train
-
-__all__ = [
-    "BagMode",
-    "BagPartition",
-    "BagStats",
-    "ConfigError",
-    "Dataset",
-    "LossBreakdown",
-    "MetricError",
-    "MiniBatch",
-    "ModelKind",
-    "ParseError",
-    "RunAggregate",
-    "SchemaError",
-    "ShapeError",
-    "SynthConfig",
-    "TableSchema",
-    "TrainConfig",
-    "TrainReport",
-    "TrainingError",
-    "UpliftCurve",
-    "UpliftError",
-    "UpliftModel",
-    "aggregate_runs",
-    "auuc",
-    "build",
-    "cluster_bags",
-    "combined_loss_and_grads",
-    "empirical_ate",
-    "evaluate",
-    "generate_synthetic",
-    "load_checkpoint",
-    "load_table",
-    "mil_loss",
-    "minibatches",
-    "predict",
-    "repeat_runs",
-    "save_checkpoint",
-    "save_table",
-    "split",
-    "train",
-    "uplift_curve",
-]

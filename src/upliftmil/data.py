@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ConfigError, MetricError, ParseError, SchemaError, check_int,
-                     is_binary, is_real)
+                     check_reals, is_binary, is_real)
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +31,9 @@ class Dataset:
     floats equal to 0.0 or 1.0 (-0.0 included). They are checked before
     they are stored as int64, so 0.5, 1.7, NaN or a str or object array
     raises ConfigError naming the column rather than being truncated.
+    Features and `true_ite` must hold real numbers, as
+    `errors.check_reals` checks before the float64 cast: complex values,
+    text or ragged nesting raise ConfigError naming the column.
     An empty Dataset is valid: `subset` and `split` can make one.
     `true_ite` is only present for synthetic data, where the generating
     response probabilities are known; its values must lie in [-1, 1].
@@ -48,7 +51,7 @@ class Dataset:
     true_ite: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        self.features = np.ascontiguousarray(check_reals("features", self.features))
         for name in ("treatment", "outcome"):
             vec = np.asarray(getattr(self, name))
             # Checked before the cast, which would truncate 0.5 to 0.
@@ -67,7 +70,7 @@ class Dataset:
         if not np.all(np.isfinite(self.features)):
             raise ConfigError("features contain non-finite values")
         if self.true_ite is not None:
-            self.true_ite = np.asarray(self.true_ite, dtype=np.float64)
+            self.true_ite = check_reals("true_ite", self.true_ite)
             if self.true_ite.shape != (n,):
                 raise ConfigError("true_ite length does not match feature rows")
             ite = self.true_ite

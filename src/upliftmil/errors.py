@@ -1,8 +1,9 @@
 """Exception types shared across the package, `enum_member`, the one
 lookup that reports an unknown enum value as a `ConfigError`,
-`check_int`, which holds the one message of a bad integer setting, and
-`is_int`, `is_real` and `is_binary`, the one tests of an integer setting,
-of a real-valued setting and of a binary column.
+`check_int`, which holds the one message of a bad integer setting,
+`check_reals`, the one check of a real-valued input array, and `is_int`,
+`is_real` and `is_binary`, the one tests of an integer setting, of a
+real-valued setting and of a binary column.
 
 `is_binary` is the package's one definition of a binary column, the
 treatment and outcome of every data set: `Dataset`, `load_table` and the
@@ -63,6 +64,25 @@ def check_int(name: str, value, least: int = 1) -> int:
     if not is_int(value, least):
         raise ConfigError(f"{name!r} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_reals(name: str, values) -> np.ndarray:
+    """`values` as a float64 array, not copied when it is one, else a
+    ConfigError naming the argument `name`. Bool, integer and float
+    arrays pass, and so does an object array whose values would form
+    one; complex values, text, None and ragged nesting do not, so no
+    cast drops an imaginary part or parses a string."""
+    try:
+        v = np.asarray(values)
+        if v.dtype.kind == "O":  # judged by the values it holds
+            v = np.array(v.tolist())
+    except ValueError:  # ragged nesting
+        v = None
+    if v is None or v.dtype.kind not in "biuf":
+        got = "ragged nesting" if v is None else f"dtype {v.dtype}"
+        raise ConfigError(f"{name!r} must hold real numbers (bool, integer or float), "
+                          f"got {got}")
+    return v.astype(np.float64, copy=False)
 
 
 def is_real(v) -> bool:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, check_int, is_binary, is_real
+from .errors import ConfigError, MetricError, check_int, check_reals, is_binary, is_real
 
 DEFAULT_GRID = 100
 
@@ -104,9 +104,10 @@ def uplift_curve(
     treatment must be binary as `errors.is_binary` defines it (bool, or
     integers or floats equal to 0 or 1); both raise MetricError, which
     for a column names it and counts its other values, or names its dtype
-    when that is not bool, integer or float.
+    when that is not bool, integer or float. Scores that are not real
+    numbers (`errors.check_reals`) raise ConfigError.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = check_reals("scores", scores)
     y = _binary(outcome, "outcome")
     t = _binary(treatment, "treatment")
     if not (scores.shape == y.shape == t.shape) or scores.ndim != 1:

@@ -60,7 +60,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .errors import ConfigError, check_int, enum_member, is_real
+from .errors import ConfigError, check_int, check_reals, enum_member, is_real
 from .models import ModelOutputs, UpliftModel
 
 
@@ -117,7 +117,7 @@ def cluster_bags(
     ablation; it needs `rng` (ConfigError without one), so every shuffle
     is reproducible. Trailing rows that do not fill a bag are dropped.
     """
-    preds = np.asarray(uplift_predictions, dtype=np.float64)
+    preds = check_reals("uplift_predictions", uplift_predictions)
     mode = enum_member(BagMode, mode, "mode")
     check_int("bag_size", bag_size, 2)
     if mode is BagMode.RANDOM and rng is None:

@@ -71,7 +71,7 @@ from enum import Enum
 import numpy as np
 
 from . import nncore
-from .errors import ConfigError, ShapeError, check_int, enum_member, is_int
+from .errors import ConfigError, ShapeError, check_int, check_reals, enum_member, is_int
 from .nncore import NetworkParams
 
 CHECKPOINT_VERSION = 2
@@ -242,7 +242,7 @@ def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
 
 
 def _check_input(model: UpliftModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = check_reals("x", x)
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeError(
             f"expected input of shape (n, {model.input_dim}), got {x.shape}"
@@ -390,7 +390,7 @@ def clone_parameter_arrays(model: UpliftModel) -> np.ndarray:
 
 def save_checkpoint(model: UpliftModel, path) -> None:
     """Write the manifest, the parameter vector and the scaler to a .npz
-    archive (checkpoint format 2)."""
+    archive (checkpoint format 2) at `path` itself, whatever its suffix."""
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "kind": model.kind.value,
@@ -402,7 +402,8 @@ def save_checkpoint(model: UpliftModel, path) -> None:
     arrays = {"params": model.params}
     if model.scaler is not None:
         arrays["scaler.mean"], arrays["scaler.std"] = model.scaler
-    np.savez(path, manifest=np.array(json.dumps(manifest)), **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, manifest=np.array(json.dumps(manifest)), **arrays)
 
 
 def _read(archive, key: str, shape=None) -> np.ndarray:

@@ -131,6 +131,25 @@ class TestDataset:
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             Dataset(np.zeros(shape), [0, 1], [1, 0])
 
+    @pytest.mark.parametrize("column, bad", [
+        ("features", np.ones((2, 1)) * (1 + 2j)), ("features", [["a"], ["b"]]),
+        ("features", [[0.1], [0.2, 0.3]]), ("true_ite", np.array([0.5j, 0.0])),
+        ("true_ite", ["0.1", "x"]), ("true_ite", [0.1, [0.2, 0.3]]),
+    ], ids=["features-complex", "features-text", "features-ragged",
+            "true_ite-complex", "true_ite-text", "true_ite-ragged"])
+    def test_values_that_are_not_real_name_the_column(self, column, bad):
+        # Checked before the float64 cast, which would drop an imaginary
+        # part with only a warning, or fail with a bare ValueError.
+        cols = {"features": np.zeros((2, 1)), "true_ite": np.zeros(2), column: bad}
+        with pytest.raises(ConfigError, match=f"^'{column}' must hold real numbers"):
+            Dataset(cols["features"], [0, 1], [1, 0], cols["true_ite"])
+
+    def test_object_array_of_reals_accepted(self):
+        features = np.array([[1, 2.5], [True, np.float32(3)]], dtype=object)
+        ds = Dataset(features, [0, 1], [1, 0], np.array([np.int8(1), -0.5], dtype=object))
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.5], [1.0, 3.0]])
+        np.testing.assert_array_equal(ds.true_ite, [1.0, -0.5])
+
 
 class TestLoadTable:
     def test_small_file_shape(self, tmp_path):

@@ -159,6 +159,14 @@ class TestUpliftCurve:
         with pytest.raises(MetricError):
             uplift_curve(np.zeros(4), np.zeros(4), np.ones(4))
 
+    @pytest.mark.parametrize("scores", [
+        np.array([0.4, 0.3, 0.2, 0.1]) * (1 + 1j), ["a", "b", "c", "d"],
+        [0.4, 0.3, 0.2, [0.1, 0.0]],
+    ], ids=["complex", "text", "ragged"])
+    def test_scores_that_are_not_real_rejected(self, scores):
+        with pytest.raises(ConfigError, match="^'scores' must hold real numbers"):
+            uplift_curve(scores, [1, 0, 1, 0], [1, 1, 0, 0])
+
     def test_tiny_grid_rejected(self):
         # A float grid size, even a whole one, used to fail in numpy's indexing.
         for n_points in (1, 2.5, np.float64(10), True):

@@ -82,6 +82,13 @@ class TestClusterBags:
                            match="^uplift predictions contain non-finite values$"):
             cluster_bags(preds, 2, mode, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("preds", [
+        np.arange(4.0) * 1j, ["a", "b", "c", "d"], [0.1, 0.2, 0.3, [0.4, 0.5]],
+    ], ids=["complex", "text", "ragged"])
+    def test_predictions_that_are_not_real_rejected(self, preds):
+        with pytest.raises(ConfigError, match="^'uplift_predictions' must hold real numbers"):
+            cluster_bags(preds, 2)
+
     def test_random_mode_without_rng_rejected(self):
         # A seedless shuffle would draw OS entropy and break reproducibility.
         with pytest.raises(ConfigError, match="rng"):

@@ -297,6 +297,14 @@ class TestPredict:
             with pytest.raises(ShapeError):
                 predict(m, x)
 
+    @pytest.mark.parametrize("x", [
+        np.ones((2, 3)) * (1 + 2j), [["a", "b", "c"]], [[0.1, 0.2, 0.3], [0.4]],
+    ], ids=["complex", "text", "ragged"])
+    @pytest.mark.parametrize("fn", [predict, models.forward_full])
+    def test_input_that_is_not_real_names_it(self, fn, x):
+        with pytest.raises(ConfigError, match="^'x' must hold real numbers"):
+            fn(_tiny("tm"), x)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_chunked_scores_match_one_pass(self, kind):
         # A tail of a few rows may run through another BLAS kernel than a
@@ -516,6 +524,14 @@ class TestCheckpoint:
         np.testing.assert_array_equal(m.params, back.params)
         x = np.random.default_rng(17).random((5, 3))
         np.testing.assert_array_equal(predict(m, x)[2], predict(back, x)[2])
+
+    def test_path_without_npz_suffix_kept(self, tmp_path):
+        # np.savez given a path appends .npz to any other suffix.
+        m = _tiny("sdr", seed=17)
+        path = tmp_path / "model.ckpt"
+        models.save_checkpoint(m, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert models.load_checkpoint(path).params.tobytes() == m.params.tobytes()
 
     def _saved(self, tmp_path, entries=None, edit=None, kind="sdr"):
         """Path of a saved tiny model with a scaler. `edit` changes the

@@ -1,7 +1,8 @@
 """Package metadata: every declared console script resolves, the package
-imports nothing beyond NumPy and the standard library, every package
-name the benchmark harness reaches exists, and a step calls the bag
-functions the harness traces through the module globals it rebinds."""
+imports nothing beyond NumPy and the standard library, its root binds
+nothing but its modules, every package name the benchmark harness
+reaches exists, and a step calls the bag functions the harness traces
+through the module globals it rebinds."""
 
 import ast
 import importlib
@@ -64,6 +65,16 @@ def test_benchmark_harness_names_resolve():
     assert "jobs" in inspect.signature(trainer.repeat_runs).parameters
     assert "bags" in {f.name for f in fields(mil.BagPartition)}
     assert "usable_bags" in {f.name for f in fields(mil.LossBreakdown)}
+
+
+def test_package_root_binds_only_modules():
+    # Each name has one import path, its module: the root re-exports none.
+    import upliftmil
+    for path in (ROOT / "src" / "upliftmil").glob("[!_]*.py"):
+        importlib.import_module(f"upliftmil.{path.stem}")
+    stray = [name for name, value in vars(upliftmil).items()
+             if not name.startswith("_") and not inspect.ismodule(value)]
+    assert stray == []
 
 
 def _counting(counts, name, fn):
