@@ -91,6 +91,13 @@ MUTANTS = (
      "save_checkpoint lets np.savez add .npz to a path with another suffix"),
     ("errors.py", 'v.dtype.kind not in "biuf":', 'v.dtype.kind not in "biufc":',
      "check_reals lets a complex array through, dropping its imaginary part"),
+    # The synthetic experiment's law and its range check.
+    ("data.py", "return BASE_RATE + SLOPE * x1,", "return BASE_RATE - SLOPE * x1,",
+     "the control response falls with x1"),
+    ("data.py", "_law(x[:, 0], x[:, 1], cfg.tau_max)",
+     "_law(x[:, 0], x[:, 2], cfg.tau_max)", "the treatment effect follows x3, not x2"),
+    ("data.py", "if lo < 0.0 or hi > 1.0:", "if lo < 0.0 or hi >= 1.0:",
+     "the range check rejects tau_max 0.88, whose top response probability is 1"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

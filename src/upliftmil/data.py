@@ -110,46 +110,54 @@ class MiniBatch:
     u_t: float
 
 
+# The synthetic experiment's fixed terms: the control response at x1 = 0,
+# its rise to x1 = 1, and each row's chance of treatment.
+BASE_RATE = 0.10
+SLOPE = 0.02
+TREATED_FRACTION = 0.5
+
+
+def _law(x1, x2, tau_max):
+    """The synthetic experiment's response law at covariates x1 and x2:
+    the control response probability BASE_RATE + SLOPE * x1 and the
+    individual treatment effect tau_max * max(0, 2 (x2 - 0.5))."""
+    return BASE_RATE + SLOPE * x1, tau_max * np.maximum(0.0, 2.0 * (x2 - 0.5))
+
+
 @dataclass
 class SynthConfig:
-    """Controls for the synthetic randomized experiment.
+    """Controls for the synthetic randomized experiment of
+    `generate_synthetic`: n rows of d >= 3 features, the largest
+    individual treatment effect tau_max, and the seed.
 
-    Defaults put the average uplift (tau_max / 4 = 0.015) well below the
-    base response rate, the regime where instance-level uplift signals
-    are noise-dominated.
+    The defaults put the average uplift (tau_max / 4 = 0.015) well below
+    the base response rate, the regime where instance-level uplift
+    signals are noise-dominated. Every response probability must lie in
+    [0, 1], so tau_max is legal from -BASE_RATE = -0.10 to
+    1 - BASE_RATE - SLOPE = 0.88.
     """
 
     n: int = 50_000
     d: int = 6
-    base_rate: float = 0.10
-    slope: float = 0.02
     tau_max: float = 0.06
-    treated_fraction: float = 0.5
     seed: int = 0
 
     def validate(self) -> None:
         for name, least in (("n", 1), ("d", 3), ("seed", 0)):
             check_int(name, getattr(self, name), least)
-        for name in ("base_rate", "slope", "tau_max", "treated_fraction"):
-            value = getattr(self, name)
-            if not is_real(value):
-                raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
-        if not 0.0 < self.treated_fraction < 1.0:
-            raise ConfigError(
-                f"treated_fraction must lie in (0, 1), got {self.treated_fraction}"
-            )
-        # Response probabilities are affine in x1 and piecewise-linear in
-        # x2, so their range over [0,1]^d is spanned by the corners.
-        pc_lo = self.base_rate + min(0.0, self.slope)
-        pc_hi = self.base_rate + max(0.0, self.slope)
-        ite_lo = min(0.0, self.tau_max)
-        ite_hi = max(0.0, self.tau_max)
-        lo = min(pc_lo, pc_lo + ite_lo)
-        hi = max(pc_hi, pc_hi + ite_hi)
+        if not is_real(self.tau_max):
+            raise ConfigError(f"'tau_max' must be a finite number, got {self.tau_max!r}")
+        # The law is affine in x1 and piecewise-linear in x2, so the response
+        # probabilities over [0,1]^d span those at the corners of (x1, x2).
+        # At x2 = 0 the effect is 0, so those corners give the control ones.
+        p_control, ite = _law(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]),
+                              self.tau_max)
+        p = p_control + ite
+        lo, hi = float(p.min()), float(p.max())
         if lo < 0.0 or hi > 1.0:
             raise ConfigError(
-                f"response probabilities would span [{lo:.4g}, {hi:.4g}], "
-                "outside [0, 1]"
+                f"tau_max {self.tau_max!r} would put response probabilities in "
+                f"[{lo!r}, {hi!r}], outside [0, 1]"
             )
 
 
@@ -190,9 +198,11 @@ def load_table(path, schema: TableSchema) -> Dataset:
     the treatment and the outcome, say, or a feature and the treatment);
     columns it does not use may repeat. A delimiter csv or `np.loadtxt`
     cannot split on raises `ConfigError` before the file is opened. A
-    bad row raises `ParseError` naming its number, the column and, for
-    treatment and outcome, the value; a csv scan finds it, and runs only
-    once the fast parse or its checks have failed. A
+    bad row raises `ParseError` naming its number, the column and the
+    value; a csv scan finds it, and runs only once the fast parse or its
+    checks have failed. A cell longer than csv's field limit (131,072
+    characters) raises `ParseError` naming the file when it is in the
+    header, and its row when the scan meets it in the body. A
     non-finite feature or `true_ite` raises `ConfigError` from `Dataset`.
     The file is read as UTF-8 whatever the locale, without the UTF-8
     byte-order mark that some editors write before the header (it would
@@ -215,6 +225,8 @@ def _read_table(path, schema: TableSchema) -> Dataset:
             header = next(csv.reader(fh, delimiter=schema.delimiter))
         except StopIteration:
             raise SchemaError(f"{path}: file is empty, expected a header row")
+        except csv.Error as exc:
+            raise ParseError(f"{path}: header: {exc}") from None
         header = [h.strip() for h in header]
         col_idx = {name: i for i, name in enumerate(header)}
 
@@ -239,13 +251,13 @@ def _read_table(path, schema: TableSchema) -> Dataset:
         if not feature_cols:
             raise SchemaError(f"{path}: no feature columns left after schema mapping")
 
-        # (name, column, kind) of every cell a row must hold, in the order
-        # the scan checks them.
+        # (name, column, whether binary) of every cell a row must hold, in
+        # the order the scan checks them.
         binary = (schema.treatment_col, schema.outcome_col)
-        cells = [(c, col_idx[c], "feature") for c in feature_cols]
-        cells += [(c, col_idx[c], "binary") for c in binary]
+        cells = [(c, col_idx[c], False) for c in feature_cols]
+        cells += [(c, col_idx[c], True) for c in binary]
         if schema.true_ite_col is not None:
-            cells.append((schema.true_ite_col, col_idx[schema.true_ite_col], "value"))
+            cells.append((schema.true_ite_col, col_idx[schema.true_ite_col], False))
         used = sorted({i for _, i, _ in cells})
         # An unused column is a zero-width string: loadtxt skips its text
         # but still checks that every row has the header's field count.
@@ -286,34 +298,33 @@ def _read_table(path, schema: TableSchema) -> Dataset:
 def _raise_first_bad_row(path, delimiter: str, n_fields: int, cells) -> None:
     """Read the body again with `csv`, one row at a time, and raise the
     ParseError of the first row the fast parse could not take; return if
-    there is none."""
+    there is none. A cell longer than csv's field limit, which the fast
+    parse reads, stops the scan with a ParseError naming its row."""
+    row_no = 0
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         next(reader)
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != n_fields:
-                raise ParseError(
-                    f"{path}: row {row_no} has {len(row)} fields, header has "
-                    f"{n_fields}"
-                )
-            for name, i, kind in cells:
-                value, where = _number(row[i]), f"{path}: row {row_no}:"
-                if value is None and kind == "feature":
+        try:
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != n_fields:
                     raise ParseError(
-                        f"{where} non-numeric feature value in column {name!r}"
+                        f"{path}: row {row_no} has {len(row)} fields, header has "
+                        f"{n_fields}"
                     )
-                if value is None and kind == "binary":
-                    raise ParseError(
-                        f"{where} non-numeric value {row[i]!r} in column {name!r}"
-                    )
-                if value is None:
-                    raise ParseError(f"{where} non-numeric value in column {name!r}")
-                if kind == "binary" and not is_binary(value):
-                    raise ParseError(
-                        f"{where} column {name!r} must be 0 or 1, got {row[i]!r}"
-                    )
+                for name, i, flag in cells:
+                    value, where = _number(row[i]), f"{path}: row {row_no}:"
+                    if value is None:
+                        raise ParseError(
+                            f"{where} non-numeric value {row[i]!r} in column {name!r}"
+                        )
+                    if flag and not is_binary(value):
+                        raise ParseError(
+                            f"{where} column {name!r} must be 0 or 1, got {row[i]!r}"
+                        )
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {row_no + 1}: {exc}") from None
 
 
 def _number(cell: str) -> float | None:
@@ -443,17 +454,19 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Randomized experiment with known per-row treatment effects.
 
     Features are uniform on [0,1]^d. The control response probability is
-    base_rate + slope * x1; the individual treatment effect is
-    tau_max * max(0, 2 * (x2 - 0.5)), so half the population has zero
-    uplift in expectation and the population mean effect is tau_max / 4.
-    Treatment is assigned Bernoulli(treated_fraction) independently of x.
+    BASE_RATE + SLOPE * x1 = 0.10 + 0.02 * x1; the individual treatment
+    effect is tau_max * max(0, 2 * (x2 - 0.5)), so half the population
+    has zero uplift in expectation and the population mean effect is
+    tau_max / 4. Treatment is assigned Bernoulli(TREATED_FRACTION = 0.5)
+    independently of x, and the outcome is Bernoulli(control response
+    plus the effect if treated). One rng, seeded with cfg.seed, draws the
+    features, then the treatments, then the outcomes.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((cfg.n, cfg.d))
-    p_control = cfg.base_rate + cfg.slope * x[:, 0]
-    ite = cfg.tau_max * np.maximum(0.0, 2.0 * (x[:, 1] - 0.5))
-    t = (rng.random(cfg.n) < cfg.treated_fraction).astype(np.int64)
+    p_control, ite = _law(x[:, 0], x[:, 1], cfg.tau_max)
+    t = (rng.random(cfg.n) < TREATED_FRACTION).astype(np.int64)
     p = p_control + t * ite
     y = (rng.random(cfg.n) < p).astype(np.int64)
     return Dataset(features=x, treatment=t, outcome=y, true_ite=ite)

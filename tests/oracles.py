@@ -6,14 +6,16 @@ dense-net evaluator per architecture (arm logits, and their sigmoid),
 the factual-arm loss on the logits and the bag-level loss, the bag-noise
 identity, central finite differences, a functional per-array Adam step,
 a brute-force uplift-curve evaluator that materializes every selection
-explicitly, the two-sample standard error of an empirical ATE, a
-value-by-value test of a binary column, and the mean and sample standard
-deviation of repeated runs, taken in exact rationals. One oracle is a
-bit-exact reference instead: the dense (n, 2) form of the bag term's
-arm-logit gradient, which the package's scatter must reproduce bit for
-bit. Another, `replay_train`, is built from the package's own step
-functions: it checks `trainer.train`'s loop (which batch, u_t, alpha,
-scaler and checkpoint), not the step, which the other oracles check.
+explicitly, the synthetic experiment's law drawn row by row, the
+two-sample standard error of an empirical ATE, a value-by-value test of
+a binary column, and the mean and sample standard deviation of repeated
+runs, taken in exact rationals. Two oracles are bit-exact references:
+the synthetic draws, which `generate_synthetic` must reproduce, and the
+dense (n, 2) form of the bag term's arm-logit gradient, which the
+package's scatter must reproduce. Another, `replay_train`, is built
+from the package's own step functions: it checks `trainer.train`'s loop
+(which batch, u_t, alpha, scaler and checkpoint), not the step, which
+the other oracles check.
 """
 
 import math
@@ -263,6 +265,28 @@ def brute_force_curve(scores, outcome, treatment, n_points):
         m_c = math.ceil(Fraction(k * n_c, n_points))
         g.append((k / n_points) * (rate(groups_t, m_t) - rate(groups_c, m_c)))
     return g, math.fsum(g) / n_points
+
+
+def synthetic_ref(n, d, tau_max, seed):
+    """(features, treatment, outcome, true_ite) of the synthetic experiment
+    as `generate_synthetic`'s docstring states it, row by row: features
+    uniform on [0,1]^d, control response 0.10 + 0.02 * x1, effect
+    tau_max * max(0, 2 (x2 - 0.5)), treatment Bernoulli(0.5), and the
+    outcome Bernoulli(control response plus the effect if treated). One
+    rng seeded with `seed` draws the features, then the treatments, then
+    the outcomes."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, d))
+    u_t, u_y = rng.random(n), rng.random(n)
+    t, y, ite = [], [], []
+    for row, a, b in zip(x.tolist(), u_t.tolist(), u_y.tolist()):
+        effect = tau_max * max(0.0, 2.0 * (row[1] - 0.5))
+        treated = a < 0.5
+        p = 0.10 + 0.02 * row[0] + (effect if treated else 0.0)
+        t.append(int(treated))
+        y.append(int(b < p))
+        ite.append(effect)
+    return x, np.array(t, dtype=np.int64), np.array(y, dtype=np.int64), np.array(ite)
 
 
 def ate_standard_error(ds):

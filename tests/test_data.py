@@ -1,5 +1,6 @@
 """Dataset construction, ingestion, splitting, batching, synthesis."""
 
+import dataclasses
 import re
 import warnings
 
@@ -20,7 +21,7 @@ from upliftmil.data import (
 )
 from upliftmil.errors import ConfigError, MetricError, ParseError, SchemaError
 
-from oracles import ate_standard_error
+from oracles import ate_standard_error, synthetic_ref
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -217,10 +218,10 @@ class TestLoadTable:
     def test_underscores_and_non_ascii_digits_rejected(self, tmp_path):
         # float() reads these, the C parser does not: the loader takes
         # the C parser's syntax.
-        match = "row 2: non-numeric feature value in column 'a'"
         for cell in ("1_000", "\u0661", "\uff11"):
+            match = f"row 2: non-numeric value {cell!r} in column 'a'"
             p = _write(tmp_path, f"a,treatment,outcome\n1,1,0\n{cell},0,1\n")
-            with pytest.raises(ParseError, match=match):
+            with pytest.raises(ParseError, match=re.escape(match)):
                 load_table(p, TableSchema())
 
     def test_twelve_feature_columns_accepted(self, tmp_path):
@@ -242,7 +243,7 @@ class TestLoadTable:
          "row 2: non-numeric value 'yes' in column 'treatment'"),
         ("a,treatment,outcome,ite\n1,1,0,0.1\n2,0,1,abc\n",
          TableSchema(true_ite_col="ite"), ParseError,
-         "row 2: non-numeric value in column 'ite'"),
+         "row 2: non-numeric value 'abc' in column 'ite'"),
         # Once the first x1 was dropped and the second loaded twice; the
         # treatment loaded as the outcome; a role column loaded as a feature.
         ("x1,x1,treatment,outcome\n1,2,1,0\n3,4,0,1\n", TableSchema(), SchemaError,
@@ -258,6 +259,19 @@ class TestLoadTable:
         p = _write(tmp_path, text)
         with pytest.raises(error, match=f"^{re.escape(f'{p}: {match}')}$"):
             load_table(p, schema)
+
+    @pytest.mark.parametrize("text, where", [
+        ("a,{long},treatment,outcome\n1,2,1,0\n", "header"),
+        ("a,note,treatment,outcome\n1,n,1,0\n2,{long},0,1\nabc,n,1,1\n", "row 2"),
+    ], ids=["header", "body"])
+    def test_cell_past_the_csv_field_limit_names_file_and_row(self, tmp_path, text,
+                                                              where):
+        # The fast parse reads a long cell; csv, which reads the header and
+        # scans the body, stops at 131,072 characters.
+        p = _write(tmp_path, text.format(long="x" * 200_000))
+        want = f"{p}: {where}: field larger than field limit (131072)"
+        with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+            load_table(p, TableSchema(feature_cols=["a"]))
 
     def test_missing_column_names_it(self, tmp_path):
         p = _write(tmp_path, "a,treatment\n1,0\n")
@@ -482,7 +496,7 @@ class TestGenerateSynthetic:
 
     def test_probability_overflow_rejected_before_sampling(self):
         with pytest.raises(ConfigError):
-            generate_synthetic(SynthConfig(base_rate=0.97, slope=0.02, tau_max=0.06))
+            generate_synthetic(SynthConfig(tau_max=0.95))
 
     @pytest.mark.parametrize("field, value, least", [
         ("n", 0, 1), ("n", 100.5, 1), ("n", True, 1), ("d", 2, 3), ("d", 4.0, 3),
@@ -496,22 +510,43 @@ class TestGenerateSynthetic:
             generate_synthetic(SynthConfig(**{field: value}))
 
     @pytest.mark.parametrize("value", ["0.1", None, True, np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["base_rate", "slope", "tau_max",
-                                       "treated_fraction"])
+    @pytest.mark.parametrize("field", ["tau_max"])
     def test_real_setting_that_is_no_finite_number_rejected(self, field, value):
-        # treated_fraction="0.5" once raised a bare TypeError, and slope=nan
-        # generated a data set.
         want = f"'{field}' must be a finite number, got {value!r}"
         with pytest.raises(ConfigError, match=re.escape(want)):
             generate_synthetic(SynthConfig(**{field: value}))
 
-    @pytest.mark.parametrize("fraction", [0, 1, 0.0, 1.0, 1.5])
-    def test_treated_fraction_outside_the_open_unit_interval_rejected(self, fraction):
-        # Finite, so it passes the real-value check, but one arm would be
-        # empty (or more than all rows).
-        want = f"treated_fraction must lie in (0, 1), got {fraction}"
+    @pytest.mark.parametrize("tau_max", [-0.1, 0.88])
+    def test_tau_max_at_the_edges_accepted(self, tau_max):
+        # Response probabilities reach exactly 0 (control at x1 = 0 plus the
+        # least effect) and exactly 1 (control at x1 = 1 plus the largest).
+        ds = generate_synthetic(SynthConfig(n=10, d=3, tau_max=tau_max))
+        assert ds.true_ite.min() >= min(0.0, tau_max)
+        assert ds.true_ite.max() <= max(0.0, tau_max)
+
+    @pytest.mark.parametrize("edge, span", [
+        (-0.1, "[-1.3877787807814457e-17, 0.12000000000000001]"),
+        (0.88, "[0.1, 1.0000000000000002]"),
+    ])
+    def test_tau_max_just_outside_the_edges_rejected(self, edge, span):
+        tau_max = float(np.nextafter(edge, 2 * edge))
+        want = (f"tau_max {tau_max!r} would put response probabilities in {span}, "
+                "outside [0, 1]")
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
-            generate_synthetic(SynthConfig(treated_fraction=fraction))
+            generate_synthetic(SynthConfig(tau_max=tau_max))
+
+    def test_documented_defaults(self):
+        assert dataclasses.astuple(SynthConfig()) == (50_000, 6, 0.06, 0)
+        assert (data.BASE_RATE, data.SLOPE, data.TREATED_FRACTION) == (0.10, 0.02, 0.5)
+
+    @pytest.mark.parametrize("tau_max", [0.06, 0.6, -0.08])
+    def test_draws_the_stated_law_bit_for_bit(self, tau_max):
+        # The oracle replays the rng stream and states the law row by row,
+        # so a changed covariate, sign, constant or draw order shows.
+        ds = generate_synthetic(SynthConfig(n=3000, d=4, tau_max=tau_max, seed=8))
+        want = synthetic_ref(3000, 4, tau_max, 8)
+        for got, ref in zip((ds.features, ds.treatment, ds.outcome, ds.true_ite), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_half_population_has_zero_uplift(self):
         ds = generate_synthetic(SynthConfig(n=20_000, seed=2))
