@@ -98,6 +98,24 @@ MUTANTS = (
      "_law(x[:, 0], x[:, 2], cfg.tau_max)", "the treatment effect follows x3, not x2"),
     ("data.py", "if lo < 0.0 or hi > 1.0:", "if lo < 0.0 or hi >= 1.0:",
      "the range check rejects tau_max 0.88, whose top response probability is 1"),
+    # One row per line; the split's per-cell bound.
+    ("data.py", "quotechar=None,", "quotechar='\"',",
+     "the fast parse reads quoted fields, so an open quote swallows later lines"),
+    ("data.py", "(alloc[c][s_over] - len(cells[c]) * fractions[s_over])",
+     "(alloc[c][s_over] + len(cells[c]) * fractions[s_over])",
+     "the repair key adds the quota, so a repair move can take a row from a cell "
+     "below its quota"),
+    # The training loop's contract: ties, the clock, the warm-up default.
+    ("trainer.py", "if val_auuc > report.best_val_auuc:",
+     "if val_auuc >= report.best_val_auuc:",
+     "a tie in validation AUUC replaces the earlier checkpoint"),
+    ("trainer.py", "time.perf_counter() - started", "time.perf_counter() + started",
+     "wall_clock_s adds the start time to the end time"),
+    ("trainer.py", "return self.max_steps // 5", "return self.max_steps / 5",
+     "the default warm-up is a float"),
+    # The checkpoint format.
+    ("models.py", "CHECKPOINT_VERSION = 2", "CHECKPOINT_VERSION = 3",
+     "checkpoints are written and read as format 3, so format 2 no longer loads"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

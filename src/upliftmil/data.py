@@ -8,7 +8,6 @@ ground-truth individual treatment effects for desk-scale verification.
 
 from __future__ import annotations
 
-import csv
 import logging
 import warnings
 from collections import Counter
@@ -167,7 +166,7 @@ class TableSchema:
 
     feature_cols=None means "all columns not otherwise named". Each
     column takes one role, and the delimiter is one character other than
-    the quote `"` and a line break.
+    a line break.
     """
 
     treatment_col: str = "treatment"
@@ -180,34 +179,34 @@ class TableSchema:
 def load_table(path, schema: TableSchema) -> Dataset:
     """Read a delimited text file with a header row into a Dataset.
 
-    `csv` reads the header; the body is parsed in one C pass by
-    `np.loadtxt`, split on `schema.delimiter`, with `"` quoting fields and
-    no comment lines. CRLF and CR line endings are accepted. A number
-    cell holds what Python's `float()` reads, surrounding whitespace
-    included, except that digit-group underscores (`1_000`) and
-    non-ASCII digits are rejected. Treatment and outcome cells must read
-    as 0 or 1 (`0.0`, `1e0` and `-0` do) by `errors.is_binary`, the
+    One line is one row, and a cell is the text between two delimiters:
+    there is no quoting, so `"` is a character like any other and a cell
+    cannot hold the delimiter or a line break. The header is split on
+    `schema.delimiter` and the body parsed in one C pass by `np.loadtxt`,
+    with no comment lines. LF, CRLF and CR line endings are accepted. A
+    number cell holds what Python's `float()` reads, surrounding
+    whitespace included, except that digit-group underscores (`1_000`)
+    and non-ASCII digits are rejected. Treatment and outcome cells must
+    read as 0 or 1 (`0.0`, `1e0` and `-0` do) by `errors.is_binary`, the
     package's one definition of a binary column. Columns the schema does
-    not use are not parsed, but every row must have as many fields as the
+    not use are not parsed, but every row must have as many cells as the
     header.
 
-    Rows are numbered from 1 after the header, one per csv record; blank
-    lines are skipped but still counted. A header problem raises
+    Rows are numbered from 1 after the header, one per line; empty lines
+    are skipped but still counted. A header problem raises
     `SchemaError`: among them a column the schema uses that the header
     holds more than once, and a column the schema gives two roles (both
     the treatment and the outcome, say, or a feature and the treatment);
-    columns it does not use may repeat. A delimiter csv or `np.loadtxt`
-    cannot split on raises `ConfigError` before the file is opened. A
-    bad row raises `ParseError` naming its number, the column and the
-    value; a csv scan finds it, and runs only once the fast parse or its
-    checks have failed. A cell longer than csv's field limit (131,072
-    characters) raises `ParseError` naming the file when it is in the
-    header, and its row when the scan meets it in the body. A
-    non-finite feature or `true_ite` raises `ConfigError` from `Dataset`.
-    The file is read as UTF-8 whatever the locale, without the UTF-8
-    byte-order mark that some editors write before the header (it would
-    otherwise join the first column's name); bytes that do not decode
-    raise `ParseError` naming the file.
+    columns it does not use may repeat. A delimiter that is not one
+    character, or is a line break, raises `ConfigError` before the file
+    is opened. A bad row raises `ParseError` naming its number, the
+    column and the cell as written; a scan that splits each line on the
+    delimiter finds it, and runs only once the fast parse or its checks
+    have failed. A non-finite feature or `true_ite` raises `ConfigError`
+    from `Dataset`. The file is read as UTF-8 whatever the locale,
+    without the UTF-8 byte-order mark that some editors write before the
+    header (it would otherwise join the first column's name); bytes that
+    do not decode raise `ParseError` naming the file.
     """
     _check_delimiter(schema.delimiter)
     try:
@@ -221,13 +220,10 @@ def load_table(path, schema: TableSchema) -> Dataset:
 
 def _read_table(path, schema: TableSchema) -> Dataset:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(fh, delimiter=schema.delimiter))
-        except StopIteration:
+        line = fh.readline()
+        if not line:
             raise SchemaError(f"{path}: file is empty, expected a header row")
-        except csv.Error as exc:
-            raise ParseError(f"{path}: header: {exc}") from None
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in line.rstrip("\n").split(schema.delimiter)]
         col_idx = {name: i for i, name in enumerate(header)}
 
         roles = [schema.treatment_col, schema.outcome_col]
@@ -268,7 +264,7 @@ def _read_table(path, schema: TableSchema) -> Dataset:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 rows = np.loadtxt(
-                    fh, dtype=dtype, delimiter=schema.delimiter, quotechar='"',
+                    fh, dtype=dtype, delimiter=schema.delimiter, quotechar=None,
                     comments=None, ndmin=1,
                 )
         except ValueError as exc:
@@ -296,35 +292,30 @@ def _read_table(path, schema: TableSchema) -> Dataset:
 
 
 def _raise_first_bad_row(path, delimiter: str, n_fields: int, cells) -> None:
-    """Read the body again with `csv`, one row at a time, and raise the
-    ParseError of the first row the fast parse could not take; return if
-    there is none. A cell longer than csv's field limit, which the fast
-    parse reads, stops the scan with a ParseError naming its row."""
-    row_no = 0
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        next(reader)
-        try:
-            for row_no, row in enumerate(reader, start=1):
-                if not row:
-                    continue
-                if len(row) != n_fields:
+    """Read the body again one line at a time, split each on `delimiter`,
+    and raise the ParseError of the first row the fast parse could not
+    take; return if there is none."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        fh.readline()
+        for row_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            row = line.split(delimiter)
+            if len(row) != n_fields:
+                raise ParseError(
+                    f"{path}: row {row_no} has {len(row)} fields, header has {n_fields}"
+                )
+            for name, i, flag in cells:
+                value, where = _number(row[i]), f"{path}: row {row_no}:"
+                if value is None:
                     raise ParseError(
-                        f"{path}: row {row_no} has {len(row)} fields, header has "
-                        f"{n_fields}"
+                        f"{where} non-numeric value {row[i]!r} in column {name!r}"
                     )
-                for name, i, flag in cells:
-                    value, where = _number(row[i]), f"{path}: row {row_no}:"
-                    if value is None:
-                        raise ParseError(
-                            f"{where} non-numeric value {row[i]!r} in column {name!r}"
-                        )
-                    if flag and not is_binary(value):
-                        raise ParseError(
-                            f"{where} column {name!r} must be 0 or 1, got {row[i]!r}"
-                        )
-        except csv.Error as exc:
-            raise ParseError(f"{path}: row {row_no + 1}: {exc}") from None
+                if flag and not is_binary(value):
+                    raise ParseError(
+                        f"{where} column {name!r} must be 0 or 1, got {row[i]!r}"
+                    )
 
 
 def _number(cell: str) -> float | None:
@@ -358,11 +349,11 @@ def save_table(ds: Dataset, path, delimiter: str = ",") -> None:
 
 
 def _check_delimiter(delimiter) -> None:
-    """ConfigError naming `delimiter` unless csv and `np.loadtxt` can split
-    a table on it: one character, neither the quote `"` nor a line break."""
-    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in '"\r\n':
-        raise ConfigError("'delimiter' must be one character other than '\"' and a "
-                          f"line break, got {delimiter!r}")
+    """ConfigError naming `delimiter` unless a table can be split on it:
+    one character other than a line break."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in "\r\n":
+        raise ConfigError("'delimiter' must be one character other than a line break, "
+                          f"got {delimiter!r}")
 
 
 def _largest_remainder(n: int, fractions) -> list[int]:
@@ -380,11 +371,13 @@ def split(ds: Dataset, fractions, seed) -> tuple[Dataset, Dataset, Dataset]:
     (treatment, outcome).
 
     Global split sizes follow largest-remainder rounding of the
-    fractions; per-cell allocations are repaired so every cell keeps its
-    proportions within one or two rows of the exact quota. Any data is
-    split this way, a (t, y) cell with fewer rows than splits (or none)
-    included: a repair move only takes a row from a cell above its quota,
-    so no allocation goes below zero.
+    fractions. Each (t, y) cell is rounded the same way, then repaired
+    one row at a time until the split sizes match, so every cell's
+    allocation to every split lies strictly between quota - 1 and
+    quota + 2, where the quota is the cell's rows times the split's
+    fraction. Any data is split this way, a (t, y) cell with fewer rows
+    than splits (or none) included: a repair move only takes a row from
+    a cell above its quota, so no allocation goes below zero.
     """
     check_int("seed", seed, 0)
     if isinstance(fractions, (str, bytes)) or not np.iterable(fractions):

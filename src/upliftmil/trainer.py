@@ -58,10 +58,13 @@ class TrainConfig:
     seed fixes every draw and n_points the curves' grid. Features are
     always standardized by the training split's scaler.
 
-    Defaults mirror the reference regime (batch 1024, bag 64, Adam with
-    betas 0.9/0.999, alpha 1e-3, hidden sizes 1024/512/256) with the
-    step budget scaled to desk-size data. warmup_steps=None resolves to
-    20% of max_steps.
+    Defaults mirror the reference regime (a TARNet of hidden sizes
+    1024/512/256, batch 1024, clustered bags of 64, alpha 1e-3, Adam at
+    learning rate 1e-3 with betas 0.9/0.999 and eps 1e-8) with the step
+    budget scaled to desk-size data: 3000 steps, an evaluation every 500
+    and patience 5, seed 0 and a curve grid of 100 points
+    (`metrics.DEFAULT_GRID`). warmup_steps=None resolves to 20% of
+    max_steps, rounded down to an int: 600 by default.
     """
 
     model: str = "tarnet"
@@ -161,9 +164,13 @@ def train(
     train_ds: Dataset, valid_ds: Dataset, test_ds: Dataset, cfg: TrainConfig
 ) -> tuple[UpliftModel, TrainReport]:
     """Run one training job and return the best-validation model of the
-    evaluations after warm-up. A validation or test split without both
-    arms, whose uplift curve is undefined, raises MetricError naming it
-    and its arm counts before any model is built."""
+    evaluations after warm-up. An evaluation replaces the best checkpoint
+    only when its validation AUUC is strictly higher, so on a tie the
+    earlier checkpoint is kept, and the tie counts toward `patience`. A
+    validation or test split without both arms, whose uplift curve is
+    undefined, raises MetricError naming it and its arm counts before any
+    model is built. The report's `wall_clock_s` is the time from after
+    these checks to the end of the test evaluation."""
     cfg.validate()
     if cfg.batch_size > train_ds.n:
         raise ConfigError(f"batch_size {cfg.batch_size} yields no batches on a "

@@ -525,6 +525,21 @@ class TestCheckpoint:
         x = np.random.default_rng(17).random((5, 3))
         np.testing.assert_array_equal(predict(m, x)[2], predict(back, x)[2])
 
+    def test_hand_built_format_2_archive_loads(self, tmp_path):
+        # Format 2 as written down, not as save_checkpoint writes it: a JSON
+        # manifest, the parameter vector and the scaler's two members.
+        m = _tiny("tarnet", seed=19)
+        m.scaler = (np.array([0.5, -1.0, 2.0]), np.array([1.5, 0.25, 4.0]))
+        manifest = {"format_version": 2, "kind": "tarnet", "input_dim": 3,
+                    "hidden_sizes": [5, 4], "seed": 19, "has_scaler": True}
+        path = tmp_path / "model.npz"
+        np.savez(path, manifest=np.array(json.dumps(manifest)), params=m.params,
+                 **{"scaler.mean": m.scaler[0], "scaler.std": m.scaler[1]})
+        back = models.load_checkpoint(path)
+        x = np.random.default_rng(19).random((7, 3))
+        for got, want in zip(predict(back, x), predict(m, x)):
+            assert got.tobytes() == want.tobytes()
+
     def test_path_without_npz_suffix_kept(self, tmp_path):
         # np.savez given a path appends .npz to any other suffix.
         m = _tiny("sdr", seed=17)

@@ -5,8 +5,9 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,13 @@ def _report_key(report):
 class TestConfig:
     def test_warmup_defaults_to_fifth_of_steps(self):
         assert TrainConfig(max_steps=1000, warmup_steps=None).resolved_warmup() == 200
+
+    def test_documented_defaults(self):
+        assert astuple(TrainConfig()) == (
+            "tarnet", (1024, 512, 256), 1e-3, 1e-3, 1024, 64, 3000, None, 500, 5, 0,
+            "clustered", 0.9, 0.999, 1e-8, 100)
+        warmup = TrainConfig().resolved_warmup()
+        assert type(warmup) is int and warmup == 600
 
     def test_bag_larger_than_batch_rejected(self):
         with pytest.raises(ConfigError):
@@ -210,6 +218,26 @@ class TestTrain:
         model, report = _train_peaking_at(monkeypatch, splits, cfg, peak=5)
         assert report.best_step == 200
         assert model.params.tobytes() == replay_train(splits[0], cfg, 200).tobytes()
+
+    def test_tie_keeps_the_earlier_checkpoint(self, splits, monkeypatch):
+        # Every evaluation reads the same AUUC: the first one after warm-up
+        # (step 80) is the best, and each tie after it counts toward
+        # patience, which stops the run at step 160.
+        def flat(model, ds, n_points, buffers=None):
+            return 0.5, evaluate(model, ds, n_points, buffers)[1]
+
+        monkeypatch.setattr(trainer, "evaluate", flat)
+        cfg = _cfg(max_steps=200, eval_every=40, patience=2)
+        model, report = train(*splits, cfg)
+        assert [h.step for h in report.history] == [40, 80, 120, 160]
+        assert report.best_step == 80 and report.best_val_auuc == 0.5
+        assert model.params.tobytes() == replay_train(splits[0], cfg, 80).tobytes()
+
+    def test_wall_clock_is_positive_and_within_the_callers_time(self, splits):
+        started = time.perf_counter()
+        _, report = train(*splits, _cfg(max_steps=60, eval_every=30))
+        elapsed = time.perf_counter() - started
+        assert 0.0 < report.wall_clock_s <= elapsed
 
     def test_warmup_peak_is_not_returned(self, splits, monkeypatch):
         # The warm-up eval at step 50 reads higher than any later one, yet
