@@ -355,6 +355,20 @@ class TestLoadTable:
             save_table(Dataset([[1.0]], [1], [0]), out, delimiter)
         assert not out.exists()
 
+    def test_quote_is_an_ordinary_delimiter(self, tmp_path):
+        # A table has no quoting, so '"' splits cells like any other
+        # character, and save writes what load reads back.
+        p = _write(tmp_path, 'a"treatment"outcome\n1.5"1"0\n-2"0"1\n')
+        ds = load_table(p, TableSchema(delimiter='"'))
+        np.testing.assert_array_equal(ds.features.ravel(), [1.5, -2.0])
+        np.testing.assert_array_equal(ds.treatment, [1, 0])
+        np.testing.assert_array_equal(ds.outcome, [0, 1])
+        out = tmp_path / "out.csv"
+        save_table(ds, out, '"')
+        assert out.read_bytes() == b'x1"treatment"outcome\n1.5"1"0\n-2"0"1\n'
+        back = load_table(out, TableSchema(delimiter='"'))
+        assert back.features.tobytes() == ds.features.tobytes()
+
     def test_saved_bytes_exact(self, tmp_path):
         ds = Dataset([[0.1, -2.5e-300], [3.0, 1e300]], [1, 0], [0, 1], [0.25, -1 / 3])
         p = tmp_path / "out.csv"
