@@ -116,6 +116,16 @@ MUTANTS = (
     # The checkpoint format.
     ("models.py", "CHECKPOINT_VERSION = 2", "CHECKPOINT_VERSION = 3",
      "checkpoints are written and read as format 3, so format 2 no longer loads"),
+    # A batch or bag that cannot be formed; the least batch size.
+    ("mil.py", "if bag_size > n:", "if bag_size >= n:",
+     "cluster_bags rejects a bag of the whole batch"),
+    ("data.py", "if batch_size > ds.n:", "if batch_size >= ds.n:",
+     "minibatches rejects a batch of every row"),
+    ("trainer.py", '("batch_size", 2)', '("batch_size", 1)',
+     "TrainConfig lets a batch of one row through to the bag check"),
+    ("data.py", "exc.object[exc.start : exc.start + 1]",
+     "exc.object[exc.start : exc.start + 2]",
+     "the decode error names the bad byte and the one after it"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

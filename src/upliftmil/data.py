@@ -425,17 +425,15 @@ def minibatches(ds: Dataset, batch_size: int, seed, epoch: int) -> list[MiniBatc
     """Shuffled equal-sized mini-batches for one pass over the data.
 
     A fresh uniform shuffle is drawn per (seed, epoch); the final short
-    batch is dropped so batch and bag arithmetic stay exact.
+    batch is dropped so batch and bag arithmetic stay exact. A
+    `batch_size` below 2, or above the dataset's row count, raises
+    ConfigError naming it, so the list holds at least one batch.
     """
     for name, value, least in (("batch_size", batch_size, 2), ("seed", seed, 0),
                                ("epoch", epoch, 0)):
         check_int(name, value, least)
     if batch_size > ds.n:
-        warnings.warn(
-            f"batch_size {batch_size} exceeds dataset size {ds.n}; "
-            "no batches produced",
-            stacklevel=2,
-        )
+        raise ConfigError(f"batch_size {batch_size} exceeds dataset size {ds.n}")
     rng = np.random.default_rng([int(seed), int(epoch)])
     perm = rng.permutation(ds.n)
     rows = perm[: ds.n - ds.n % batch_size].reshape(-1, batch_size)

@@ -53,7 +53,6 @@ form).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,7 +72,8 @@ class BagMode(str, Enum):
 class BagPartition:
     """Disjoint equal-sized bags as one (n_bags, bag_size) array of batch
     positions, one bag per row; the remainder rows (batch size mod bag
-    size) belong to no bag."""
+    size) belong to no bag. `cluster_bags` never makes an empty one: a
+    bag size beyond the batch size raises ConfigError."""
 
     bags: np.ndarray
 
@@ -116,6 +116,8 @@ def cluster_bags(
     overlaps. RANDOM shuffles instead of sorting, the no-clustering
     ablation; it needs `rng` (ConfigError without one), so every shuffle
     is reproducible. Trailing rows that do not fill a bag are dropped.
+    A `bag_size` below 2, or above the batch's row count, raises
+    ConfigError naming it, so the partition holds at least one bag.
     """
     preds = check_reals("uplift_predictions", uplift_predictions)
     mode = enum_member(BagMode, mode, "mode")
@@ -126,10 +128,7 @@ def cluster_bags(
         raise ConfigError("uplift predictions contain non-finite values")
     n = len(preds)
     if bag_size > n:
-        warnings.warn(
-            f"bag_size {bag_size} exceeds batch size {n}; no bags formed",
-            stacklevel=2,
-        )
+        raise ConfigError(f"bag_size {bag_size} exceeds batch size {n}")
     if mode is BagMode.CLUSTERED:
         order = np.argsort(preds, kind="stable")
     else:
@@ -211,7 +210,8 @@ def combined_loss_and_grads(
 
     The pass runs in `buffers` (`models.buffer_set`; one fresh set of
     len(x) rows when none is given), and the returned gradient is a view
-    into it. A non-finite or negative alpha raises ConfigError.
+    into it. A non-finite or negative alpha raises ConfigError, and so,
+    when bags are formed, does a bag_size that `cluster_bags` rejects.
     """
     if not (is_real(alpha) and alpha >= 0):
         raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")

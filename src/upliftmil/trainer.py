@@ -42,7 +42,7 @@ from .models import ModelKind, UpliftModel
 
 # The integer fields of a `TrainConfig` and their least values;
 # warmup_steps may also be None.
-_INT_FIELDS = (("batch_size", 1), ("bag_size", 2), ("max_steps", 1),
+_INT_FIELDS = (("batch_size", 2), ("bag_size", 2), ("max_steps", 1),
                ("warmup_steps", 0), ("eval_every", 1), ("patience", 1),
                ("n_points", 2), ("seed", 0))
 
@@ -56,7 +56,11 @@ class TrainConfig:
     bag_size rows from batch_size batches, formed as `mode` says;
     max_steps, warmup_steps, eval_every and patience set the schedule;
     seed fixes every draw and n_points the curves' grid. Features are
-    always standardized by the training split's scaler.
+    always standardized by the training split's scaler. `validate`
+    raises ConfigError for a batch_size or bag_size below 2, as
+    `data.minibatches` and `mil.cluster_bags` would, and for a bag_size
+    above the batch_size; `train` for a batch_size above the training
+    split's row count, before it builds a model.
 
     Defaults mirror the reference regime (a TARNet of hidden sizes
     1024/512/256, batch 1024, clustered bags of 64, alpha 1e-3, Adam at

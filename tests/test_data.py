@@ -324,6 +324,18 @@ class TestLoadTable:
             with pytest.raises(ParseError, match=re.escape(f"{p}: not UTF-8 text")):
                 load_table(p, TableSchema())
 
+    @pytest.mark.parametrize("raw", [
+        b"a\xff,treatment,outcome\n1,1,0\n",
+        ("a,treatment,outcome\n" + "1,1,0\n" * 5000).encode() + b"2\xff,0,1\n",
+    ], ids=["header", "body"])
+    def test_undecodable_byte_message(self, tmp_path, raw):
+        # The whole message, the byte that failed to decode included.
+        p = tmp_path / "data.csv"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError) as info:
+            load_table(p, TableSchema())
+        assert str(info.value) == f"{p}: not UTF-8 text, cannot decode byte b'\\xff'"
+
     def test_byte_order_mark_dropped(self, tmp_path):
         # A UTF-8 byte-order mark before the header is not part of the
         # first column's name, whether that column is named by the schema
@@ -484,10 +496,10 @@ class TestMinibatches:
         assert not np.array_equal(e1, e2)
         np.testing.assert_array_equal(np.sort(e1), np.sort(e2))
 
-    def test_oversized_batch_warns_and_returns_nothing(self):
+    def test_oversized_batch_rejected(self):
         ds = generate_synthetic(SynthConfig(n=10, d=3, seed=0))
-        with pytest.warns(UserWarning, match="batch_size"):
-            assert minibatches(ds, 11, seed=0, epoch=0) == []
+        with pytest.raises(ConfigError, match="^batch_size 11 exceeds dataset size 10$"):
+            minibatches(ds, 11, seed=0, epoch=0)
 
     def test_tiny_batch_size_rejected(self):
         ds = generate_synthetic(SynthConfig(n=10, d=3, seed=0))
@@ -594,6 +606,12 @@ class TestEmpiricalAte:
     def test_identical_groups_zero(self):
         ds = _rate_dataset(100, 40, 50, 20)
         assert empirical_ate(ds) == 0.0
+
+    def test_one_row_per_arm(self):
+        ds = Dataset(np.zeros((2, 1)), np.array([1, 0]), np.array([1, 0]))
+        assert empirical_ate(ds) == 1.0
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 1]), np.array([1, 0]))
+        assert empirical_ate(ds) == -1.0
 
     def test_single_arm_rejected(self):
         ds = Dataset(np.zeros((3, 1)), np.ones(3), np.array([0, 1, 0]))

@@ -281,6 +281,12 @@ class TestCurveFiles:
             b"1,0.30000000000000004\n"
         )
 
+    def test_two_point_curve_written(self, tmp_path):
+        curve = UpliftCurve(np.array([0.5, 1.0]), np.array([0.01, 0.02]), 0.0)
+        path = tmp_path / "curve.csv"
+        export_curve(curve, path)
+        assert path.read_bytes() == b"phi,g\n0.5,0.01\n1,0.02\n"
+
     def test_one_point_curve_rejected(self, tmp_path):
         # No file is begun for a curve export_curve rejects.
         curve = UpliftCurve(np.array([1.0]), np.array([0.02]), 0.0)

@@ -50,10 +50,9 @@ class TestClusterBags:
         part = cluster_bags(np.arange(7.0), 3)
         assert sum(len(b) for b in part.bags) == 6
 
-    def test_oversized_bag_warns(self):
-        with pytest.warns(UserWarning, match="bag_size"):
-            part = cluster_bags(np.arange(3.0), 4)
-        assert part.bags.shape == (0, 4)
+    def test_oversized_bag_rejected(self):
+        with pytest.raises(ConfigError, match="^bag_size 4 exceeds batch size 3$"):
+            cluster_bags(np.arange(3.0), 4)
 
     def test_random_mode_partitions_fully(self):
         rng = np.random.default_rng(0)
@@ -350,17 +349,11 @@ class TestCombinedLoss:
         ref = mil_loss_ref(out.p_t, out.p_c, t, y, bags.tolist(), u_t)
         assert abs(breakdown.l_mil - ref) <= 1e-12 * abs(ref)
 
-    def test_oversized_bag_is_base_loss(self):
+    def test_oversized_bag_rejected_by_the_step(self):
         m = models.build("tarnet", 3, (5, 4), 17)
         x, t, y, u_t = _batch(170)
-        with pytest.warns(UserWarning, match="bag_size"):
-            breakdown, grads, _ = combined_loss_and_grads(
-                m, x, t, y, u_t, alpha=0.01, bag_size=32
-            )
-        _, base_grads, _ = models.base_loss_and_grads(m, x, t, y)
-        assert breakdown.l_mil == 0.0
-        assert breakdown.usable_bags == 0
-        assert grads.tobytes() == base_grads.tobytes()
+        with pytest.raises(ConfigError, match="^bag_size 32 exceeds batch size 16$"):
+            combined_loss_and_grads(m, x, t, y, u_t, alpha=0.01, bag_size=32)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_diverged_model_forms_no_bags(self, kind):

@@ -22,7 +22,6 @@ binary column, against a value-by-value oracle; and
 `metrics.aggregate_runs` against the exact mean and sample standard
 deviation."""
 
-import contextlib
 import json
 import math
 import re
@@ -400,10 +399,12 @@ def test_bags_are_disjoint_equal_and_drop_the_remainder(case):
     n = len(preds)
 
     def bags_of(uplift):
-        with pytest.warns(UserWarning) if bag_size > n else contextlib.nullcontext():
-            return mil.cluster_bags(uplift, bag_size, mode,
-                                    np.random.default_rng(seed)).bags
+        return mil.cluster_bags(uplift, bag_size, mode, np.random.default_rng(seed)).bags
 
+    if bag_size > n:
+        with pytest.raises(ConfigError, match=f"^bag_size {bag_size} exceeds batch size {n}$"):
+            bags_of(preds)
+        return
     bags = bags_of(preds)
     flat = bags.ravel()
     assert bags.shape == (n // bag_size, bag_size)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,17 @@ class TestConfig:
     def test_bag_larger_than_batch_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(bag_size=512, batch_size=256).validate()
+
+    @pytest.mark.parametrize("name, least", [
+        ("batch_size", 2), ("bag_size", 2), ("max_steps", 1), ("n_points", 2)])
+    def test_least_legal_value_validates_and_one_below_is_rejected(self, name, least):
+        # A batch of 2 is the least that holds a bag, as data.minibatches
+        # requires; a one-step run warms up for none.
+        cfg = TrainConfig(batch_size=2, bag_size=2, max_steps=1, n_points=2)
+        cfg.validate()
+        want = f"'{name}' must be an integer >= {least}, got {least - 1}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            replace(cfg, **{name: least - 1}).validate()
 
     def test_bag_of_one_rejected(self):
         with pytest.raises(ConfigError, match="bag_size"):
@@ -167,6 +178,21 @@ class TestConfig:
             train(*args, _cfg())
         with pytest.raises(MetricError, match=f"^{re.escape(want)}$"):
             repeat_runs(*args, _cfg(), n_runs=3)
+
+    @pytest.mark.parametrize("name", ["validation", "test"])
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_evaluation_split_with_one_row_of_an_arm_trains(self, splits, name, arm):
+        # One row of `arm` and every row of the other is two arms, so its
+        # uplift curve is defined.
+        tr, va, te = splits
+        ds = va if name == "validation" else te
+        rows = np.concatenate([np.flatnonzero(ds.treatment == arm)[:1],
+                               np.flatnonzero(ds.treatment != arm)])
+        lone = ds.subset(np.sort(rows))
+        args = (tr, lone, te) if name == "validation" else (tr, va, lone)
+        _, report = train(*args, _cfg(max_steps=2, warmup_steps=0, eval_every=1))
+        assert [e.step for e in report.history] == [1, 2]
+        assert np.isfinite(report.test_auuc)
 
     def test_warmup_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
@@ -313,6 +339,13 @@ class TestTrain:
         # A model outlives its run: the run's buffer set must not ride on it.
         model, _ = train(*splits, _cfg(max_steps=20, warmup_steps=5, eval_every=10))
         assert set(vars(model)) == {f.name for f in fields(models.UpliftModel)}
+
+    def test_bag_of_the_whole_batch_is_one_bag_a_step(self, splits):
+        # A batch this size holds both arms, so its one bag is usable.
+        cfg = _cfg(batch_size=32, bag_size=32, max_steps=20, warmup_steps=10, eval_every=5)
+        _, report = train(*splits, cfg)
+        assert [(e.step, e.usable_bags) for e in report.history] == [
+            (5, 0), (10, 0), (15, 1), (20, 1)]
 
     def test_history_steps_strictly_increase(self, splits):
         tr, va, te = splits
