@@ -126,6 +126,12 @@ MUTANTS = (
     ("data.py", "exc.object[exc.start : exc.start + 1]",
      "exc.object[exc.start : exc.start + 2]",
      "the decode error names the bad byte and the one after it"),
+    # The bag settings checked whatever alpha is; Adam's class constants.
+    ("mil.py", "    _check_bags(len(x), bag_size, mode, rng)\n", "",
+     "a step checks its bag settings only when it forms bags, so an alpha-0 "
+     "step runs on bad ones"),
+    ("trainer.py", "eps: ClassVar[float] = 1e-8", "eps: ClassVar[float] = 1e-7",
+     "Adam's eps is 1e-7, not 1e-8"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -103,6 +103,21 @@ class LossBreakdown:
     usable_bags: int
 
 
+def _check_bags(n: int, bag_size, mode, rng) -> BagMode:
+    """`mode` as a BagMode once the bag settings can cut a batch of n rows
+    into bags, else ConfigError naming the first bad one: a mode that is
+    no BagMode, a bag_size that is no integer >= 2 or exceeds n, or RANDOM
+    bags with an rng that is no numpy Generator."""
+    mode = enum_member(BagMode, mode, "mode")
+    check_int("bag_size", bag_size, 2)
+    if bag_size > n:
+        raise ConfigError(f"bag_size {bag_size} exceeds batch size {n}")
+    if mode is BagMode.RANDOM and not isinstance(rng, np.random.Generator):
+        raise ConfigError("random bags need an rng, so the shuffle is reproducible: "
+                          f"'rng' must be a numpy Generator, got {rng!r}")
+    return mode
+
+
 def cluster_bags(
     uplift_predictions: np.ndarray,
     bag_size: int,
@@ -114,21 +129,17 @@ def cluster_bags(
     CLUSTERED sorts batch positions by predicted uplift ascending (ties
     keep original order) and partitions consecutive runs without
     overlaps. RANDOM shuffles instead of sorting, the no-clustering
-    ablation; it needs `rng` (ConfigError without one), so every shuffle
-    is reproducible. Trailing rows that do not fill a bag are dropped.
-    A `bag_size` below 2, or above the batch's row count, raises
-    ConfigError naming it, so the partition holds at least one bag.
+    ablation; it needs `rng`, a numpy Generator (ConfigError naming it
+    otherwise), so every shuffle is reproducible. Trailing rows that do
+    not fill a bag are dropped. A `bag_size` below 2, or above the
+    batch's row count, raises ConfigError naming it, so the partition
+    holds at least one bag.
     """
     preds = check_reals("uplift_predictions", uplift_predictions)
-    mode = enum_member(BagMode, mode, "mode")
-    check_int("bag_size", bag_size, 2)
-    if mode is BagMode.RANDOM and rng is None:
-        raise ConfigError("random bags need an rng, so the shuffle is reproducible")
+    n = len(preds)
+    mode = _check_bags(n, bag_size, mode, rng)
     if not np.all(np.isfinite(preds)):
         raise ConfigError("uplift predictions contain non-finite values")
-    n = len(preds)
-    if bag_size > n:
-        raise ConfigError(f"bag_size {bag_size} exceeds batch size {n}")
     if mode is BagMode.CLUSTERED:
         order = np.argsort(preds, kind="stable")
     else:
@@ -210,11 +221,14 @@ def combined_loss_and_grads(
 
     The pass runs in `buffers` (`models.buffer_set`; one fresh set of
     len(x) rows when none is given), and the returned gradient is a view
-    into it. A non-finite or negative alpha raises ConfigError, and so,
-    when bags are formed, does a bag_size that `cluster_bags` rejects.
+    into it. A non-finite or negative alpha raises ConfigError, and so do
+    bag settings that `cluster_bags` rejects (a bag_size, mode or rng),
+    before the forward pass and whatever alpha is: an alpha-0 step, which
+    forms no bags, rejects what a later step would.
     """
     if not (is_real(alpha) and alpha >= 0):
         raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")
+    _check_bags(len(x), bag_size, mode, rng)
     if buffers is None:
         buffers = models.buffer_set(model, len(x))
     out = models.forward_full(model, x, buffers)

@@ -28,6 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, count
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,32 +44,37 @@ from .models import ModelKind, UpliftModel
 # The integer fields of a `TrainConfig` and their least values;
 # warmup_steps may also be None.
 _INT_FIELDS = (("batch_size", 2), ("bag_size", 2), ("max_steps", 1),
-               ("warmup_steps", 0), ("eval_every", 1), ("patience", 1),
-               ("n_points", 2), ("seed", 0))
+               ("warmup_steps", 0), ("eval_every", 1), ("patience", 1), ("seed", 0))
 
 
 @dataclass
 class TrainConfig:
     """All knobs of one training run.
 
-    model and hidden_sizes pick the architecture; learning_rate, beta1,
-    beta2 and eps set Adam; alpha weighs the bag regularizer over bags of
-    bag_size rows from batch_size batches, formed as `mode` says;
-    max_steps, warmup_steps, eval_every and patience set the schedule;
-    seed fixes every draw and n_points the curves' grid. Features are
-    always standardized by the training split's scaler. `validate`
-    raises ConfigError for a batch_size or bag_size below 2, as
-    `data.minibatches` and `mil.cluster_bags` would, and for a bag_size
-    above the batch_size; `train` for a batch_size above the training
-    split's row count, before it builds a model.
+    model and hidden_sizes pick the architecture; learning_rate sets
+    Adam's step; alpha weighs the bag regularizer over bags of bag_size
+    rows from batch_size batches, formed as `mode` says; max_steps,
+    warmup_steps, eval_every and patience set the schedule; seed fixes
+    every draw. Features are always standardized by the training split's
+    scaler. `validate` raises ConfigError for a batch_size or bag_size
+    below 2, as `data.minibatches` and `mil.cluster_bags` would, and for
+    a bag_size above the batch_size; `train` for a batch_size above the
+    training split's row count, before it builds a model, and for a bad
+    learning_rate through `nncore.init_adam`, before the first step.
 
     Defaults mirror the reference regime (a TARNet of hidden sizes
     1024/512/256, batch 1024, clustered bags of 64, alpha 1e-3, Adam at
-    learning rate 1e-3 with betas 0.9/0.999 and eps 1e-8) with the step
-    budget scaled to desk-size data: 3000 steps, an evaluation every 500
-    and patience 5, seed 0 and a curve grid of 100 points
-    (`metrics.DEFAULT_GRID`). warmup_steps=None resolves to 20% of
-    max_steps, rounded down to an int: 600 by default.
+    learning rate 1e-3) with the step budget scaled to desk-size data:
+    3000 steps, an evaluation every 500 and patience 5, seed 0.
+    warmup_steps=None resolves to 20% of max_steps, rounded down to an
+    int: 600 by default.
+
+    Adam's moment decays `beta1` 0.9 and `beta2` 0.999 and its `eps`
+    1e-8, and `n_points`, the curves' grid of 100 points
+    (`metrics.DEFAULT_GRID`), are class constants, not fields: they are
+    conventions of the reference regime, not part of the method, so no
+    run sets them. They read as `cfg.beta1` and so on, and `to_dict`
+    writes them into the report.
     """
 
     model: str = "tarnet"
@@ -83,10 +89,10 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     mode: str = "clustered"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    n_points: int = metrics.DEFAULT_GRID
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
+    n_points: ClassVar[int] = metrics.DEFAULT_GRID
 
     def resolved_warmup(self) -> int:
         if self.warmup_steps is None:
@@ -94,9 +100,7 @@ class TrainConfig:
         return int(self.warmup_steps)
 
     def validate(self) -> None:
-        """ConfigError naming the first bad field. Adam's learning_rate,
-        betas and eps are checked by `nncore.init_adam`, before the first
-        step."""
+        """ConfigError naming the first bad field."""
         enum_member(ModelKind, self.model, "model")
         enum_member(BagMode, self.mode, "mode")
         if not (is_real(self.alpha) and self.alpha >= 0):
@@ -119,6 +123,7 @@ class TrainConfig:
         d = asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)
         d["warmup_steps"] = self.resolved_warmup()
+        d.update(beta1=self.beta1, beta2=self.beta2, eps=self.eps, n_points=self.n_points)
         return d
 
 

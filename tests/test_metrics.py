@@ -174,6 +174,14 @@ class TestUpliftCurve:
                 uplift_curve(np.zeros(4), np.zeros(4), np.array([1, 0, 1, 0]),
                              n_points=n_points)
 
+    def test_least_grid_is_two_points(self):
+        scores, y, t = np.zeros(4), np.zeros(4), np.array([1, 0, 1, 0])
+        assert len(uplift_curve(scores, y, t, n_points=2).g) == 2
+        for n_points in (0, 1):
+            want = f"'n_points' must be an integer >= 2, got {n_points}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+                uplift_curve(scores, y, t, n_points=n_points)
+
     @pytest.mark.parametrize("column, bad", [
         ("treatment", 2), ("outcome", 0.7), ("outcome", np.nan), ("treatment", -1),
     ])

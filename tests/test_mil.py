@@ -99,6 +99,15 @@ class TestClusterBags:
                 m, x, t, y, u_t, alpha=0.01, bag_size=2, mode=BagMode.RANDOM
             )
 
+    @pytest.mark.parametrize("rng", [5, "x", np.random.RandomState(0)],
+                             ids=["int", "str", "RandomState"])
+    def test_random_mode_with_an_rng_that_is_no_generator_rejected(self, rng):
+        # An int once failed with a bare AttributeError on rng.permutation.
+        want = ("random bags need an rng, so the shuffle is reproducible: "
+                f"'rng' must be a numpy Generator, got {rng!r}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            cluster_bags(np.arange(8.0), 2, BagMode.RANDOM, rng)
+
     def test_clustered_bags_monotone_between_bags(self):
         rng = np.random.default_rng(5)
         preds = rng.normal(size=100)
@@ -354,6 +363,24 @@ class TestCombinedLoss:
         x, t, y, u_t = _batch(170)
         with pytest.raises(ConfigError, match="^bag_size 32 exceeds batch size 16$"):
             combined_loss_and_grads(m, x, t, y, u_t, alpha=0.01, bag_size=32)
+
+    @pytest.mark.parametrize("bad, want", [
+        ({"bag_size": 1}, "'bag_size' must be an integer >= 2, got 1"),
+        ({"bag_size": 2.5}, "'bag_size' must be an integer >= 2, got 2.5"),
+        ({"bag_size": "x"}, "'bag_size' must be an integer >= 2, got 'x'"),
+        ({"bag_size": 17}, "bag_size 17 exceeds batch size 16"),
+        ({"mode": "bogus"}, "'mode' must be one of clustered, random, got 'bogus'"),
+        ({"mode": BagMode.RANDOM}, "random bags need an rng, so the shuffle is "
+                                   "reproducible: 'rng' must be a numpy Generator, got None"),
+    ], ids=["bag-1", "bag-2.5", "bag-x", "bag-17", "mode-bogus", "random-without-rng"])
+    def test_bad_bag_setting_rejected_whatever_alpha_is(self, bad, want):
+        # An alpha-0 step forms no bags, and once ran on settings that
+        # every step at alpha > 0 rejects.
+        m = models.build("tm", 3, (4,), 0)
+        x, t, y, u_t = _batch(30)
+        for alpha in (0.0, 0.1):
+            with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+                combined_loss_and_grads(m, x, t, y, u_t, alpha, **{"bag_size": 4, **bad})
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_diverged_model_forms_no_bags(self, kind):

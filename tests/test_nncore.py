@@ -538,6 +538,13 @@ class TestAdam:
         with pytest.raises(ConfigError, match=f"'{name}' must be a finite number"):
             nncore.init_adam(np.zeros(2), **{"learning_rate": 0.1, name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("beta1", 0.0), ("beta1", 1.0), ("beta2", 0.0), ("beta2", 1.0), ("eps", 0.0),
+        ("eps", -1.0)])
+    def test_setting_outside_its_range_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^'{name}' must be a finite number in "):
+            nncore.init_adam(np.zeros(2), **{"learning_rate": 0.1, name: value})
+
     def test_huge_finite_learning_rate_accepted(self):
         assert nncore.init_adam(np.zeros(2), learning_rate=1e200).step == 0
 

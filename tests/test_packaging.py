@@ -65,6 +65,11 @@ def test_benchmark_harness_names_resolve():
     assert "jobs" in inspect.signature(trainer.repeat_runs).parameters
     assert "bags" in {f.name for f in fields(mil.BagPartition)}
     assert "usable_bags" in {f.name for f in fields(mil.LossBreakdown)}
+    # The settings and class constants its probes and workloads read.
+    cfg = trainer.TrainConfig()
+    for name in ("learning_rate", "beta1", "beta2", "eps", "n_points", "eval_every",
+                 "max_steps", "resolved_warmup"):
+        assert hasattr(cfg, name), name
 
 
 def test_package_root_binds_only_modules():

@@ -75,20 +75,44 @@ class TestConfig:
     def test_documented_defaults(self):
         assert astuple(TrainConfig()) == (
             "tarnet", (1024, 512, 256), 1e-3, 1e-3, 1024, 64, 3000, None, 500, 5, 0,
-            "clustered", 0.9, 0.999, 1e-8, 100)
+            "clustered")
         warmup = TrainConfig().resolved_warmup()
         assert type(warmup) is int and warmup == 600
+        cfg = TrainConfig()
+        assert (cfg.beta1, cfg.beta2, cfg.eps, cfg.n_points) == (0.9, 0.999, 1e-8, 100)
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "eps", "n_points"])
+    def test_class_constant_is_no_setting(self, name):
+        # Adam's betas and eps and the curve grid are class constants, not
+        # settings a run sets.
+        with pytest.raises(TypeError, match=name):
+            TrainConfig(**{name: getattr(TrainConfig, name)})
+        with pytest.raises(TypeError, match=name):
+            replace(TrainConfig(), **{name: getattr(TrainConfig, name)})
+
+    def test_report_config_holds_every_setting_then_the_constants(self):
+        # A report's config keeps its keys, order and values: the fields,
+        # then the four constants.
+        d = TrainConfig().to_dict()
+        assert list(d) == [f.name for f in fields(TrainConfig)] + [
+            "beta1", "beta2", "eps", "n_points"]
+        assert d == {
+            "model": "tarnet", "hidden_sizes": [1024, 512, 256], "learning_rate": 1e-3,
+            "alpha": 1e-3, "batch_size": 1024, "bag_size": 64, "max_steps": 3000,
+            "warmup_steps": 600, "eval_every": 500, "patience": 5, "seed": 0,
+            "mode": "clustered", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+            "n_points": 100}
 
     def test_bag_larger_than_batch_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(bag_size=512, batch_size=256).validate()
 
     @pytest.mark.parametrize("name, least", [
-        ("batch_size", 2), ("bag_size", 2), ("max_steps", 1), ("n_points", 2)])
+        ("batch_size", 2), ("bag_size", 2), ("max_steps", 1)])
     def test_least_legal_value_validates_and_one_below_is_rejected(self, name, least):
         # A batch of 2 is the least that holds a bag, as data.minibatches
         # requires; a one-step run warms up for none.
-        cfg = TrainConfig(batch_size=2, bag_size=2, max_steps=1, n_points=2)
+        cfg = TrainConfig(batch_size=2, bag_size=2, max_steps=1)
         cfg.validate()
         want = f"'{name}' must be an integer >= {least}, got {least - 1}"
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
@@ -108,19 +132,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             repeat_runs(*splits, _cfg(seed=seed), n_runs=2)
 
-    @pytest.mark.parametrize("n_points", [0, 1])
-    def test_curve_of_fewer_than_two_points_rejected(self, n_points):
-        with pytest.raises(ConfigError, match="n_points"):
-            _cfg(n_points=n_points).validate()
-
     def test_negative_learning_rate_rejected_before_training(self, splits):
         tr, va, te = splits
         with pytest.raises(ConfigError, match="learning_rate"):
             train(tr, va, te, _cfg(learning_rate=-1e-3))
 
     @pytest.mark.parametrize("bad", [
-        {"warmup_steps": -5}, {"eps": 0.0}, {"eps": -1.0}, {"alpha": float("nan")},
-        {"alpha": float("inf")}, {"n_points": 2.5},
+        {"warmup_steps": -5}, {"alpha": float("nan")}, {"alpha": float("inf")},
         {"max_steps": 20.5, "warmup_steps": None}],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_bad_value_rejected_before_training(self, splits, monkeypatch, bad):
@@ -132,7 +150,7 @@ class TestConfig:
             train(*splits, cfg)
 
     @pytest.mark.parametrize("value", ["0.1", None, True, np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["alpha", "learning_rate", "beta1", "beta2", "eps"])
+    @pytest.mark.parametrize("name", ["alpha", "learning_rate"])
     def test_real_setting_that_is_no_finite_number_rejected(self, splits, monkeypatch,
                                                             name, value):
         # Strings and None once raised a bare TypeError, and True passed.
