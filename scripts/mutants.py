@@ -132,6 +132,21 @@ MUTANTS = (
      "step runs on bad ones"),
     ("trainer.py", "eps: ClassVar[float] = 1e-8", "eps: ClassVar[float] = 1e-7",
      "Adam's eps is 1e-7, not 1e-8"),
+    # A config checked once, when made; vectors into a step.
+    ("trainer.py", "@dataclass(frozen=True)\nclass TrainConfig:",
+     "@dataclass\nclass TrainConfig:",
+     "TrainConfig is not frozen, so a checked config can be changed afterwards"),
+    ("trainer.py", "object.__setattr__(self, name, check_int(name, value, least))",
+     "check_int(name, value, least)",
+     "a numpy integer setting is kept, so json.dumps rejects the report"),
+    ("mil.py",
+     "    for name, v in ((\"treatment\", t), (\"outcome\", y)):\n"
+     "        if v.shape != (len(x),):\n"
+     "            raise ShapeError(f\"{name!r} must be a vector of {len(x)} rows, \"\n"
+     "                             f\"got shape {v.shape}\")\n",
+     "",
+     "a step takes a column of treatments or outcomes, and its bag term "
+     "broadcasts it"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

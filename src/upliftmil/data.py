@@ -123,11 +123,15 @@ def _law(x1, x2, tau_max):
     return BASE_RATE + SLOPE * x1, tau_max * np.maximum(0.0, 2.0 * (x2 - 0.5))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Controls for the synthetic randomized experiment of
     `generate_synthetic`: n rows of d >= 3 features, the largest
     individual treatment effect tau_max, and the seed.
+
+    A config is checked once, when it is made: construction raises
+    ConfigError naming the first bad field. It is frozen: make a variant
+    with `dataclasses.replace`, which checks it again.
 
     The defaults put the average uplift (tau_max / 4 = 0.015) well below
     the base response rate, the regime where instance-level uplift
@@ -141,7 +145,7 @@ class SynthConfig:
     tau_max: float = 0.06
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, least in (("n", 1), ("d", 3), ("seed", 0)):
             check_int(name, getattr(self, name), least)
         if not is_real(self.tau_max):
@@ -451,9 +455,9 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     tau_max / 4. Treatment is assigned Bernoulli(TREATED_FRACTION = 0.5)
     independently of x, and the outcome is Bernoulli(control response
     plus the effect if treated). One rng, seeded with cfg.seed, draws the
-    features, then the treatments, then the outcomes.
+    features, then the treatments, then the outcomes. `cfg` was checked
+    when it was made (`SynthConfig`).
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     x = rng.random((cfg.n, cfg.d))
     p_control, ite = _law(x[:, 0], x[:, 1], cfg.tau_max)

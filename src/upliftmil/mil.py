@@ -59,7 +59,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .errors import ConfigError, check_int, check_reals, enum_member, is_real
+from .errors import ConfigError, ShapeError, check_int, check_reals, enum_member, is_real
 from .models import ModelOutputs, UpliftModel
 
 
@@ -133,9 +133,13 @@ def cluster_bags(
     otherwise), so every shuffle is reproducible. Trailing rows that do
     not fill a bag are dropped. A `bag_size` below 2, or above the
     batch's row count, raises ConfigError naming it, so the partition
-    holds at least one bag.
+    holds at least one bag. Predictions that are not a vector (a column
+    or a 0-d array) raise ShapeError naming their shape, so a bag never
+    repeats a row.
     """
     preds = check_reals("uplift_predictions", uplift_predictions)
+    if preds.ndim != 1:
+        raise ShapeError(f"'uplift_predictions' must be a vector, got shape {preds.shape}")
     n = len(preds)
     mode = _check_bags(n, bag_size, mode, rng)
     if not np.all(np.isfinite(preds)):
@@ -224,16 +228,22 @@ def combined_loss_and_grads(
     into it. A non-finite or negative alpha raises ConfigError, and so do
     bag settings that `cluster_bags` rejects (a bag_size, mode or rng),
     before the forward pass and whatever alpha is: an alpha-0 step, which
-    forms no bags, rejects what a later step would.
+    forms no bags, rejects what a later step would. So does a treatment
+    or outcome that is not a vector of len(x) rows (a column, say): it
+    raises ShapeError naming the argument and its shape.
     """
     if not (is_real(alpha) and alpha >= 0):
         raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")
     _check_bags(len(x), bag_size, mode, rng)
+    t = np.asarray(treatment, dtype=np.float64)
+    y = np.asarray(outcome, dtype=np.float64)
+    for name, v in (("treatment", t), ("outcome", y)):
+        if v.shape != (len(x),):
+            raise ShapeError(f"{name!r} must be a vector of {len(x)} rows, "
+                             f"got shape {v.shape}")
     if buffers is None:
         buffers = models.buffer_set(model, len(x))
     out = models.forward_full(model, x, buffers)
-    t = np.asarray(treatment, dtype=np.float64)
-    y = np.asarray(outcome, dtype=np.float64)
     l_base, g = models.factual_loss(out, t, y)
 
     l_mil, usable = 0.0, 0

@@ -47,7 +47,7 @@ _INT_FIELDS = (("batch_size", 2), ("bag_size", 2), ("max_steps", 1),
                ("warmup_steps", 0), ("eval_every", 1), ("patience", 1), ("seed", 0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """All knobs of one training run.
 
@@ -56,10 +56,17 @@ class TrainConfig:
     rows from batch_size batches, formed as `mode` says; max_steps,
     warmup_steps, eval_every and patience set the schedule; seed fixes
     every draw. Features are always standardized by the training split's
-    scaler. `validate` raises ConfigError for a batch_size or bag_size
+    scaler.
+
+    A config is checked once, when it is made: construction raises
+    ConfigError naming the first bad field, for a batch_size or bag_size
     below 2, as `data.minibatches` and `mil.cluster_bags` would, and for
-    a bag_size above the batch_size; `train` for a batch_size above the
-    training split's row count, before it builds a model, and for a bad
+    a bag_size above the batch_size. Each integer setting is stored as a
+    Python int, so a numpy integer given for one leaves the report plain
+    JSON. A config is frozen: make a variant with `dataclasses.replace`,
+    which checks it again. What depends on the data is checked by
+    `train`: a batch_size above the training split's row count through
+    `data.minibatches`, before it builds a model, and a bad
     learning_rate through `nncore.init_adam`, before the first step.
 
     Defaults mirror the reference regime (a TARNet of hidden sizes
@@ -97,10 +104,9 @@ class TrainConfig:
     def resolved_warmup(self) -> int:
         if self.warmup_steps is None:
             return self.max_steps // 5
-        return int(self.warmup_steps)
+        return self.warmup_steps
 
-    def validate(self) -> None:
-        """ConfigError naming the first bad field."""
+    def __post_init__(self):
         enum_member(ModelKind, self.model, "model")
         enum_member(BagMode, self.mode, "mode")
         if not (is_real(self.alpha) and self.alpha >= 0):
@@ -108,7 +114,7 @@ class TrainConfig:
         for name, least in _INT_FIELDS:
             value = getattr(self, name)
             if not (name == "warmup_steps" and value is None):
-                check_int(name, value, least)
+                object.__setattr__(self, name, check_int(name, value, least))
         if self.bag_size > self.batch_size:
             raise ConfigError(
                 f"bag_size {self.bag_size} exceeds batch_size {self.batch_size}"
@@ -121,7 +127,7 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["hidden_sizes"] = list(self.hidden_sizes)
+        d["hidden_sizes"] = [int(h) for h in self.hidden_sizes]
         d["warmup_steps"] = self.resolved_warmup()
         d.update(beta1=self.beta1, beta2=self.beta2, eps=self.eps, n_points=self.n_points)
         return d
@@ -179,17 +185,19 @@ def train(
     validation or test split without both arms, whose uplift curve is
     undefined, raises MetricError naming it and its arm counts before any
     model is built. The report's `wall_clock_s` is the time from after
-    these checks to the end of the test evaluation."""
-    cfg.validate()
-    if cfg.batch_size > train_ds.n:
-        raise ConfigError(f"batch_size {cfg.batch_size} yields no batches on a "
-                          f"training split of {train_ds.n} rows")
+    these checks to the end of the test evaluation.
+
+    `cfg` was checked when it was made (`TrainConfig`); a batch_size above
+    the training split's row count raises ConfigError from
+    `data.minibatches`, which draws epoch 0's batches before the model
+    is built."""
     for name, ds in (("validation", valid_ds), ("test", test_ds)):
         n_t = int(ds.treatment.sum())
         if not 0 < n_t < ds.n:
             raise MetricError(f"uplift curve undefined on the {name} split: "
                               f"{n_t} treated, {ds.n - n_t} control")
     started = time.perf_counter()
+    first = minibatches(train_ds, cfg.batch_size, cfg.seed, 0)
     model = models.build(cfg.model, train_ds.d, cfg.hidden_sizes, cfg.seed)
     model.scaler = fit_scaler(train_ds.features)
     state = nncore.init_adam(model.params, cfg.learning_rate,
@@ -205,10 +213,11 @@ def train(
     best_params = model.params.copy()
     bad_evals = 0
 
-    # The epochs' batches back to back; an epoch is shuffled only when a
-    # step needs its first batch.
-    epochs = (minibatches(train_ds, cfg.batch_size, cfg.seed, e) for e in count())
-    for step, batch in zip(range(1, cfg.max_steps + 1), chain.from_iterable(epochs)):
+    # The epochs' batches back to back; an epoch after the first is
+    # shuffled only when a step needs its first batch.
+    epochs = (minibatches(train_ds, cfg.batch_size, cfg.seed, e) for e in count(1))
+    batches = chain(first, chain.from_iterable(epochs))
+    for step, batch in zip(range(1, cfg.max_steps + 1), batches):
         eff_alpha = 0.0 if step <= warmup else cfg.alpha
         breakdown, grads, _ = mil.combined_loss_and_grads(
             model,
@@ -294,11 +303,11 @@ def repeat_runs(
     Returns (aggregate over completed runs' test AUUCs, completed run
     results ordered by seed, failures as (seed, message)). The aggregate
     is None when every run failed. Runs are state-isolated, so parallel
-    execution (jobs > 1) gives results identical to sequential. `cfg` is
-    validated, and `n_runs` and `jobs` checked, before any seed is
-    derived.
+    execution (jobs > 1) gives results identical to sequential. `cfg` was
+    checked when it was made (`TrainConfig`), and each seed's config is
+    checked again by `dataclasses.replace`; `n_runs` and `jobs` are
+    checked before any seed is derived.
     """
-    cfg.validate()
     n_runs, jobs = check_int("n_runs", n_runs), check_int("jobs", jobs)
     tasks = [
         (train_ds, valid_ds, test_ds, replace(cfg, seed=cfg.seed + i))

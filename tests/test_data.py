@@ -534,6 +534,17 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.outcome, b.outcome)
 
+    def test_config_is_checked_when_made_and_frozen(self):
+        assert not hasattr(SynthConfig, "validate")
+        assert len(dataclasses.fields(SynthConfig)) == 4
+        with pytest.raises(ConfigError, match="^tau_max 0.95 would put"):
+            SynthConfig(tau_max=0.95)
+        cfg = SynthConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tau_max = 0.95
+        with pytest.raises(ConfigError, match="^'d' must be an integer >= 3, got 2$"):
+            dataclasses.replace(cfg, d=2)
+
     def test_probability_overflow_rejected_before_sampling(self):
         with pytest.raises(ConfigError):
             generate_synthetic(SynthConfig(tau_max=0.95))

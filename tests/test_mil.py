@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from upliftmil import mil, models
-from upliftmil.errors import ConfigError
+from upliftmil.errors import ConfigError, ShapeError
 from upliftmil.mil import (
     BagMode,
     BagPartition,
@@ -86,6 +86,16 @@ class TestClusterBags:
     ], ids=["complex", "text", "ragged"])
     def test_predictions_that_are_not_real_rejected(self, preds):
         with pytest.raises(ConfigError, match="^'uplift_predictions' must hold real numbers"):
+            cluster_bags(preds, 2)
+
+    @pytest.mark.parametrize("preds, shape", [
+        (np.array([[0.4], [0.1], [0.3], [0.2]]), (4, 1)), (np.array(0.5), ()),
+    ], ids=["column", "0-d"])
+    def test_predictions_that_are_no_vector_rejected(self, preds, shape):
+        # A column once gave the bags [[0, 0], [0, 0]], which repeat a row,
+        # and a 0-d array a bare TypeError.
+        want = f"'uplift_predictions' must be a vector, got shape {shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
             cluster_bags(preds, 2)
 
     def test_random_mode_without_rng_rejected(self):
@@ -381,6 +391,23 @@ class TestCombinedLoss:
         for alpha in (0.0, 0.1):
             with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
                 combined_loss_and_grads(m, x, t, y, u_t, alpha, **{"bag_size": 4, **bad})
+
+    @pytest.mark.parametrize("shape", [(16, 1), (15,)], ids=["column", "short"])
+    @pytest.mark.parametrize("name", ["treatment", "outcome"])
+    def test_arm_or_outcome_that_is_no_batch_vector_rejected_whatever_alpha_is(
+            self, monkeypatch, name, shape):
+        # An (n, 1) column once went through the bag sums by broadcasting:
+        # l_base came out right, but l_mil and the gradients did not.
+        m = models.build("sdr", 3, (4,), 0)
+        x, t, y, u_t = _batch(31)
+        given = {"treatment": t, "outcome": y}
+        given[name] = given[name][:shape[0]].reshape(shape)
+        monkeypatch.setattr(models, "forward_full", None)  # the forward pass raises
+        want = f"'{name}' must be a vector of 16 rows, got shape {shape}"
+        for alpha in (0.0, 0.1):
+            with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+                combined_loss_and_grads(m, x, given["treatment"], given["outcome"], u_t,
+                                        alpha, 2)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_diverged_model_forms_no_bags(self, kind):

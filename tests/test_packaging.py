@@ -1,7 +1,8 @@
 """Package metadata: every declared console script resolves, the package
 imports nothing beyond NumPy and the standard library, its root binds
 nothing but its modules, every package name the benchmark harness
-reaches exists, and a step calls the bag functions the harness traces
+reaches exists, every config the benchmark and scripts/fingerprint.py
+build can be made, and a step calls the bag functions the harness traces
 through the module globals it rebinds."""
 
 import ast
@@ -9,7 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,23 @@ def test_benchmark_harness_names_resolve():
     for name in ("learning_rate", "beta1", "beta2", "eps", "n_points", "eval_every",
                  "max_steps", "resolved_warmup"):
         assert hasattr(cfg, name), name
+
+
+def test_every_benchmark_and_fingerprint_config_is_made(monkeypatch):
+    # A config is checked when it is made, so one that the benchmark or
+    # scripts/fingerprint.py builds and the check rejects fails here, not
+    # only in a smoke run. Both are imported as the fingerprint imports them.
+    spec = importlib.util.spec_from_file_location("fingerprint",
+                                                  ROOT / "scripts" / "fingerprint.py")
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for w in workloads.WORKLOADS.values():
+        for cfg in (w.cfg, w.smoke().cfg):
+            replace(cfg, seed=fingerprint.WORKLOAD_SEED)
+    for _, kwargs in fingerprint.grid():
+        trainer.TrainConfig(**kwargs)
 
 
 def test_package_root_binds_only_modules():

@@ -1,5 +1,6 @@
 """Training loop: warm-up, early stopping, checkpointing, repetition."""
 
+import json
 import os
 import pickle
 import re
@@ -7,7 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import astuple, fields, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +104,31 @@ class TestConfig:
             "mode": "clustered", "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
             "n_points": 100}
 
+    def test_config_is_checked_when_made_and_frozen(self):
+        # No config exists unchecked, and none changes after its check.
+        assert not hasattr(TrainConfig, "validate") and len(fields(TrainConfig)) == 12
+        with pytest.raises(ConfigError, match="^'alpha' must be finite and >= 0, got -1$"):
+            TrainConfig(alpha=-1)
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.alpha = 0.1
+        with pytest.raises(ConfigError, match="^'bag_size' must be an integer >= 2, got 1$"):
+            replace(cfg, bag_size=1)
+
+    def test_numpy_integer_settings_give_the_plain_report(self, splits):
+        # A config of numpy integers once trained, and then json.dumps
+        # rejected its report's int64 settings.
+        ints = dict(hidden_sizes=(8,), batch_size=128, bag_size=16, max_steps=4,
+                    warmup_steps=1, eval_every=2, patience=5, seed=3)
+        cfg = TrainConfig(**{k: np.array(v) if k == "hidden_sizes" else np.int64(v)
+                             for k, v in ints.items()})
+        assert all(type(getattr(cfg, k)) is int for k in ints if k != "hidden_sizes")
+        a, b = (_report_key(train(*splits, c)[1]) for c in (cfg, TrainConfig(**ints)))
+        assert json.dumps(a) == json.dumps(b)
+
     def test_bag_larger_than_batch_rejected(self):
         with pytest.raises(ConfigError):
-            _cfg(bag_size=512, batch_size=256).validate()
+            _cfg(bag_size=512, batch_size=256)
 
     @pytest.mark.parametrize("name, least", [
         ("batch_size", 2), ("bag_size", 2), ("max_steps", 1)])
@@ -113,22 +136,21 @@ class TestConfig:
         # A batch of 2 is the least that holds a bag, as data.minibatches
         # requires; a one-step run warms up for none.
         cfg = TrainConfig(batch_size=2, bag_size=2, max_steps=1)
-        cfg.validate()
         want = f"'{name}' must be an integer >= {least}, got {least - 1}"
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
-            replace(cfg, **{name: least - 1}).validate()
+            replace(cfg, **{name: least - 1})
 
     def test_bag_of_one_rejected(self):
         with pytest.raises(ConfigError, match="bag_size"):
-            _cfg(bag_size=1).validate()
+            _cfg(bag_size=1)
 
     @pytest.mark.parametrize("seed", [-1, "3", None, 1.0, True])
     def test_seed_that_is_no_integer_rejected(self, splits, seed):
-        # validate skipped seed: -1 passed, and repeat_runs failed on
+        # The config check once skipped seed: -1 passed, and repeat_runs failed on
         # cfg.seed + i with a bare TypeError.
         want = f"'seed' must be an integer >= 0, got {seed!r}"
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
-            _cfg(seed=seed).validate()
+            _cfg(seed=seed)
         with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
             repeat_runs(*splits, _cfg(seed=seed), n_runs=2)
 
@@ -145,9 +167,8 @@ class TestConfig:
         # Each of these once trained: some finished "ok", others failed
         # later with an error that did not name the field (the first key).
         monkeypatch.setattr(mil, "combined_loss_and_grads", None)  # a step raises
-        cfg = _cfg(model="sdr", hidden_sizes=(8,), batch_size=128, **bad)
         with pytest.raises(ConfigError, match=next(iter(bad))):
-            train(*splits, cfg)
+            train(*splits, _cfg(model="sdr", hidden_sizes=(8,), batch_size=128, **bad))
 
     @pytest.mark.parametrize("value", ["0.1", None, True, np.nan, np.inf])
     @pytest.mark.parametrize("name", ["alpha", "learning_rate"])
@@ -155,16 +176,16 @@ class TestConfig:
                                                             name, value):
         # Strings and None once raised a bare TypeError, and True passed.
         monkeypatch.setattr(mil, "combined_loss_and_grads", None)  # a step raises
-        cfg = _cfg(model="sdr", hidden_sizes=(8,), batch_size=128, **{name: value})
         with pytest.raises(ConfigError, match=f"'{name}' must be"):
-            train(*splits, cfg)
+            train(*splits, _cfg(model="sdr", hidden_sizes=(8,), batch_size=128,
+                                **{name: value}))
 
     def test_batch_beyond_training_rows_rejected_before_training(self, splits, monkeypatch):
         tr, va, te = splits
         with monkeypatch.context() as m:
             m.setattr(models, "build", None)  # building the model raises
-            with pytest.raises(ConfigError, match=f"yields no batches on a training "
-                                                  f"split of {tr.n} rows"):
+            with pytest.raises(ConfigError, match=f"^batch_size {tr.n + 1} exceeds "
+                                                  f"dataset size {tr.n}$"):
                 train(tr, va, te, _cfg(batch_size=tr.n + 1))
         # A batch of every row is one batch an epoch.
         _, report = train(tr, va, te, _cfg(batch_size=tr.n, bag_size=16, max_steps=3,
@@ -175,7 +196,7 @@ class TestConfig:
         # math.isfinite cannot take 10**400: is_real reports the
         # OverflowError as a value that is not real.
         with pytest.raises(ConfigError, match="^'alpha' must be finite and >= 0, got 1000"):
-            TrainConfig(alpha=10**400).validate()
+            TrainConfig(alpha=10**400)
 
     @pytest.mark.parametrize("name", ["validation", "test"])
     @pytest.mark.parametrize("arm", [0, 1])
@@ -214,15 +235,15 @@ class TestConfig:
 
     def test_warmup_beyond_steps_rejected(self):
         with pytest.raises(ConfigError):
-            _cfg(warmup_steps=201, max_steps=200).validate()
+            _cfg(warmup_steps=201, max_steps=200)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError, match="'model'.*'xlearner'"):
-            _cfg(model="xlearner").validate()
+            _cfg(model="xlearner")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError, match="'mode'.*'nearest'"):
-            _cfg(mode="nearest").validate()
+            _cfg(mode="nearest")
 
 
 class TestTrain:
