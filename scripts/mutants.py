@@ -147,6 +147,25 @@ MUTANTS = (
      "",
      "a step takes a column of treatments or outcomes, and its bag term "
      "broadcasts it"),
+    # Bag members gathered once; hidden sizes checked when a config is made.
+    ("mil.py", "p_f = np.where(treated, out.p_t[bags], out.p_c[bags])",
+     "p_f = np.where(treated, out.p_c[bags], out.p_t[bags])",
+     "each bag member's factual probability is taken from its counterfactual arm"),
+    ("mil.py", "treated = t[bags] == 1", "treated = t[bags] == 0",
+     "a step flags a bag's control members as its treated ones"),
+    ("mil.py",
+     "    if len(shapes[0]) != 2 or len(set(shapes)) != 1:\n"
+     "        raise ShapeError(\"bag members must share one (n_bags, bag_size) shape, got \"\n"
+     "                         \"outcomes {}, probabilities {} and treated {}\""
+     ".format(*shapes))\n",
+     "",
+     "batch_bag_stats broadcasts members of other shapes, so a column-gathered "
+     "outcome gives bag sums of the wrong shape"),
+    ("trainer.py",
+     '        object.__setattr__(self, "hidden_sizes", check_hidden_sizes(self.hidden_sizes))\n',
+     "",
+     "TrainConfig takes hidden sizes models.build rejects, and a list of them "
+     "leaves the config unhashable"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

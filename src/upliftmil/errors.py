@@ -1,6 +1,8 @@
 """Exception types shared across the package, `enum_member`, the one
 lookup that reports an unknown enum value as a `ConfigError`,
 `check_int`, which holds the one message of a bad integer setting,
+`check_alpha` and `check_hidden_sizes`, the one rules of the bag
+regularizer's weight and of a network's hidden layer sizes,
 `check_reals`, the one check of a real-valued input array, and `is_int`,
 `is_real` and `is_binary`, the one tests of an integer setting, of a
 real-valued setting and of a binary column.
@@ -64,6 +66,23 @@ def check_int(name: str, value, least: int = 1) -> int:
     if not is_int(value, least):
         raise ConfigError(f"{name!r} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_alpha(alpha) -> None:
+    """The one rule of the bag regularizer's weight: a ConfigError naming
+    'alpha' unless it is a finite real (`is_real`) >= 0."""
+    if not (is_real(alpha) and alpha >= 0):
+        raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")
+
+
+def check_hidden_sizes(hidden_sizes) -> tuple[int, ...]:
+    """`hidden_sizes` as a tuple of Python ints when it is a non-empty
+    sequence of integers >= 1 (`is_int`), else a ConfigError naming it
+    and the value: the one rule of a network's hidden layer sizes."""
+    hidden = tuple(hidden_sizes) if np.iterable(hidden_sizes) else ()
+    if not hidden or not all(map(is_int, hidden)):
+        raise ConfigError(f"hidden_sizes must be positive integers, got {hidden_sizes!r}")
+    return tuple(map(int, hidden))
 
 
 def check_reals(name: str, values) -> np.ndarray:

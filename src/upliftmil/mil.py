@@ -30,11 +30,13 @@ alpha 1e-2, the abstract's form gave a test AUUC of 12.14 +- 0.83
 (x 1e-3) and an ITE RMSE of 0.0275 +- 0.0075, the factual form
 11.87 +- 1.27 and 0.0271 +- 0.0042.
 
-A partition is one (n_bags, bag_size) array of batch positions, so every
-bag's label, prediction, residual and gradient comes from a few array
-operations over its rows; there are no per-bag objects. `batch_bag_stats`
-gives every bag's label and prediction at once, and a single bag is a
-one-row partition.
+A partition is one (n_bags, bag_size) array of batch positions, one bag
+per row. A step gathers each bag member once through it, into
+(n_bags, bag_size) arrays of the members' outcomes, treated flags and
+factual probabilities p_f, so every bag's label, prediction, residual
+and gradient comes from a few array operations over those arrays; there
+are no per-bag objects. `batch_bag_stats` sums them into every bag's
+label and prediction at once, and a single bag is one row of each.
 
 A training step, `combined_loss_and_grads`, is one `models.forward_full`
 pass, the bag sums and one `models.backprop_factual` pass, both in one
@@ -59,7 +61,8 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .errors import ConfigError, ShapeError, check_int, check_reals, enum_member, is_real
+from .errors import (ConfigError, ShapeError, check_alpha, check_int, check_reals,
+                     enum_member)
 from .models import ModelOutputs, UpliftModel
 
 
@@ -76,20 +79,6 @@ class BagPartition:
     bag size beyond the batch size raises ConfigError."""
 
     bags: np.ndarray
-
-
-@dataclass
-class BagStats:
-    """Label, prediction and usable flag of every bag, aligned with the
-    rows of `BagPartition.bags`, and `treated`, which flags the treated
-    members of each bag (the shape of `bags`). A bag is usable for the
-    regularizer only when it holds both arms; an unusable bag's label and
-    prediction are NaN."""
-
-    y_bag: np.ndarray
-    h_bag: np.ndarray
-    usable: np.ndarray
-    treated: np.ndarray
 
 
 @dataclass
@@ -153,44 +142,52 @@ def cluster_bags(
 
 
 def batch_bag_stats(
-    outcome, treatment, p_t, p_c, partition: BagPartition, u_t: float
-) -> BagStats:
-    """Label and prediction for every bag of a partition.
+    outcomes, probabilities, treated, u_t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label, prediction and usable flag of every bag, from its members.
 
+    The three numpy arrays hold the bags' members, one bag per row, in one
+    (n_bags, bag_size) shape: each member's outcome, its factual-arm
+    probability (p_t if treated, p_c if control) and its treated flag.
     The label y_bag is the treated members' outcomes over u_t minus the
     control members' outcomes over (1 - u_t); the prediction h_bag is the
-    same weighted sum of each member's factual-arm probability (p_t if
-    treated, p_c if control). A single-arm bag is unusable: its label and
-    prediction are NaN and it takes no part in the regularizer. A u_t
-    outside (0, 1) raises ConfigError when some bag holds both arms.
+    same weighted sum of the probabilities. Returns (y_bag, h_bag, usable),
+    aligned with the bags. A single-arm bag is unusable: its label and
+    prediction are NaN and it takes no part in the regularizer. Arrays
+    that do not share one (n_bags, bag_size) shape (a column-gathered
+    outcome, say) raise ShapeError naming the three shapes. A u_t outside
+    (0, 1) raises ConfigError when some bag holds both arms.
     """
-    bags = partition.bags
-    treated = np.asarray(treatment)[bags] == 1
+    shapes = (outcomes.shape, probabilities.shape, treated.shape)
+    if len(shapes[0]) != 2 or len(set(shapes)) != 1:
+        raise ShapeError("bag members must share one (n_bags, bag_size) shape, got "
+                         "outcomes {}, probabilities {} and treated {}".format(*shapes))
     n_t = treated.sum(axis=1)
-    usable = (n_t > 0) & (n_t < bags.shape[1])
+    usable = (n_t > 0) & (n_t < treated.shape[1])
     if not 0.0 < u_t < 1.0:
         if usable.any():
             raise ConfigError(f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")
-        nan = np.full(len(bags), np.nan)
-        return BagStats(nan, nan.copy(), usable, treated)
+        nan = np.full(len(treated), np.nan)
+        return nan, nan.copy(), usable
 
-    def weighted_sums(a_t, a_c):
-        # Treated members' a_t over u_t minus control members' a_c over
+    def weighted_sums(a):
+        # Treated members' values over u_t minus control members' over
         # (1 - u_t), per bag; NaN for an unusable bag.
-        s_t = np.where(treated, np.asarray(a_t, dtype=np.float64)[bags], 0.0).sum(axis=1)
-        s_c = np.where(treated, 0.0, np.asarray(a_c, dtype=np.float64)[bags]).sum(axis=1)
+        s_t = np.where(treated, a, 0.0).sum(axis=1)
+        s_c = np.where(treated, 0.0, a).sum(axis=1)
         return np.where(usable, s_t / u_t - s_c / (1.0 - u_t), np.nan)
 
-    return BagStats(weighted_sums(outcome, outcome), weighted_sums(p_t, p_c), usable, treated)
+    return weighted_sums(outcomes), weighted_sums(probabilities), usable
 
 
-def mil_loss(stats: BagStats) -> tuple[float, np.ndarray]:
-    """Sum of squared (label - prediction) residuals over usable bags.
+def mil_loss(y_bag, h_bag, usable) -> tuple[float, np.ndarray]:
+    """Sum of squared (label - prediction) residuals over usable bags, from
+    `batch_bag_stats`'s (y_bag, h_bag, usable).
 
     Returns (l_mil, residuals); residuals are aligned with the bags and
     zero for unusable bags so gradient routing can index them directly.
     """
-    residuals = np.where(stats.usable, stats.y_bag - stats.h_bag, 0.0)
+    residuals = np.where(usable, y_bag - h_bag, 0.0)
     return float(np.sum(residuals**2)), residuals
 
 
@@ -212,9 +209,11 @@ def combined_loss_and_grads(
     Bags are formed by `cluster_bags` from the uplift predictions of this
     call's own forward pass (the returned outputs); RANDOM bags draw from
     `rng`, which they need. The assignment is fixed during the gradient.
-    The MIL gradient reaches each bag member only through its factual
-    arm's probability p_f: alpha * d l_mil / d p_f * p_f * (1 - p_f),
-    gathered per member and scattered once into that arm's column of the
+    Each bag member is gathered once, as (n_bags, bag_size) arrays of
+    outcomes, treated flags and factual probabilities p_f, which feed
+    `batch_bag_stats` and then the gradient. The MIL gradient reaches a
+    member only through p_f: alpha * d l_mil / d p_f * p_f * (1 - p_f),
+    per member, scattered once into its factual arm's column of the
     base loss's (n, 2) arm-logit gradient; the bags are disjoint, so no
     element is written twice, and the parameter gradient has the bits of
     the dense (n, 2) form (module docstring). With alpha = 0 the
@@ -232,8 +231,7 @@ def combined_loss_and_grads(
     or outcome that is not a vector of len(x) rows (a column, say): it
     raises ShapeError naming the argument and its shape.
     """
-    if not (is_real(alpha) and alpha >= 0):
-        raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")
+    check_alpha(alpha)
     _check_bags(len(x), bag_size, mode, rng)
     t = np.asarray(treatment, dtype=np.float64)
     y = np.asarray(outcome, dtype=np.float64)
@@ -248,21 +246,21 @@ def combined_loss_and_grads(
 
     l_mil, usable = 0.0, 0
     if alpha != 0.0 and np.isfinite(l_base):
-        partition = cluster_bags(out.uplift, bag_size, mode, rng)
-        stats = batch_bag_stats(y, t, out.p_t, out.p_c, partition, u_t)
-        l_mil, residuals = mil_loss(stats)
-        usable = int(stats.usable.sum())
+        bags = cluster_bags(out.uplift, bag_size, mode, rng).bags
+        treated = t[bags] == 1
+        p_f = np.where(treated, out.p_t[bags], out.p_c[bags])
+        y_bag, h_bag, two_arm = batch_bag_stats(y[bags], p_f, treated, u_t)
+        l_mil, residuals = mil_loss(y_bag, h_bag, two_arm)
+        usable = int(two_arm.sum())
     if usable:
         # d l_mil / d p_f at each member's factual probability p_f: -2 r / u_t
         # for a treated member, +2 r / (1 - u_t) for a control one (zero in
         # an unusable bag); then through the logistic, into the factual
         # column of g. Bags are disjoint, so the scatter adds into each
         # member's element once, in the order a dense (n, 2) form would.
-        bags, treated = partition.bags, stats.treated
         r = residuals[:, None]
         dp = np.where(treated, -2.0 * r / u_t, 2.0 * r / (1.0 - u_t))
-        pf = np.where(treated, out.p_t[bags], out.p_c[bags])
-        g[bags, treated.astype(np.intp)] += alpha * dp * pf * (1.0 - pf)
+        g[bags, treated.astype(np.intp)] += alpha * dp * p_f * (1.0 - p_f)
 
     grads = models.backprop_factual(model, g, buffers)
     breakdown = LossBreakdown(

@@ -71,7 +71,8 @@ from enum import Enum
 import numpy as np
 
 from . import nncore
-from .errors import ConfigError, ShapeError, check_int, check_reals, enum_member, is_int
+from .errors import (ConfigError, ShapeError, check_hidden_sizes, check_int, check_reals,
+                     enum_member, is_int)
 from .nncore import NetworkParams
 
 CHECKPOINT_VERSION = 2
@@ -199,14 +200,7 @@ def _layout(
     own: the features and the logistic of the control logit of the nets
     before it, a constant (stop-gradient)."""
     input_dim = check_int("input_dim", input_dim)
-    try:
-        hidden = tuple(hidden_sizes)
-    except TypeError:
-        hidden = ()
-    if not hidden or not all(map(is_int, hidden)):
-        raise ConfigError(
-            f"hidden_sizes must be positive integers, got {hidden_sizes!r}"
-        )
+    hidden = check_hidden_sizes(hidden_sizes)
     last = hidden[-1]
     if kind is ModelKind.TM:
         return [("net", (input_dim, *hidden, 2), _BOTH, "x")]

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import metrics, mil, models, nncore
 from .data import Dataset, fit_scaler, minibatches
-from .errors import (ConfigError, MetricError, TrainingError, check_int, enum_member,
-                     is_real)
+from .errors import (ConfigError, MetricError, TrainingError, check_alpha,
+                     check_hidden_sizes, check_int, enum_member)
 from .metrics import RunAggregate, UpliftCurve
 from .mil import BagMode
 from .models import ModelKind, UpliftModel
@@ -59,11 +59,14 @@ class TrainConfig:
     scaler.
 
     A config is checked once, when it is made: construction raises
-    ConfigError naming the first bad field, for a batch_size or bag_size
-    below 2, as `data.minibatches` and `mil.cluster_bags` would, and for
-    a bag_size above the batch_size. Each integer setting is stored as a
-    Python int, so a numpy integer given for one leaves the report plain
-    JSON. A config is frozen: make a variant with `dataclasses.replace`,
+    ConfigError naming the first bad field, for hidden_sizes that are no
+    non-empty sequence of integers >= 1, with `models.build`'s message,
+    for a batch_size or bag_size below 2, as `data.minibatches` and
+    `mil.cluster_bags` would, and for a bag_size above the batch_size.
+    Each integer setting is stored as a Python int, and hidden_sizes as a
+    tuple of them, so a numpy integer given for one leaves the report
+    plain JSON, and a list of sizes leaves the config hashable. A config
+    is frozen: make a variant with `dataclasses.replace`,
     which checks it again. What depends on the data is checked by
     `train`: a batch_size above the training split's row count through
     `data.minibatches`, before it builds a model, and a bad
@@ -108,9 +111,9 @@ class TrainConfig:
 
     def __post_init__(self):
         enum_member(ModelKind, self.model, "model")
+        object.__setattr__(self, "hidden_sizes", check_hidden_sizes(self.hidden_sizes))
         enum_member(BagMode, self.mode, "mode")
-        if not (is_real(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"'alpha' must be finite and >= 0, got {self.alpha!r}")
+        check_alpha(self.alpha)
         for name, least in _INT_FIELDS:
             value = getattr(self, name)
             if not (name == "warmup_steps" and value is None):
@@ -127,7 +130,7 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["hidden_sizes"] = [int(h) for h in self.hidden_sizes]
+        d["hidden_sizes"] = list(self.hidden_sizes)
         d["warmup_steps"] = self.resolved_warmup()
         d.update(beta1=self.beta1, beta2=self.beta2, eps=self.eps, n_points=self.n_points)
         return d

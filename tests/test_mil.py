@@ -6,11 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from upliftmil import mil, models
+from upliftmil import models
 from upliftmil.errors import ConfigError, ShapeError
 from upliftmil.mil import (
     BagMode,
-    BagPartition,
     batch_bag_stats,
     cluster_bags,
     combined_loss_and_grads,
@@ -134,13 +133,21 @@ class TestClusterBags:
         assert all(len(b) == 8 for b in part.bags)
 
 
+def _members(bags, outcome, treatment, p_t, p_c):
+    """The members of `bags` as the step gathers them: (outcomes,
+    factual probabilities, treated flags), each of the shape of `bags`."""
+    treated = np.asarray(treatment)[bags] == 1
+    p_f = np.where(treated, np.asarray(p_t)[bags], np.asarray(p_c)[bags])
+    return np.asarray(outcome, dtype=np.float64)[bags], p_f, treated
+
+
 def _one_bag(outcome, treatment, u_t, p_t=None, p_c=None):
     """(y_bag, h_bag, usable) of one bag holding every row, by
     `batch_bag_stats`; the prediction defaults to the outcomes."""
     p_t, p_c = (outcome, outcome) if p_t is None else (p_t, p_c)
-    bag = BagPartition(np.arange(len(treatment))[None, :])
-    stats = batch_bag_stats(outcome, treatment, p_t, p_c, bag, u_t)
-    return stats.y_bag[0], stats.h_bag[0], stats.usable[0]
+    bag = np.arange(len(treatment))[None, :]
+    y_bag, h_bag, usable = batch_bag_stats(*_members(bag, outcome, treatment, p_t, p_c), u_t)
+    return y_bag[0], h_bag[0], usable[0]
 
 
 class TestBagLabel:
@@ -181,23 +188,22 @@ class TestTreatedFractionOutsideUnitInterval:
     # only for the arm no bag holds.
     @pytest.mark.parametrize("u_t", [0.0, 1.0, -0.5, 1.5])
     def test_a_two_arm_bag_raises(self, u_t):
-        partition = BagPartition(np.array([[0, 1], [2, 3]]))
+        bags = np.array([[0, 1], [2, 3]])
         with pytest.raises(ConfigError, match=re.escape(
                 f"u_t must lie in (0, 1) for a two-arm bag, got {u_t}")):
-            batch_bag_stats(np.ones(4), [1, 1, 1, 0], np.full(4, 0.5), np.full(4, 0.5),
-                            partition, u_t)
+            batch_bag_stats(*_members(bags, np.ones(4), [1, 1, 1, 0], np.full(4, 0.5),
+                                      np.full(4, 0.5)), u_t)
 
     @pytest.mark.parametrize("u_t, t", [(1.0, [1, 1, 1, 1]), (0.0, [0, 0, 0, 0]),
                                         (1.5, [1, 1, 0, 0])])
     def test_single_arm_bags_are_unusable(self, u_t, t):
-        partition = BagPartition(np.array([[0, 1], [2, 3]]))
-        stats = batch_bag_stats(np.ones(4), t, np.full(4, 0.5), np.full(4, 0.5),
-                                partition, u_t)
-        assert not stats.usable.any()
-        assert np.isnan(stats.y_bag).all() and np.isnan(stats.h_bag).all()
-        assert not np.shares_memory(stats.y_bag, stats.h_bag)
-        np.testing.assert_array_equal(stats.treated, np.reshape(t, (2, 2)) == 1)
-        loss, residuals = mil_loss(stats)
+        bags = np.array([[0, 1], [2, 3]])
+        y_bag, h_bag, usable = batch_bag_stats(
+            *_members(bags, np.ones(4), t, np.full(4, 0.5), np.full(4, 0.5)), u_t)
+        assert not usable.any()
+        assert np.isnan(y_bag).all() and np.isnan(h_bag).all()
+        assert not np.shares_memory(y_bag, h_bag)
+        loss, residuals = mil_loss(y_bag, h_bag, usable)
         assert loss == 0.0 and residuals.tobytes() == np.zeros(2).tobytes()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -242,37 +248,49 @@ class TestBagPrediction:
         assert label == pred
 
 
-def _pairs(n_bags):
-    # Member flags of n_bags two-member bags, one treated and one control
-    # member each; mil_loss reads only the bag-level fields.
-    return np.tile([True, False], (n_bags, 1))
+class TestMemberShapes:
+    # The members are gathered by one (n_bags, bag_size) array of
+    # positions, so a column gathers into (n_bags, bag_size, 1). A column
+    # treatment and outcome once gave a (2, 1) label and a (2, 2)
+    # prediction here.
+    def test_column_gathered_outcome_rejected(self):
+        bags = np.array([[0, 1], [2, 3]])
+        members = _members(bags, np.ones((4, 1)), [1, 0, 1, 0], np.full(4, 0.5),
+                           np.full(4, 0.5))
+        want = ("bag members must share one (n_bags, bag_size) shape, got outcomes "
+                "(2, 2, 1), probabilities (2, 2) and treated (2, 2)")
+        with pytest.raises(ShapeError, match=f"^{re.escape(want)}$"):
+            batch_bag_stats(*members, 0.5)
+
+    @pytest.mark.parametrize("shapes", [
+        ((2, 2), (2, 3), (2, 2)), ((2, 2), (2, 2), (1, 2)), ((4,), (4,), (4,)),
+        ((2, 2, 1),) * 3])
+    def test_arrays_of_other_shapes_rejected(self, shapes):
+        # Mismatched shapes, and shared ones that are no (n_bags, bag_size).
+        with pytest.raises(ShapeError, match=re.escape(
+                f"got outcomes {shapes[0]}, probabilities {shapes[1]} "
+                f"and treated {shapes[2]}")):
+            batch_bag_stats(np.zeros(shapes[0]), np.full(shapes[1], 0.5),
+                            np.zeros(shapes[2], dtype=bool), 0.5)
 
 
 class TestMilLoss:
     def test_single_bag_residual(self):
-        stats = mil.BagStats(np.array([2.0]), np.array([1.5]), np.array([True]), _pairs(1))
-        loss, residuals = mil_loss(stats)
+        loss, residuals = mil_loss(np.array([2.0]), np.array([1.5]), np.array([True]))
         assert abs(loss - 0.25) < 1e-15
         np.testing.assert_allclose(residuals, [0.5])
 
     def test_perfect_predictions_zero_loss(self):
-        stats = mil.BagStats(np.ones(4), np.ones(4), np.full(4, True), _pairs(4))
-        loss, _ = mil_loss(stats)
+        loss, _ = mil_loss(np.ones(4), np.ones(4), np.full(4, True))
         assert loss == 0.0
 
     def test_two_bag_sum(self):
-        stats = mil.BagStats(
-            np.array([1.0, 0.0]), np.array([0.9, 0.2]), np.array([True, True]), _pairs(2)
-        )
-        loss, _ = mil_loss(stats)
+        loss, _ = mil_loss(np.array([1.0, 0.0]), np.array([0.9, 0.2]), np.array([True, True]))
         assert abs(loss - 0.05) < 1e-15
 
     def test_unusable_bags_skipped(self):
-        stats = mil.BagStats(
-            np.array([np.nan, 3.0]), np.array([np.nan, 1.0]), np.array([False, True]),
-            _pairs(2),
-        )
-        loss, residuals = mil_loss(stats)
+        loss, residuals = mil_loss(
+            np.array([np.nan, 3.0]), np.array([np.nan, 1.0]), np.array([False, True]))
         assert abs(loss - 4.0) < 1e-15
         assert residuals[0] == 0.0
 
@@ -442,7 +460,8 @@ class TestCombinedLoss:
         grads = grads.copy()
         assert breakdown.usable_bags > 0
         part = cluster_bags(out.uplift, bag_size, mode, np.random.default_rng(412))
-        _, residuals = mil_loss(batch_bag_stats(y, t, out.p_t, out.p_c, part, u_t))
+        stats = batch_bag_stats(*_members(part.bags, y, t, out.p_t, out.p_c), u_t)
+        _, residuals = mil_loss(*stats)
         # A second pass in the same set, for backprop_factual to consume.
         out = models.forward_full(m, x, bufs)
         _, g = models.factual_loss(out, t, y)

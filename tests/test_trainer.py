@@ -126,6 +126,26 @@ class TestConfig:
         a, b = (_report_key(train(*splits, c)[1]) for c in (cfg, TrainConfig(**ints)))
         assert json.dumps(a) == json.dumps(b)
 
+    @pytest.mark.parametrize("hidden", [(8.5,), (), (0,), [], ["a"], 5, [True], None],
+                             ids=repr)
+    def test_hidden_sizes_rejected_when_made_with_the_build_message(self, hidden):
+        # These once made a config, and only train, through models.build,
+        # rejected it.
+        with pytest.raises(ConfigError) as built:
+            models.build("tarnet", 3, hidden, 0)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(built.value))}$"):
+            TrainConfig(hidden_sizes=hidden)
+
+    def test_hidden_sizes_stored_as_a_tuple_of_ints(self):
+        # A list once made a frozen config that hash() rejected.
+        for hidden in ([8], np.array([8]), (np.int64(8),)):
+            cfg = TrainConfig(hidden_sizes=hidden)
+            assert cfg == TrainConfig(hidden_sizes=(8,))
+            assert hash(cfg) == hash(TrainConfig(hidden_sizes=(8,)))
+            assert type(cfg.hidden_sizes) is tuple
+            assert [type(h) for h in cfg.hidden_sizes] == [int]
+            assert cfg.to_dict()["hidden_sizes"] == [8]
+
     def test_bag_larger_than_batch_rejected(self):
         with pytest.raises(ConfigError):
             _cfg(bag_size=512, batch_size=256)
