@@ -76,7 +76,8 @@ MUTANTS = (
     ("mil.py", 'order = np.argsort(preds, kind="stable")', "order = np.arange(n)",
      "clustered bags are formed in batch order, unsorted"),
     ("models.py", "uplift=p_t - p_c", "uplift=p_c - p_t", "the uplift has the wrong sign"),
-    ("models.py", "np.column_stack((1.0 - t, t))", "np.column_stack((t, 1.0 - t))",
+    ("models.py", "arms = np.asarray(treatment).astype(np.intp)",
+     "arms = 1 - np.asarray(treatment).astype(np.intp)",
      "each row's loss is taken on its counterfactual arm"),
     # One rule per module: integer settings, ones columns, rectified outputs.
     ("errors.py", "if not is_int(value, least):", "if not is_int(value, 0):",
@@ -166,6 +167,10 @@ MUTANTS = (
      "",
      "TrainConfig takes hidden sizes models.build rejects, and a list of them "
      "leaves the config unhashable"),
+    # The base loss on the factual logits alone.
+    ("nncore.py", "grad = (logistic(z) - y) / n_arm[arms]",
+     "grad = (logistic(z) - y) / n_arm[1 - arms]",
+     "each row's loss gradient divides by the other arm's row count"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

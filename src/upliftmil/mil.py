@@ -46,11 +46,11 @@ one (n_bags, bag_size) array, d l_mil / d p_f times p_f (1 - p_f), added
 by one fancy-index scatter into the factual column of the base loss's
 (n, 2) arm-logit gradient. Bags are disjoint, so the scatter writes each
 member's element once, by the operations of a dense (n, 2) form in the
-same order. Elsewhere that form adds +0.0, which turns the base
-gradient's -0.0 entries into +0.0 and changes nothing else, so the two
-arm-logit gradients differ only in the sign of some zeros and the
-parameter gradients agree bit for bit (tests/oracles.py keeps the dense
-form).
+same order. Elsewhere that form adds +0.0, which changes no entry of the
+base gradient: its counterfactual column is +0.0 and no factual entry,
+(logistic(z) - y) / n_arm, is -0.0. So the two arm-logit gradients and
+the parameter gradients agree bit for bit (tests/oracles.py keeps the
+dense form).
 """
 
 from __future__ import annotations

@@ -7,9 +7,12 @@ the uplift prediction p_t - p_c. The factual-arm base loss is binary
 cross-entropy of z_t on treated rows plus binary cross-entropy of z_c on
 control rows, each taken on the logit itself and averaged within its own
 arm; gradients reach a row's counterfactual arm nowhere. `factual_loss`
-is its one implementation: the bag-regularized loss of `mil` adds to its
-(n, 2) arm-logit gradient rather than restating it, and
-`backprop_factual` routes that one array through the nets.
+is its one implementation. It reads each row's factual logit alone, the
+column its treatment names, and hands those n logits to
+`nncore.bce_loss` with the treatments as their arms; the counterfactual
+logits enter only its non-finite check. The bag-regularized loss of
+`mil` adds to its (n, 2) arm-logit gradient rather than restating it,
+and `backprop_factual` routes that one array through the nets.
 
 Architectures:
 
@@ -253,6 +256,10 @@ def _scale(model: UpliftModel, x: np.ndarray, buffers: BufferSet) -> np.ndarray:
     change), then one copy fills the buffer: each value takes the same two
     operations as in the row-wise form, so the bits are the same, but no
     loop runs over 6-value rows or writes a strided buffer row by row.
+    A scaler is checked whenever it is tiled, since it is mostly assigned
+    (`model.scaler = ...`): a mean and std that are not two finite
+    vectors of `input_dim` values with std > 0 raise ConfigError naming
+    'scaler', where they would score NaN rows or fail inside numpy.
     """
     out = nncore.first_rows(buffers.inputs, len(x))[:, :-1]
     if model.scaler is None:
@@ -261,6 +268,10 @@ def _scale(model: UpliftModel, x: np.ndarray, buffers: BufferSet) -> np.ndarray:
     mean, std = model.scaler
     key = mean.tobytes() + std.tobytes()
     if buffers._tiled[0] != key:
+        if not (mean.shape == std.shape == (model.input_dim,) and np.isfinite(mean).all()
+                and np.isfinite(std).all() and (std > 0).all()):
+            raise ConfigError(f"'scaler' must be two finite vectors of {model.input_dim} "
+                              f"values with std > 0, got shapes {mean.shape} and {std.shape}")
         shape = buffers.inputs[:, :-1].shape
         buffers._tiled = (key, *(np.broadcast_to(v, shape).ravel() for v in (mean, std)))
     _, means, stds = buffers._tiled
@@ -355,11 +366,21 @@ def factual_loss(out: ModelOutputs, treatment, outcome):
     Each arm's cross-entropy is averaged over that arm's rows and the two
     arm losses are summed; a batch with an empty arm contributes zero for
     that arm.
+
+    A row's treatment (0 or 1) is its column in `out.logits`: the n
+    factual logits go to `nncore.bce_loss`, and the loss's per-row
+    derivative is scattered into a zeroed g. A non-finite logit in either
+    column (a diverged net) makes l_base NaN, so no counterfactual logit
+    can diverge unseen.
     """
-    t = np.asarray(treatment, dtype=np.float64)
-    y = np.asarray(outcome, dtype=np.float64)
-    return nncore.bce_loss(out.logits, np.column_stack((y, y)),
-                           np.column_stack((1.0 - t, t)))
+    arms = np.asarray(treatment).astype(np.intp)
+    rows = np.arange(len(arms))
+    l_base, grad = nncore.bce_loss(out.logits[rows, arms], outcome, arms)
+    g = np.zeros_like(out.logits)
+    g[rows, arms] = grad
+    if not np.isfinite(out.logits).all():
+        l_base = float("nan")
+    return l_base, g
 
 
 def base_loss_and_grads(model: UpliftModel, x, treatment, outcome):

@@ -4,8 +4,9 @@ Everything needed to train the uplift models lives here: parameter
 vectors cut into per-layer views, a forward pass that keeps each
 layer's activation (not its pre-activation), exact reverse-mode
 backpropagation into one gradient vector, bias-corrected Adam updates
-in place, and masked binary cross-entropy. All arithmetic is float64;
-batches are row-major (batch x features) numpy arrays.
+in place, and binary cross-entropy averaged within each of two arms.
+All arithmetic is float64; batches are row-major (batch x features)
+numpy arrays.
 
 Affine layers: `flat` holds each layer as W (fan_in x fan_out) then b,
 so the (fan_in + 1) x fan_out block [W; b] is one contiguous view
@@ -61,9 +62,10 @@ the gradient of the scalar loss with respect to the outputs that
 that is the final pre-activation gradient already; for a rectifier
 output `backward` masks it with `output_grad_to_preact`, writing over
 the output activation, which the pass consumes. Cross-entropy is taken
-on the logits themselves: `bce_loss` reports softplus(z) - y * z and
-returns its exact derivative (logistic(z) - y) / n, with no probability
-in between to round off or clamp.
+on the logits themselves: `bce_loss` takes a vector of logits with
+their labels and 0/1 arms, reports softplus(z) - y * z averaged within
+each arm and returns its exact derivative (logistic(z) - y) / n_arm,
+with no probability in between to round off or clamp.
 """
 
 from __future__ import annotations
@@ -450,24 +452,26 @@ def adam_step(
 
 
 def bce_loss(
-    logits: np.ndarray, labels: np.ndarray, mask: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, arms: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy of logits over mask=1 entries, taken per
-    column: softplus(z) - y * z, with softplus(z) = max(z, 0) +
-    log1p(exp(-|z|)), averaged over each column's own selected entries
-    and summed over columns (a 1-D input is one column).
+    """Binary cross-entropy of a vector of logits, averaged within each
+    arm and summed over the two: softplus(z) - y * z per entry, with
+    softplus(z) = max(z, 0) + log1p(exp(-|z|)), and `arms` each entry's
+    arm, 0 or 1. Each arm's count and loss sum come from `np.bincount`,
+    which adds in entry order.
 
     Returns (loss, grad) with grad its exact derivative at the logits:
-    (logistic(z) - y) / n_selected on selected entries, zero elsewhere.
-    A column with an empty mask contributes zero loss and zero gradient;
-    callers flag that case themselves.
+    (logistic(z) - y) / n_arm, with n_arm the count of the entry's own
+    arm. An arm with no entries contributes zero loss; callers flag that
+    case themselves. Three arrays that are not vectors of one length
+    raise ShapeError.
     """
-    z, y, m = (np.asarray(a, dtype=np.float64) for a in (logits, labels, mask))
-    if not (z.shape == y.shape == m.shape):
-        raise ShapeError(f"length mismatch: logits {z.shape}, labels {y.shape}, "
-                         f"mask {m.shape}")
-    n_sel = np.maximum(m.sum(axis=0), 1.0)  # an empty column's terms are all 0
+    z, y = (np.asarray(a, dtype=np.float64) for a in (logits, labels))
+    arms = np.asarray(arms).astype(np.intp, copy=False)
+    if not (z.ndim == 1 and z.shape == y.shape == arms.shape):
+        raise ShapeError(f"length mismatch: logits {z.shape}, labels {y.shape}, arms {arms.shape}")
+    n_arm = np.maximum(np.bincount(arms, minlength=2), 1)  # an empty arm's sum is 0
     nll = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
-    loss = float(np.sum((nll * m).sum(axis=0) / n_sel))
-    grad = m * (logistic(z) - y) / n_sel
+    loss = float(np.sum(np.bincount(arms, weights=nll, minlength=2) / n_arm))
+    grad = (logistic(z) - y) / n_arm[arms]
     return loss, grad

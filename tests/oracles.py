@@ -116,6 +116,22 @@ def base_loss_ref(z_t, z_c, t, y):
     return loss
 
 
+def masked_factual_loss(logits, t, y):
+    """The base loss in its masked (n, 2) form, a bit reference for
+    `models.factual_loss`: labels (y, y) and mask (1 - t, t) over both
+    arm columns, the cross-entropy of every logit with the counterfactual
+    half zeroed by the mask, each arm counted by the mask's column sum,
+    and the logistic taken again over both columns. Returns (l_base, g)."""
+    z = np.asarray(logits, dtype=np.float64)
+    t, y = (np.asarray(a, dtype=np.float64) for a in (t, y))
+    labels, mask = np.column_stack((y, y)), np.column_stack((1.0 - t, t))
+    n_sel = np.maximum(mask.sum(axis=0), 1.0)
+    nll = np.maximum(z, 0.0) - labels * z + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(np.minimum(z, -z))
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return float(np.sum((nll * mask).sum(axis=0) / n_sel)), mask * (p - labels) / n_sel
+
+
 def mil_loss_ref(p_t, p_c, t, y, bags, u_t):
     """Sum over two-arm bags of squared (label - prediction) residuals."""
     total = 0.0

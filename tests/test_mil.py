@@ -441,15 +441,29 @@ class TestCombinedLoss:
         assert np.isnan(breakdown.l_base) and np.isnan(breakdown.loss)
         assert breakdown.l_mil == 0.0 and breakdown.usable_bags == 0
 
+    def test_diverged_counterfactual_arm_forms_no_bags(self):
+        # TARNet's treatment head diverged, on an all-control batch: no row
+        # is factual for it, yet the base loss is NaN and no bags are
+        # formed, so cluster_bags never sees the NaN uplift.
+        m = models.build("tarnet", 3, (5, 4), 43)
+        m.nets["head_t"].flat[...] = np.nan
+        x, _, y, _ = _batch(43)
+        with np.errstate(invalid="ignore"):
+            breakdown, _, _ = combined_loss_and_grads(
+                m, x, np.zeros(len(x)), y, 0.0, alpha=0.1, bag_size=4
+            )
+        assert np.isnan(breakdown.l_base) and np.isnan(breakdown.loss)
+        assert breakdown.usable_bags == 0
+
     @pytest.mark.parametrize("mode", list(BagMode))
     @pytest.mark.parametrize("bag_size", [2, 7, 64])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_gradient_has_the_bits_of_the_dense_form(self, kind, bag_size, mode):
         # The scatter into the factual column against the dense (n, 2)
-        # form, on the bags the call formed: the two arm-logit gradients
-        # differ at most in the sign of zeros, which the backward pass sums
-        # away, so the parameter gradients are equal bytes. 200 rows leave
-        # remainder rows in no bag for every bag size here.
+        # form, on the bags the call formed: the dense form adds +0.0 where
+        # the scatter writes nothing, which changes no entry, so the
+        # parameter gradients are equal bytes. 200 rows leave remainder
+        # rows in no bag for every bag size here.
         m = models.build(kind, 3, (6, 5), 41)
         m.params += np.random.default_rng(410).normal(0.0, 0.3, size=m.params.size)
         x, t, y, u_t = _batch(411, n=200)

@@ -17,6 +17,7 @@ from oracles import (
     base_loss_ref,
     fd_gradients,
     combined_loss_ref,
+    masked_factual_loss,
     max_relative_error,
     model_probs,
 )
@@ -360,6 +361,39 @@ class TestPredict:
         ref_t, ref_c = model_probs(m, x)
         np.testing.assert_allclose(predict(m, x)[0], ref_t, rtol=1e-12)
 
+    @pytest.mark.parametrize("scaler", [
+        (np.zeros(3), np.zeros(3)), (np.zeros(3), np.array([1.0, np.nan, 1.0])),
+        (np.array([0.0, np.nan, 0.0]), np.ones(3)), (np.zeros(3), np.array([1.0, -1.0, 1.0])),
+        (np.zeros(3), np.array([1.0, np.inf, 1.0])), (np.zeros(2), np.ones(2)),
+        (np.zeros(4), np.ones(4)), (np.zeros(3), np.ones(2))])
+    def test_bad_scaler_rejected(self, scaler):
+        # A zero, negative or non-finite std, a non-finite mean or a
+        # scaler of another length fails naming it, whether the model is
+        # made with it or it is assigned, and whether the set is fresh or
+        # has tiled a good scaler before.
+        x = np.random.default_rng(4).random((5, 3))
+        want = r"^'scaler' must be two finite vectors of 3 values with std > 0"
+        with pytest.raises(ConfigError, match=want):
+            predict(models.UpliftModel("tm", 3, (4,), 0, np.zeros(26), scaler=scaler), x)
+        m = _tiny("tm", seed=4)
+        m.scaler = (np.zeros(3), np.ones(3))
+        bufs = models.buffer_set(m, 5)
+        predict(m, x, bufs)
+        m.scaler = scaler
+        with pytest.raises(ConfigError, match=want):
+            predict(m, x, bufs)
+
+    def test_scaler_written_in_place_checked_again(self):
+        # A set tiles a scaler again when its bytes change, and checks it.
+        m = _tiny("tm", seed=4)
+        m.scaler = (np.zeros(3), np.ones(3))
+        x = np.random.default_rng(4).random((5, 3))
+        bufs = models.buffer_set(m, 5)
+        predict(m, x, bufs)
+        m.scaler[1][2] = 0.0
+        with pytest.raises(ConfigError, match="^'scaler' must be"):
+            predict(m, x, bufs)
+
 
 class TestBaseLoss:
     def test_near_perfect_predictions_near_zero_loss(self):
@@ -457,6 +491,42 @@ class TestBaseLoss:
         # Control column of the output layer receives no gradient
         g_w_last = nncore.layer_blocks(grads, m.nets["net"].layer_sizes)[-1][:-1]
         assert not g_w_last[:, 0].any()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("arms", ["both", "control", "treated"])
+    def test_has_the_bits_of_the_masked_form(self, kind, arms):
+        # The factual column alone against the masked (n, 2) form over
+        # both columns: the same loss bytes, the same gradient values, and
+        # nothing in the counterfactual column.
+        m = _tiny(kind, seed=37)
+        _jitter(m, seed=137)
+        rng = np.random.default_rng(37)
+        x = rng.random((50, 3))
+        t = {"both": rng.integers(0, 2, 50), "control": np.zeros(50, dtype=int),
+             "treated": np.ones(50, dtype=int)}[arms].astype(float)
+        y = rng.integers(0, 2, 50).astype(float)
+        out = models.forward_full(m, x)
+        loss, g = models.factual_loss(out, t, y)
+        want_loss, want_g = masked_factual_loss(out.logits, t, y)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert np.array_equal(g, want_g)
+        assert not g[np.arange(50), 1 - t.astype(int)].any()
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_nonfinite_counterfactual_logit_gives_nan_loss(self, arm):
+        # A diverged arm that no row of the batch is factual for still
+        # makes the loss NaN, as in the masked form, where 0 * NaN is NaN.
+        # The gradient stays finite: that arm's column is zero, not 0 * NaN.
+        m = _tiny("tarnet", seed=39)
+        m.nets["head_t" if arm == 0 else "head_c"].flat[...] = np.nan
+        x = np.random.default_rng(39).random((6, 3))
+        t, y = np.full(6, float(arm)), np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+        with np.errstate(invalid="ignore"):
+            out = models.forward_full(m, x)
+            loss, g = models.factual_loss(out, t, y)
+            want_loss, _ = masked_factual_loss(out.logits, t, y)
+        assert np.isnan(loss) and np.isnan(want_loss)
+        assert np.isfinite(g).all()
 
 
 class TestFactualMasking:

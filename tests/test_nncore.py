@@ -22,7 +22,7 @@ def _forward(net, x):
 def _loss_through_net(net, x, y):
     """Scalar BCE of the net's logits, for FD checks."""
     out, _ = _forward(net, x)
-    loss, _ = nncore.bce_loss(out.ravel(), y, np.ones_like(y))
+    loss, _ = nncore.bce_loss(out.ravel(), y, np.ones(y.size, dtype=int))
     return loss
 
 
@@ -331,7 +331,7 @@ class TestBackward:
             x = rng.normal(size=(6, sizes[0]))
             y = rng.integers(0, 2, size=6 * sizes[-1]).astype(float)
             out, bufs = _forward(net, x)
-            _, gz = nncore.bce_loss(out.ravel(), y, np.ones_like(y))
+            _, gz = nncore.bce_loss(out.ravel(), y, np.ones(y.size, dtype=int))
             grads, _ = nncore.backward(net, bufs, gz.reshape(out.shape))
 
             def loss_fn(_arrays):
@@ -560,37 +560,50 @@ class TestBceLoss:
         loss, _ = nncore.bce_loss(z, y, np.ones(2))
         assert abs(loss - (-math.log(0.9))) < 1e-12
 
-    def test_empty_mask_contributes_nothing(self):
-        z = np.array([-0.8, 0.8])
-        loss, grad = nncore.bce_loss(z, np.array([1.0, 0.0]), np.zeros(2))
-        assert loss == 0.0
-        np.testing.assert_array_equal(grad, np.zeros(2))
+    def test_empty_arm_contributes_nothing(self):
+        # No entries give zero loss; an arm without entries adds exactly
+        # zero to the other's mean.
+        loss, grad = nncore.bce_loss(np.array([]), np.array([]), np.array([], dtype=int))
+        assert loss == 0.0 and grad.shape == (0,)
+        z, y = np.array([-0.8, 0.8]), np.array([1.0, 0.0])
+        (loss_0, grad_0), (loss_1, grad_1) = (nncore.bce_loss(z, y, np.full(2, arm))
+                                              for arm in (0, 1))
+        assert loss_0 == loss_1
+        assert abs(loss_0 - np.mean(np.logaddexp(0.0, z) - y * z)) < 1e-15
+        np.testing.assert_array_equal(grad_0, grad_1)
+        np.testing.assert_array_equal(grad_0, (nncore.logistic(z) - y) / 2)
 
     def test_grad_is_prelogistic_residual(self):
         z = np.array([1.4, -1.4, 0.4])
         y = np.array([1.0, 0.0, 0.0])
-        mask = np.array([1.0, 0.0, 1.0])
-        _, grad = nncore.bce_loss(z, y, mask)
+        arms = np.array([1, 0, 1])
+        _, grad = nncore.bce_loss(z, y, arms)
         p = nncore.logistic(z)
-        np.testing.assert_allclose(grad, [(p[0] - 1) / 2, 0.0, p[2] / 2])
+        np.testing.assert_allclose(grad, [(p[0] - 1) / 2, p[1], p[2] / 2])
 
-    def test_masked_entries_get_zero_gradient(self):
-        z = np.array([1.4, -1.4])
-        _, grad = nncore.bce_loss(z, np.ones(2), np.array([0.0, 1.0]))
-        assert grad[0] == 0.0
+    def test_other_arm_leaves_gradient_unchanged(self):
+        # An entry's gradient reads its own logit and its own arm's count:
+        # moving the other arm's logit leaves it bit for bit.
+        arms = np.array([0, 1])
+        _, grad = nncore.bce_loss(np.array([1.4, -1.4]), np.ones(2), arms)
+        _, moved = nncore.bce_loss(np.array([-7.0, -1.4]), np.ones(2), arms)
+        assert grad[1] == moved[1] == nncore.logistic(-1.4) - 1.0
 
-    def test_columns_average_over_their_own_rows(self):
-        # Two columns, each the mean over its own selected rows, summed;
-        # a column with an empty mask adds nothing.
-        z = np.array([[0.3, -1.2], [2.0, 0.7], [-0.5, 1.1]])
-        y = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        mask = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        loss, grad = nncore.bce_loss(z, y, mask)
-        cols = [nncore.bce_loss(z[:, j], y[:, j], mask[:, j]) for j in range(2)]
-        assert abs(loss - (cols[0][0] + cols[1][0])) < 1e-15
-        np.testing.assert_array_equal(grad, np.column_stack([g for _, g in cols]))
-        loss, grad = nncore.bce_loss(z, y, mask * [1.0, 0.0])
-        assert loss == cols[0][0] and not grad[:, 1].any()
+    def test_arms_average_over_their_own_rows(self):
+        # Each arm the mean over its own rows, the two summed, in either
+        # labelling of the arms; the gradient is each arm's own, scattered.
+        z = np.array([0.3, 2.0, -1.2, 0.7, 1.1])
+        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        arms = np.array([0, 0, 1, 1, 0])
+        loss, grad = nncore.bce_loss(z, y, arms)
+        own = [nncore.bce_loss(z[arms == k], y[arms == k], np.full((arms == k).sum(), k))
+               for k in (0, 1)]
+        assert abs(loss - (own[0][0] + own[1][0])) < 1e-15
+        for k in (0, 1):
+            np.testing.assert_array_equal(grad[arms == k], own[k][1])
+        swapped, swapped_grad = nncore.bce_loss(z, y, 1 - arms)
+        assert swapped == loss
+        np.testing.assert_array_equal(swapped_grad, grad)
 
     def test_saturated_logits_keep_their_exact_loss_and_gradient(self):
         # Far past where a probability rounds to 0 or 1, the loss still

@@ -1,9 +1,9 @@
 """Package metadata: every declared console script resolves, the package
-imports nothing beyond NumPy and the standard library, its root binds
-nothing but its modules, every package name the benchmark harness
-reaches exists, every config the benchmark and scripts/fingerprint.py
-build can be made, and a step calls the bag functions the harness traces
-through the module globals it rebinds."""
+imports nothing beyond NumPy and the standard library and reads every
+name it imports, its root binds nothing but its modules, every package
+name the benchmark harness reaches exists, every config the benchmark
+and scripts/fingerprint.py build can be made, and a step calls the bag
+functions the harness traces through the module globals it rebinds."""
 
 import ast
 import importlib
@@ -44,6 +44,23 @@ def test_imports_only_numpy_and_the_standard_library():
                 top = name.partition(".")[0]
                 assert top == "numpy" or top in sys.stdlib_module_names, (
                     f"{path.name}:{node.lineno} imports {name}")
+
+
+def test_every_imported_name_is_read():
+    # A module reads each name it imports; `from __future__` binds none.
+    for path in sorted((ROOT / "src" / "upliftmil").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread = [f"{path.name}:{line} imports {name}"
+                  for name, line in imported.items() if name not in read]
+        assert unread == []
 
 
 def test_benchmark_harness_names_resolve():

@@ -439,6 +439,26 @@ class TestTrain:
         ):
             train(*splits, _cfg(model="tm"))
 
+    def test_diverged_counterfactual_arm_is_a_training_error(self, splits, monkeypatch):
+        # An all-control training split and a TARNet whose treatment head
+        # is NaN: no row is factual for that head, yet the first step's
+        # loss is NaN, so the run fails as a TrainingError, not in bag
+        # formation.
+        tr, va, te = splits
+        control = tr.subset(np.flatnonzero(tr.treatment == 0))
+        build = models.build
+
+        def diverged_head_t(*args):
+            model = build(*args)
+            model.nets["head_t"].flat[...] = np.nan
+            return model
+
+        monkeypatch.setattr(models, "build", diverged_head_t)
+        with np.errstate(all="ignore"), pytest.raises(
+            TrainingError, match=r"^non-finite loss at step 1: l_base=nan "
+        ):
+            train(control, va, te, _cfg(alpha=0.1, warmup_steps=0))
+
     @pytest.mark.parametrize("warmup_steps", [0, 3])
     def test_divergence_with_bags_is_a_training_error(self, splits, warmup_steps):
         # NaN predictions must not reach bag formation: a run that diverges
