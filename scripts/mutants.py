@@ -171,6 +171,19 @@ MUTANTS = (
     ("nncore.py", "grad = (logistic(z) - y) / n_arm[arms]",
      "grad = (logistic(z) - y) / n_arm[1 - arms]",
      "each row's loss gradient divides by the other arm's row count"),
+    # A model checked once, by its constructor; a binary treatment into a
+    # step; the learning rate checked when a config is made.
+    ("models.py", 'self.input_dim = check_int("input_dim", self.input_dim)',
+     "self.input_dim = int(self.input_dim)",
+     "the constructor truncates an input_dim of 2.5 to 2 and takes True as 1"),
+    ("mil.py",
+     "    if not is_binary(t):\n"
+     "        raise ConfigError(\"'treatment' must be 0 or 1 on every row\")\n",
+     "",
+     "a step trains a treatment of 0.5 as control and indexes past the arms "
+     "with a 2"),
+    ("trainer.py", '        check_open_range("learning_rate", self.learning_rate)\n', "",
+     "TrainConfig takes a learning rate that is not a finite number > 0"),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -1,8 +1,9 @@
 """Exception types shared across the package, `enum_member`, the one
 lookup that reports an unknown enum value as a `ConfigError`,
 `check_int`, which holds the one message of a bad integer setting,
-`check_alpha` and `check_hidden_sizes`, the one rules of the bag
-regularizer's weight and of a network's hidden layer sizes,
+`check_alpha`, `check_hidden_sizes` and `check_open_range`, the one
+rules of the bag regularizer's weight, of a network's hidden layer sizes
+and of an optimizer setting (a learning rate, a moment decay, an eps),
 `check_reals`, the one check of a real-valued input array, and `is_int`,
 `is_real` and `is_binary`, the one tests of an integer setting, of a
 real-valued setting and of a binary column.
@@ -73,6 +74,14 @@ def check_alpha(alpha) -> None:
     'alpha' unless it is a finite real (`is_real`) >= 0."""
     if not (is_real(alpha) and alpha >= 0):
         raise ConfigError(f"'alpha' must be finite and >= 0, got {alpha!r}")
+
+
+def check_open_range(name: str, value, high: float = math.inf) -> None:
+    """The one range rule of an optimizer setting: a ConfigError naming
+    the setting `name`, the range and the value unless it is a finite
+    real (`is_real`) in the open interval (0, high)."""
+    if not (is_real(value) and 0.0 < value < high):
+        raise ConfigError(f"{name!r} must be a finite number in (0, {high}), got {value!r}")
 
 
 def check_hidden_sizes(hidden_sizes) -> tuple[int, ...]:

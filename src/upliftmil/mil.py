@@ -62,7 +62,7 @@ import numpy as np
 
 from . import models
 from .errors import (ConfigError, ShapeError, check_alpha, check_int, check_reals,
-                     enum_member)
+                     enum_member, is_binary)
 from .models import ModelOutputs, UpliftModel
 
 
@@ -229,7 +229,10 @@ def combined_loss_and_grads(
     before the forward pass and whatever alpha is: an alpha-0 step, which
     forms no bags, rejects what a later step would. So does a treatment
     or outcome that is not a vector of len(x) rows (a column, say): it
-    raises ShapeError naming the argument and its shape.
+    raises ShapeError naming the argument and its shape. A treatment
+    that is not binary (`errors.is_binary`: 0.5, 2 or -1, say) raises
+    ConfigError naming 'treatment', before the forward pass, where its
+    rows would be read as control or index outside the two arms.
     """
     check_alpha(alpha)
     _check_bags(len(x), bag_size, mode, rng)
@@ -239,6 +242,8 @@ def combined_loss_and_grads(
         if v.shape != (len(x),):
             raise ShapeError(f"{name!r} must be a vector of {len(x)} rows, "
                              f"got shape {v.shape}")
+    if not is_binary(t):
+        raise ConfigError("'treatment' must be 0 or 1 on every row")
     if buffers is None:
         buffers = models.buffer_set(model, len(x))
     out = models.forward_full(model, x, buffers)

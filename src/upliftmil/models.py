@@ -31,10 +31,11 @@ Architectures:
 parameter order, layer sizes, inputs, and the arm logits each net's
 output adds to. A net that feeds no arm is a rectifier representation
 for other nets ("relu"); every other net ends in a logit ("linear").
-A model holds the table its constructor built and checked, so
-`buffer_set`, `forward_full` and `backprop_factual` read it without
-deriving it again; the passes walk it, forward and in reverse, and know
-no architecture by name.
+It states the architectures and checks nothing: `UpliftModel`'s
+constructor checks a model's settings once and builds the table from
+them once. A model holds that table, so `buffer_set`, `forward_full`
+and `backprop_factual` read it without deriving it again; the passes
+walk it, forward and in reverse, and know no architecture by name.
 
 A checkpoint (format 2) is a .npz archive of a JSON manifest
 (format_version, kind, input_dim, hidden_sizes, seed, has_scaler), the
@@ -103,27 +104,35 @@ class UpliftModel:
     """An architecture's nets, all views into the one vector `params`.
 
     The one constructor (`build`, `load_checkpoint` and unpickling call
-    it) checks the architecture, that `seed` is an integer >= 0 and that
-    `params` has the layout's length (`ConfigError` naming the field),
-    then lays `nets` out as views into `params`, copying no contiguous
-    float64 vector. It keeps the `_layout` it built, which the passes
-    walk. A pickle holds its arguments, so `params` once."""
+    it) is the one place a model's settings are checked, each once, in
+    this order: `kind` a `ModelKind`, `input_dim` an integer >= 1,
+    `hidden_sizes` a non-empty sequence of integers >= 1, `seed` an
+    integer >= 0, and `params` of the layout's length (`ConfigError`
+    naming the field). It stores the checked values (a `ModelKind`, Python
+    ints and a tuple of them), builds `_layout` from them once and keeps
+    it for the passes to walk, then lays `nets` out as views into
+    `params`, copying no contiguous float64 vector. Without `params` the
+    model holds zeros of the layout's length, which `build` fills. A
+    pickle holds its arguments, so `params` once."""
 
     kind: ModelKind
     input_dim: int
     hidden_sizes: tuple[int, ...]
     seed: int
-    params: np.ndarray = field(repr=False)
+    params: np.ndarray | None = field(default=None, repr=False)
     scaler: tuple[np.ndarray, np.ndarray] | None = None
     nets: dict[str, NetworkParams] = field(init=False, repr=False)
     _layout: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.kind = enum_member(ModelKind, self.kind, "kind")
-        layout = _layout(self.kind, self.input_dim, self.hidden_sizes)
-        self.input_dim, self.seed = int(self.input_dim), check_int("seed", self.seed, 0)
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
-        counts = [nncore.param_count(sizes) for _, sizes, _, _ in layout]
+        self.input_dim = check_int("input_dim", self.input_dim)
+        self.hidden_sizes = check_hidden_sizes(self.hidden_sizes)
+        self.seed = check_int("seed", self.seed, 0)
+        self._layout = _layout(self.kind, self.input_dim, self.hidden_sizes)
+        counts = [nncore.param_count(sizes) for _, sizes, _, _ in self._layout]
+        if self.params is None:
+            self.params = np.zeros(sum(counts))
         params = np.ascontiguousarray(self.params, dtype=np.float64)
         if params.shape != (sum(counts),):
             shape = np.shape(self.params)
@@ -131,8 +140,7 @@ class UpliftModel:
         self.params = params
         flats = np.split(params, np.cumsum(counts)[:-1])
         self.nets = {n: NetworkParams(f, s, "relu" if arms is None else "linear")
-                     for (n, s, arms, _), f in zip(layout, flats)}
-        self._layout = layout
+                     for (n, s, arms, _), f in zip(self._layout, flats)}
 
     def __reduce__(self):
         return UpliftModel, (self.kind, self.input_dim, self.hidden_sizes,
@@ -189,10 +197,12 @@ class ModelOutputs:
 
 
 def _layout(
-    kind: ModelKind, input_dim, hidden_sizes
+    kind: ModelKind, input_dim: int, hidden_sizes: tuple[int, ...]
 ) -> list[tuple[str, tuple, slice | None, str | None]]:
     """The nets of an architecture as (name, layer_sizes, arms, input), in
     parameter order: the one place that knows each kind's shape and wiring.
+    It is a table and checks nothing: `UpliftModel`, its one caller, passes
+    it settings it has checked.
 
     `arms` are the columns of the arm logits [z_c, z_t] that the net's
     output adds to (a one-unit net feeding both adds its logit to each),
@@ -202,35 +212,33 @@ def _layout(
     that reads that net's output, and None for one whose input is its
     own: the features and the logistic of the control logit of the nets
     before it, a constant (stop-gradient)."""
-    input_dim = check_int("input_dim", input_dim)
-    hidden = check_hidden_sizes(hidden_sizes)
-    last = hidden[-1]
+    last = hidden_sizes[-1]
     if kind is ModelKind.TM:
-        return [("net", (input_dim, *hidden, 2), _BOTH, "x")]
+        return [("net", (input_dim, *hidden_sizes, 2), _BOTH, "x")]
     if kind is ModelKind.TARNET:
         return [
-            ("trunk", (input_dim, *hidden), None, "x"),
+            ("trunk", (input_dim, *hidden_sizes), None, "x"),
             ("head_c", (last, last, 1), _CONTROL, "trunk"),
             ("head_t", (last, last, 1), _TREATED, "trunk"),
         ]
     if kind is ModelKind.DDR:
         return [
-            ("control", (input_dim, *hidden, 1), _CONTROL, "x"),
-            ("treatment", (input_dim + 1, *hidden, 1), _TREATED, None),
+            ("control", (input_dim, *hidden_sizes, 1), _CONTROL, "x"),
+            ("treatment", (input_dim + 1, *hidden_sizes, 1), _TREATED, None),
         ]
     return [  # SDR: each arm's logit is the shared one plus its private one.
-        ("shared", (input_dim, *hidden, 1), _BOTH, "x"),
+        ("shared", (input_dim, *hidden_sizes, 1), _BOTH, "x"),
         ("private_c", (input_dim, last, 1), _CONTROL, "x"),
         ("private_t", (input_dim, last, 1), _TREATED, "x"),
     ]
 
 
 def build(kind, input_dim: int, hidden_sizes, seed: int) -> UpliftModel:
-    """Wire a model of the given kind; deterministic for a fixed seed."""
-    kind = enum_member(ModelKind, kind, "kind")
-    layout = _layout(kind, input_dim, hidden_sizes)
-    size = sum(nncore.param_count(sizes) for _, sizes, _, _ in layout)
-    model = UpliftModel(kind, input_dim, hidden_sizes, seed, np.empty(size))
+    """A model of the given kind with freshly drawn weights; deterministic
+    for a fixed seed. `UpliftModel` checks the arguments and lays the
+    model out over a zero `params`; `build` then fills each net's slice
+    with `nncore.init_network`'s draw for that net."""
+    model = UpliftModel(kind, input_dim, hidden_sizes, seed)
     # Per-net seeds derive from (seed, index) so nets are independent but
     # the whole model is reproducible from one integer.
     for i, net in enumerate(model.nets.values()):

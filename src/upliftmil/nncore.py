@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_int, is_int, is_real
+from .errors import ConfigError, ShapeError, check_int, check_open_range, is_int
 
 _ACTIVATIONS = ("linear", "relu")
 
@@ -405,13 +405,12 @@ def init_adam(
     eps: float = 1e-8,
 ) -> AdamState:
     """Zero moments for `params` and Adam's settings; ConfigError naming
-    a setting that is not a finite number in its range."""
+    a setting that is not a finite number in its range
+    (`errors.check_open_range`)."""
     bounds = (("learning_rate", learning_rate, np.inf), ("beta1", beta1, 1.0),
               ("beta2", beta2, 1.0), ("eps", eps, np.inf))
     for name, value, high in bounds:
-        if not (is_real(value) and 0.0 < value < high):
-            raise ConfigError(
-                f"{name!r} must be a finite number in (0, {high}), got {value!r}")
+        check_open_range(name, value, high)
     m, v = np.zeros_like(params), np.zeros_like(params)
     return AdamState(m, v, 0, learning_rate, beta1, beta2, eps)
 

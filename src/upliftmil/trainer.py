@@ -35,7 +35,7 @@ import numpy as np
 from . import metrics, mil, models, nncore
 from .data import Dataset, fit_scaler, minibatches
 from .errors import (ConfigError, MetricError, TrainingError, check_alpha,
-                     check_hidden_sizes, check_int, enum_member)
+                     check_hidden_sizes, check_int, check_open_range, enum_member)
 from .metrics import RunAggregate, UpliftCurve
 from .mil import BagMode
 from .models import ModelKind, UpliftModel
@@ -61,16 +61,16 @@ class TrainConfig:
     A config is checked once, when it is made: construction raises
     ConfigError naming the first bad field, for hidden_sizes that are no
     non-empty sequence of integers >= 1, with `models.build`'s message,
-    for a batch_size or bag_size below 2, as `data.minibatches` and
-    `mil.cluster_bags` would, and for a bag_size above the batch_size.
-    Each integer setting is stored as a Python int, and hidden_sizes as a
-    tuple of them, so a numpy integer given for one leaves the report
-    plain JSON, and a list of sizes leaves the config hashable. A config
-    is frozen: make a variant with `dataclasses.replace`,
-    which checks it again. What depends on the data is checked by
-    `train`: a batch_size above the training split's row count through
-    `data.minibatches`, before it builds a model, and a bad
-    learning_rate through `nncore.init_adam`, before the first step.
+    for a learning_rate that is not a finite number > 0, with
+    `nncore.init_adam`'s message, for a batch_size or bag_size below 2,
+    as `data.minibatches` and `mil.cluster_bags` would, and for a
+    bag_size above the batch_size. Each integer setting is stored as a
+    Python int, and hidden_sizes as a tuple of them, so a numpy integer
+    given for one leaves the report plain JSON, and a list of sizes
+    leaves the config hashable. A config is frozen: make a variant with
+    `dataclasses.replace`, which checks it again. What depends on the
+    data is checked by `train`: a batch_size above the training split's
+    row count through `data.minibatches`, before it builds a model.
 
     Defaults mirror the reference regime (a TARNet of hidden sizes
     1024/512/256, batch 1024, clustered bags of 64, alpha 1e-3, Adam at
@@ -114,6 +114,7 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", check_hidden_sizes(self.hidden_sizes))
         enum_member(BagMode, self.mode, "mode")
         check_alpha(self.alpha)
+        check_open_range("learning_rate", self.learning_rate)
         for name, least in _INT_FIELDS:
             value = getattr(self, name)
             if not (name == "warmup_steps" and value is None):

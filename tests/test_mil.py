@@ -427,6 +427,20 @@ class TestCombinedLoss:
                 combined_loss_and_grads(m, x, given["treatment"], given["outcome"], u_t,
                                         alpha, 2)
 
+    @pytest.mark.parametrize("t", [np.full(8, 0.5), np.r_[2.0, np.zeros(7)],
+                                   np.r_[1.0, -1.0, np.zeros(6)]],
+                             ids=["half", "two", "minus-one"])
+    def test_treatment_that_is_not_binary_rejected_whatever_alpha_is(self, monkeypatch, t):
+        # 0.5 on every row once trained as an all-control batch, a 2 raised a
+        # bare IndexError from the base loss and a -1 a bare ValueError.
+        m = models.build("tm", 3, (4,), 0)
+        x, _, y, u_t = _batch(33, n=8)
+        monkeypatch.setattr(models, "forward_full", None)  # the forward pass raises
+        want = "'treatment' must be 0 or 1 on every row"
+        for alpha in (0.0, 0.1):
+            with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+                combined_loss_and_grads(m, x, t, y, u_t, alpha, 2)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_diverged_model_forms_no_bags(self, kind):
         # NaN predictions must not reach cluster_bags, which would raise a

@@ -141,6 +141,21 @@ class TestParameterVector:
                 models.set_parameter_arrays(m, np.zeros(shape))
         assert m.params.tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_model_made_without_params_holds_zeros_that_build_fills(self, kind):
+        m = models.UpliftModel(kind, 3, (5, 4), 11)
+        size = sum(nncore.param_count(s) for _, s, _, _ in models._layout(m.kind, 3, (5, 4)))
+        assert m.params.shape == (size,) and m.params.dtype == np.float64
+        assert not m.params.any() and m.params.flags.c_contiguous
+        layers = [a for net in m.nets.values() for a in (*net.weights, *net.biases)]
+        assert all(np.shares_memory(a, m.params) for a in layers)
+        assert sum(a.size for a in layers) == size
+        # build is this zero model with each net's weights drawn from
+        # [seed, i], the net's index.
+        for i, net in enumerate(m.nets.values()):
+            net.flat[...] = nncore.init_network(net.layer_sizes, [11, i]).flat
+        assert m.params.tobytes() == build(kind, 3, (5, 4), 11).params.tobytes()
+
     def test_params_of_wrong_shape_rejected(self):
         n = _tiny("tm").params.size
         for shape in [(0,), (n - 1,), (n + 1,), (2, n // 2)]:

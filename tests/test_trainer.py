@@ -115,6 +115,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^'bag_size' must be an integer >= 2, got 1$"):
             replace(cfg, bag_size=1)
 
+    @pytest.mark.parametrize("value", [0, -1, np.nan, None, "1e-3"], ids=repr)
+    def test_learning_rate_checked_when_made(self, value):
+        # Each of these once made a config, which only train, through
+        # nncore.init_adam, rejected; both now give the one message.
+        want = f"'learning_rate' must be a finite number in (0, inf), got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            TrainConfig(learning_rate=value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            nncore.init_adam(np.zeros(3), value)
+
     def test_numpy_integer_settings_give_the_plain_report(self, splits):
         # A config of numpy integers once trained, and then json.dumps
         # rejected its report's int64 settings.
